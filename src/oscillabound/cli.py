@@ -32,7 +32,7 @@ from .cayleylab import (
 )
 from .padic import PadicWindow, certified_bound_padic, echelon_reduce, mu_hat_padic
 from .polycore import check_independence, parse_curve_family, parse_rational
-from .realosc import Window, certified_constant_real, mu_hat_real_with_error
+from .realosc import QuadratureError, Window, certified_constant_real, mu_hat_real_with_error
 from .spectral import (
     PipelineConsistencyError,
     independence_pipeline,
@@ -399,7 +399,10 @@ def main(argv=None):
             "diagnostics": _jsonable(exc.diagnostics),
         }
         code = 2
-    except (OSError, KeyError, IndexError, TypeError, ValueError, ArithmeticError, json.JSONDecodeError) as exc:
+    except (
+        OSError, KeyError, IndexError, TypeError, ValueError, ArithmeticError,
+        json.JSONDecodeError, QuadratureError,
+    ) as exc:
         payload = {"command": flags.command, "error": exc.__class__.__name__, "detail": str(exc)}
         code = 1
 

@@ -8,7 +8,7 @@ roots of unity until the caller asks for a complex (or provably rational)
 answer.
 
 Haar measure is normalized so that Z_p has mass 1; the ball p^{-r} Z_p then
-has mass p^r and the sphere \|s\| = p^r has mass p^r - p^{r-1}.
+has mass p^r and the sphere |s| = p^r has mass p^r - p^{r-1}.
 """
 
 import cmath
@@ -272,7 +272,7 @@ def _ball_integral_cyc(phase_poly, p, R):
 
 
 def _sphere_sum_cyc(phase_poly, p, r):
-    """Exact integral over the sphere \|s\| = p^r (ball difference)."""
+    """Exact integral over the sphere |s| = p^r (ball difference)."""
     return _ball_integral_cyc(phase_poly, p, -r) + _ball_integral_cyc(phase_poly, p, -(r - 1)).scale(-1)
 
 
@@ -351,7 +351,7 @@ def _sphere_sum_residue(phase_poly, p, r):
 
 
 def sphere_character_sum(f, lam, r, p, method="exact"):
-    """int_{C_r} psi(lam * f(s)) ds over the sphere C_r = {\|s\| = p^r}.
+    """int_{C_r} psi(lam * f(s)) ds over the sphere C_r = {|s| = p^r}.
 
     Exact by default (cyclotomic stationary-phase descent); method="residue"
     switches to the adaptive residue-enumeration route, which is also what
@@ -369,7 +369,7 @@ def sphere_character_sum(f, lam, r, p, method="exact"):
 
 
 def ess_part(f, p):
-    """Essential part: max{0, max_i<n log_p(\|a_i\| / \|a_n\|)} over nonzero a_i."""
+    """Essential part: max{0, max_i<n log_p(|a_i| / |a_n|)} over nonzero a_i."""
     if f.degree < 1:
         raise ValueError("essential part needs degree >= 1")
     an = f.coeffs[-1]
@@ -438,7 +438,7 @@ def mu_hat_padic(family, window, lam):
 
 
 def padic_vdc_check(f, lam, r, p):
-    """Oscillation bound check on a ball: |int_{p^r Z_p} psi(lam f)| vs 2 p^n \|lam a_n\|^{-1/n}."""
+    """Oscillation bound check on a ball: |int_{p^r Z_p} psi(lam f)| vs 2 p^n |lam a_n|^{-1/n}."""
     lam = _as_fraction(lam)
     n = f.degree
     if n < 1 or lam * f.coeffs[-1] == 0:

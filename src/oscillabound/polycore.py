@@ -1,7 +1,8 @@
 """Exact polynomial curves, frequency phases, and the constants they certify.
 
-Everything in this module is exact rational arithmetic (fractions.Fraction);
-floats only appear on the way out, rounded in whichever direction keeps the
+Everything in this module is exact rational arithmetic (fractions.Fraction,
+or plain integers where root isolation only needs signs); floats only appear
+on the way out, rounded in whichever direction keeps the
 downstream certificate valid.
 """
 
@@ -133,28 +134,78 @@ class RationalPoly:
         return out
 
 
+def _primitive(c):
+    """c divided by the (positive) gcd of its entries."""
+    g = math.gcd(*c)
+    return [x // g for x in c]
+
+
+def _pseudo_divmod(a, b):
+    """(q, r) with |lc(b)|^j * a = q * b + r and deg r < deg b, for integer
+    coefficient lists (ascending).  q and r are positive multiples of the
+    rational quotient and remainder, so every sign survives."""
+    s = abs(b[-1])
+    sign_b = 1 if b[-1] > 0 else -1
+    db = len(b) - 1
+    q = [0] * max(len(a) - db, 1)
+    r = list(a)
+    for k in range(len(a) - 1 - db, -1, -1):
+        f = r[k + db] * sign_b
+        if f:
+            q = [s * c for c in q]
+            r = [s * c for c in r]
+            q[k] = f
+            for i, c in enumerate(b):
+                r[k + i] -= f * c
+    r = r[:db]
+    while r and r[-1] == 0:
+        r.pop()
+    return q, r
+
+
 def _sturm_chain(p):
-    chain = [p, p.derivative()]
-    while chain[-1].degree > 0:
-        chain.append(-(chain[-2].divmod(chain[-1])[1]))
-        if chain[-1].is_zero():
-            chain.pop()
+    """Sturm chain of an integer polynomial, each member scaled to a
+    primitive integer polynomial by a positive constant.  The last member is
+    gcd(p, p') up to a constant."""
+    chain = [p, _primitive([i * c for i, c in enumerate(p)][1:])]
+    while len(chain[-1]) > 1:
+        r = _pseudo_divmod(chain[-2], chain[-1])[1]
+        if not r:
             break
+        chain.append([-c for c in _primitive(r)])
     return chain
 
 
-def _sign_changes(chain, x):
-    signs = []
-    for q in chain:
-        v = q(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _squarefree_chain(poly):
+    """Integer Sturm chain of the squarefree part of a nonconstant poly."""
+    den = math.lcm(*(c.denominator for c in poly.coeffs))
+    p = _primitive([c.numerator * (den // c.denominator) for c in poly.coeffs])
+    chain = _sturm_chain(p)
+    if len(chain[-1]) > 1:  # repeated roots: divide out gcd(p, p') and rebuild
+        chain = _sturm_chain(_primitive(_pseudo_divmod(p, chain[-1])[0]))
+    return chain
 
 
-def _count_roots(chain, lo, hi):
-    """Number of distinct roots in (lo, hi]."""
-    return _sign_changes(chain, lo) - _sign_changes(chain, hi)
+def _sign_at(c, n, d):
+    """Sign of sum c_i (n/d)^i for d > 0, from the integer sum c_i n^i d^(deg-i)."""
+    acc = c[-1]
+    dk = 1
+    for i in range(len(c) - 2, -1, -1):
+        dk *= d
+        acc = acc * n + c[i] * dk
+    return (acc > 0) - (acc < 0)
+
+
+def _variations(chain, n, d):
+    """Sign changes along the chain at n/d, zeros skipped."""
+    count = last = 0
+    for c in chain:
+        s = _sign_at(c, n, d)
+        if s:
+            if s == -last:
+                count += 1
+            last = s
+    return count
 
 
 def isolate_positive_roots(poly, lo, hi):
@@ -163,40 +214,59 @@ def isolate_positive_roots(poly, lo, hi):
     Returns a sorted list of (left, right) Fraction pairs with right - left
     <= 1e-12, each containing exactly one root; an exact rational root shows
     up as a degenerate pair (r, r).  Endpoint roots are excluded (open
-    interval).  Sturm-chain counting, exact arithmetic throughout.
+    interval).  Exact integer arithmetic throughout: endpoints are integer
+    numerators over one shared denominator d0 * 2^k, Sturm counts split the
+    interval until each piece holds one root, and bisection on the sign of
+    poly alone then narrows it, at the same midpoints the counts would use.
     """
     lo, hi = parse_rational(lo), parse_rational(hi)
-    if lo >= hi:
+    if lo >= hi or poly.degree <= 0:
         return []
-    p = poly.squarefree()
-    if p.degree <= 0:
-        return []
-    chain = _sturm_chain(p)
-    total = _count_roots(chain, lo, hi)
-    if p(hi) == 0:
-        total -= 1  # (lo, hi] counted it; the contract is the open interval
+    chain = _squarefree_chain(poly)
+    p, dp = chain[0], chain[1]
+    w_num, w_den = ISOLATION_WIDTH.numerator, ISOLATION_WIDTH.denominator
     out = []
 
-    def split(a, b, count):
+    def refine(na, nb, d):
+        # exactly one (simple) root in (na/d, nb/d); sa is the sign of p just
+        # right of na/d, read off p' when na/d is itself a root of p
+        sa = _sign_at(p, na, d) or _sign_at(dp, na, d)
+        while (nb - na) * w_den > w_num * d:
+            m = na + nb
+            na, nb, d = 2 * na, 2 * nb, 2 * d
+            s = _sign_at(p, m, d)
+            if s == 0:
+                out.append((Fraction(m, d), Fraction(m, d)))
+                return
+            if s == sa:
+                na = m
+            else:
+                nb = m
+        out.append((Fraction(na, d), Fraction(nb, d)))
+
+    def split(na, va, nb, d, count):
+        # count = distinct roots in the open (na/d, nb/d); va = chain sign
+        # changes at na/d
         if count == 0:
             return
-        if count == 1 and b - a <= ISOLATION_WIDTH:
-            out.append((a, b))
+        if count == 1:
+            refine(na, nb, d)
             return
-        mid = (a + b) / 2
-        if p(mid) == 0:
-            out.append((mid, mid))
-            left = _count_roots(chain, a, mid) - 1
-            right = count - 1 - left
-            split(a, mid, left)
-            split(mid, b, right)
-            return
-        left = _count_roots(chain, a, mid)
-        split(a, mid, left)
-        split(mid, b, count - left)
+        m, d = na + nb, 2 * d
+        vm = _variations(chain, m, d)
+        hit = _sign_at(p, m, d) == 0
+        left = va - vm - hit
+        split(2 * na, va, m, d, left)
+        if hit:
+            out.append((Fraction(m, d), Fraction(m, d)))
+        split(m, vm, 2 * nb, d, count - hit - left)
 
-    split(lo, hi, total)
-    return sorted(out)
+    d0 = math.lcm(lo.denominator, hi.denominator)
+    na, nb = lo.numerator * (d0 // lo.denominator), hi.numerator * (d0 // hi.denominator)
+    va = _variations(chain, na, d0)
+    # V(lo) - V(hi) counts (lo, hi]; the contract is the open interval
+    split(na, va, nb, d0, va - _variations(chain, nb, d0) - (_sign_at(p, nb, d0) == 0))
+    return out
 
 
 class ExpPoly:
@@ -260,6 +330,7 @@ class CurveFamily:
         if not ps:
             raise ValueError("empty curve family")
         self.polys = tuple(ps)
+        self._a0_real = None  # filled in by compute_a0_real
 
     @property
     def m(self):
@@ -367,10 +438,18 @@ def compute_a0_real(family):
     """Largest t >= 0 at which every component vanishes at e^t; 0 if none.
 
     The common roots are the roots of gcd(f_1, ..., f_m); only roots x >= 1
-    matter.  Returns a float (ln of the top root, refined to 1e-12).
+    matter.  Returns a float (ln of the top root, refined to 1e-12).  The
+    family's components never change, so the value is computed once and
+    cached on the family.
     """
-    g = family.polys[0]
-    for p in family.polys[1:]:
+    if family._a0_real is None:
+        family._a0_real = _a0_real(family.polys)
+    return family._a0_real
+
+
+def _a0_real(polys):
+    g = polys[0]
+    for p in polys[1:]:
         g = g.gcd(p)
     if g.degree < 1:
         return 0.0
@@ -432,16 +511,17 @@ def _char_poly(mat):
 def _min_eigenvalue_lower(gram):
     """A positive rational lower bound on the smallest eigenvalue of a
     positive-definite Gram matrix, via exact bisection on its char poly."""
-    p = _char_poly(gram)
-    chain = _sturm_chain(p.squarefree())
+    chain = _squarefree_chain(_char_poly(gram))
     hi = sum(gram[i][i] for i in range(len(gram))) + 1  # trace bounds every eigenvalue
     lo = Fraction(0)
+    v_zero = _variations(chain, 0, 1)
     # invariant: no root in (0, lo];  at least one root in (lo, hi]
     for _ in range(_EIG_BITS):
         mid = (lo + hi) / 2
         if mid == 0:
             break
-        if _count_roots(chain, Fraction(0), mid) == 0 and p(mid) != 0:
+        n, d = mid.numerator, mid.denominator
+        if _variations(chain, n, d) == v_zero and _sign_at(chain[0], n, d) != 0:
             lo = mid
         else:
             hi = mid

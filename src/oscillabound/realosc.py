@@ -2,8 +2,9 @@
 interval decompositions with derivative witnesses, and the certified constant
 C with mu_hat_T >= -C/(T-a) uniformly in the frequency.
 
-Evaluation strategy.  The window is first cut at the (Sturm-isolated) roots
-of Phi' and Phi'' so that Phi and Phi' are monotone on every piece.  A piece
+Evaluation strategy.  The window is first cut at the roots of Phi' and
+Phi'' (isolated exactly in integer arithmetic by polycore) so that Phi and
+Phi' are monotone on every piece.  A piece
 spanning few oscillations is integrated directly by adaptive bisection with
 a nested Clenshaw-Curtis 16/8 pair (the 8-point rule rides on every other
 node of the 16-point rule, so the error estimate costs nothing extra); a
@@ -228,10 +229,18 @@ def _phi_evaluators(phi):
     return vec, scal
 
 
+def _x_window(a, T):
+    """Rational x-range [e^a, e^T], padded by a relative 1e-15 on each side so
+    that float rounding of exp cannot drop a root at the window's edge."""
+    return (
+        Fraction(math.exp(a)) * (1 - Fraction(1, 10**15)),
+        Fraction(math.exp(T)) * (1 + Fraction(1, 10**15)),
+    )
+
+
 def _breakpoints(phi, a, T):
-    """Interior roots of Phi' and Phi'' (t-coordinates), Sturm-isolated."""
-    xlo = Fraction(math.exp(a)) * (1 - Fraction(1, 10**15))
-    xhi = Fraction(math.exp(T)) * (1 + Fraction(1, 10**15))
+    """Interior roots of Phi' and Phi'' (t-coordinates), exactly isolated."""
+    xlo, xhi = _x_window(a, T)
     cuts = set()
     for k in (1, 2):
         poly = exp_poly_derivative(phi, k).as_x_poly()
@@ -388,11 +397,13 @@ def osc_integral(phi, a, T, tol_abs):
     return total, err
 
 
-def mu_hat_real(family, window, lam, tol=1e-9):
-    """Normalized transform (1/(T-a)) int_a^T cos(2*pi*Phi) dt within tol.
+def mu_hat_real_with_error(family, window, lam, tol=1e-9):
+    """Normalized transform (1/(T-a)) int_a^T cos(2*pi*Phi) dt within tol,
+    as (value, error_estimate).
 
     Phi(t) = sum_i lam_i f_i(e^t); exact rational phase construction, then
-    the piecewise oscillatory integrator above.  Raises QuadratureError
+    the piecewise oscillatory integrator above.  Raises ValueError unless
+    0 < tol <= 1e-3 and the window starts above a0, and QuadratureError
     (with the partial estimate attached) if refinement cannot reach tol.
     """
     window = _as_window(window)
@@ -403,7 +414,7 @@ def mu_hat_real(family, window, lam, tol=1e-9):
         raise ValueError(f"window start {window.a} must exceed a0 = {a0}")
     lams = [parse_rational(v) for v in lam]
     if all(v == 0 for v in lams):
-        return 1.0
+        return 1.0, 0.0
     phi = phi_from_frequency(family, lams)
     value, err = osc_integral(phi, window.a, window.T, tol * window.length)
     if err > tol * window.length * 1.5:
@@ -411,18 +422,12 @@ def mu_hat_real(family, window, lam, tol=1e-9):
     mu = value.real / window.length
     if abs(mu) > 1 + 1e-7 + tol:
         raise ArithmeticError(f"mu_hat left [-1,1]: {mu}")
-    return min(1.0, max(-1.0, mu))
+    return min(1.0, max(-1.0, mu)), err / window.length
 
 
-def mu_hat_real_with_error(family, window, lam, tol=1e-9):
-    """Same as mu_hat_real but returns (value, error_estimate)."""
-    window = _as_window(window)
-    lams = [parse_rational(v) for v in lam]
-    if all(v == 0 for v in lams):
-        return 1.0, 0.0
-    phi = phi_from_frequency(family, lams)
-    value, err = osc_integral(phi, window.a, window.T, tol * window.length)
-    return value.real / window.length, err / window.length
+def mu_hat_real(family, window, lam, tol=1e-9):
+    """The value of mu_hat_real_with_error, with the same guards."""
+    return mu_hat_real_with_error(family, window, lam, tol)[0]
 
 
 # --- interval decompositions -------------------------------------------------
@@ -432,7 +437,7 @@ def superlevel_decompose(phi, M, window):
     """{t in [a,T] : |Phi(t)| >= M} as <= 3n intervals with Phi' monotone.
 
     Exact endpoint machinery: the crossings are roots of g(x) -/+ M and the
-    monotonicity cuts are roots of sum c_j j^2 x^j, all Sturm-isolated; the
+    monotonicity cuts are roots of sum c_j j^2 x^j, all exactly isolated; the
     membership of each elementary gap is decided by one exact sign test.
     """
     window = _as_window(window)
@@ -443,8 +448,7 @@ def superlevel_decompose(phi, M, window):
     if M <= 0:
         raise ValueError("level must be positive")
     n = phi.max_index
-    xlo = Fraction(math.exp(window.a)) * (1 - Fraction(1, 10**15))
-    xhi = Fraction(math.exp(window.T)) * (1 + Fraction(1, 10**15))
+    xlo, xhi = _x_window(window.a, window.T)
     crossing_cuts = []
     for shifted in (g - RationalPoly([M]), g + RationalPoly([M])):
         for left, right in isolate_positive_roots(shifted, xlo, xhi):
@@ -531,8 +535,7 @@ def witness_intervals(phi, k, eta, window):
     if k == 1:
         second = exp_poly_derivative(phi, 2).as_x_poly()
         if second.degree >= 1:
-            xlo = Fraction(math.exp(window.a)) * (1 - Fraction(1, 10**15))
-            xhi = Fraction(math.exp(window.T)) * (1 + Fraction(1, 10**15))
+            xlo, xhi = _x_window(window.a, window.T)
             for left, right in isolate_positive_roots(second, xlo, xhi):
                 x = float(left + right) / 2
                 if x > 0:

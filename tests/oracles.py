@@ -134,6 +134,79 @@ def eval_poly_fraction(coeffs, x):
     return acc
 
 
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _poly_divmod(a, b):
+    """Quotient and remainder of a by b, coefficient lists over Q (ascending)."""
+    rem = _trim(a)
+    q = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        k = len(rem) - len(b)
+        f = rem[-1] / b[-1]
+        q[k] = f
+        for i, c in enumerate(b):
+            rem[k + i] -= f * c
+        rem = _trim(rem[:-1])
+    return q, rem
+
+
+def sturm_isolate(coeffs, lo, hi, width=Fraction(1, 10**12)):
+    """Isolating intervals for the distinct real roots of sum a_i x^i in the
+    open (lo, hi): Fraction Sturm chain of the squarefree part, bisected on
+    chain counts until each piece holds one root and is at most width wide;
+    a rational root hit by a midpoint shows up as the pair (r, r)."""
+    p = _trim(Fraction(c) for c in coeffs)
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo >= hi or len(p) <= 1:
+        return []
+    deriv = [i * c for i, c in enumerate(p)][1:]
+    g, h = p, deriv
+    while h:
+        g, h = h, _poly_divmod(g, h)[1]
+    if len(g) > 1:
+        p = _poly_divmod(p, g)[0]
+    chain = [p, [i * c for i, c in enumerate(p)][1:]]
+    while len(chain[-1]) > 1:
+        rem = _poly_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+
+    def changes(x):
+        signs = [v > 0 for v in (eval_poly_fraction(q, x) for q in chain) if v != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    def count(a, b):  # distinct roots in (a, b]
+        return changes(a) - changes(b)
+
+    out = []
+
+    def split(a, b, n):
+        if n == 0:
+            return
+        if n == 1 and b - a <= width:
+            out.append((a, b))
+            return
+        mid = (a + b) / 2
+        if eval_poly_fraction(p, mid) == 0:
+            out.append((mid, mid))
+            left = count(a, mid) - 1
+            split(a, mid, left)
+            split(mid, b, n - 1 - left)
+            return
+        left = count(a, mid)
+        split(a, mid, left)
+        split(mid, b, n - left)
+
+    split(lo, hi, count(lo, hi) - (eval_poly_fraction(p, hi) == 0))
+    return sorted(out)
+
+
 def poly_real_roots(coeffs, lo, hi):
     """All real roots of sum a_i x^i inside (lo, hi), via numpy eigenvalues."""
     cs = [float(c) for c in coeffs]

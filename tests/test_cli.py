@@ -91,6 +91,23 @@ def test_validation_errors_exit_1():
         assert _run(["muhat", good])[0] == 1
 
 
+def test_muhat_enforces_the_transform_guards():
+    # (x - 2, x^2 - 2x) has a0 = ln 2, so the window [0.1, 0.5] is invalid
+    shifted = [["-2", "1"], ["0", "-2", "1"]]
+    with tempfile.TemporaryDirectory() as tmp:
+        below_a0 = _write_config(
+            tmp, "a0.json", {"family": shifted, "window": [0.1, 0.5], "lambda": ["1", "1"]}
+        )
+        code, _, payload = _run(["muhat", below_a0])
+        assert code == 1 and "a0" in payload["detail"]
+        good = _write_config(
+            tmp, "good.json", {"family": FAMILY, "window": [1, 2], "lambda": ["1", "1"]}
+        )
+        code, _, payload = _run(["muhat", good, "--tol", "5"])
+        assert code == 1 and "tol" in payload["detail"]
+        assert _run(["muhat", good, "--tol", "1e-6"])[0] == 0
+
+
 def test_reports_are_byte_identical_for_same_config_and_seed():
     with tempfile.TemporaryDirectory() as tmp:
         path = _write_config(

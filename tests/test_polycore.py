@@ -6,9 +6,15 @@ import math
 import random
 from fractions import Fraction
 
-from oracles import poly_real_roots
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import poly_real_roots, sturm_isolate
+
+from oscillabound import polycore
 from oscillabound.polycore import (
+    ISOLATION_WIDTH,
     CurveFamily,
     ExpPoly,
     RationalPoly,
@@ -112,6 +118,80 @@ def test_isolate_positive_roots_random():
             assert float(lo) - 1e-9 <= root <= float(hi) + 1e-9
 
 
+def _times(coeffs, factor):
+    out = [Fraction(0)] * (len(coeffs) + len(factor) - 1)
+    for i, a in enumerate(coeffs):
+        for j, b in enumerate(factor):
+            out[i + j] += a * b
+    return out
+
+
+@st.composite
+def _isolation_cases(draw):
+    """(coeffs, lo, hi, distinct real roots) for a polynomial built from its
+    roots: repeated roots, roots at lo and hi, dyadic roots at the bisection
+    midpoints of (lo, hi), other small-denominator rationals, and an optional
+    root-free quadratic factor."""
+    lo = Fraction(draw(st.integers(-8, 8)), draw(st.sampled_from((1, 2, 3, 4))))
+    hi = lo + Fraction(draw(st.integers(1, 64)), draw(st.sampled_from((1, 2, 4, 8))))
+    midpoint = st.builds(
+        lambda k, j: lo + (hi - lo) * (2 * (j % 2**k) + 1) / 2 ** (k + 1),
+        st.integers(0, 5),
+        st.integers(0, 31),
+    )
+    rational = st.builds(Fraction, st.integers(-200, 800), st.integers(1, 16))
+    roots = draw(
+        st.lists(st.one_of(st.sampled_from((lo, hi)), midpoint, rational), min_size=1, max_size=4)
+    )
+    lead = Fraction(draw(st.integers(1, 9)) * draw(st.sampled_from((1, -1))), draw(st.integers(1, 5)))
+    coeffs = [lead]
+    for r in roots:
+        for _ in range(draw(st.integers(1, 3))):
+            coeffs = _times(coeffs, [-r, Fraction(1)])
+    if draw(st.booleans()):
+        coeffs = _times(coeffs, [Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 4))), 0, 1])
+    return coeffs, lo, hi, sorted(set(roots))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_isolation_cases())
+def test_isolation_matches_oracle_from_roots(case):
+    coeffs, lo, hi, roots = case
+    got = isolate_positive_roots(RationalPoly(coeffs), lo, hi)
+    assert got == sturm_isolate(coeffs, lo, hi)
+    inside = [r for r in roots if lo < r < hi]
+    assert len(got) == len(inside)
+    for (left, right), r in zip(got, inside):
+        assert lo <= left <= r <= right <= hi and right - left <= ISOLATION_WIDTH
+        assert (left == right) == (left == r)  # only a hit midpoint is degenerate
+    # numpy agrees on the count: its real roots of the squarefree product,
+    # away from lo and hi (no root lies within 1e-3 of them unless on them)
+    squarefree = [Fraction(1)]
+    for r in roots:
+        squarefree = _times(squarefree, [-r, Fraction(1)])
+    numeric = np.roots([float(c) for c in reversed(squarefree)])
+    near = [z.real for z in numeric if abs(z.imag) < 1e-9]
+    assert sum(1 for x in near if float(lo) + 1e-7 < x < float(hi) - 1e-7) == len(got)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7)), min_size=2, max_size=7),
+    st.builds(Fraction, st.integers(-8, 4), st.integers(1, 4)),
+    st.builds(Fraction, st.integers(1, 64), st.sampled_from((1, 2, 3, 8))),
+)
+def test_isolation_matches_oracle_random_coefficients(coeffs, lo, span):
+    got = isolate_positive_roots(RationalPoly(coeffs), lo, lo + span)
+    assert got == sturm_isolate(coeffs, lo, lo + span)
+    assert all(right - left <= ISOLATION_WIDTH for left, right in got)
+
+
+def test_isolation_width_is_pinned():
+    # breakpoint accuracy is load-bearing: a width of 1e-3 makes the
+    # quadrature raise QuadratureError on the criterion-6 sweep
+    assert ISOLATION_WIDTH == Fraction(1, 10**12)
+
+
 def test_exp_poly_basics():
     phi = ExpPoly({1: 1, 2: "1/2"})
     t = 0.37
@@ -196,6 +276,20 @@ def test_compute_a0_real():
     val = compute_a0_real(parse_curve_family([["-2", "1"], ["0", "-2", "1"]]))
     assert abs(val - math.log(2)) < 1e-9
     assert compute_a0_real(parse_curve_family([["-1/2", "1"], ["0", "-1/2", "1"]])) == 0.0
+
+
+def test_compute_a0_real_once_per_family(monkeypatch):
+    fam = parse_curve_family([["-3", "1"], ["0", "-3", "1"]])
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return isolate_positive_roots(*args)
+
+    monkeypatch.setattr(polycore, "isolate_positive_roots", counting)
+    first = compute_a0_real(fam)
+    assert abs(first - math.log(3)) < 1e-9 and len(calls) == 1
+    assert compute_a0_real(fam) == first and len(calls) == 1
 
 
 def test_high_freq_constants_identity_family():
