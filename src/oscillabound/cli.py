@@ -13,7 +13,6 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -332,16 +331,6 @@ def _cmd_reduce(cfg, flags):
     }
 
 
-def _threads_from_env():
-    raw = os.environ.get("OSCILLABOUND_THREADS")
-    if raw is None:
-        return 1
-    n = int(raw)
-    if n < 1:
-        raise ValueError("OSCILLABOUND_THREADS must be >= 1")
-    return n
-
-
 class _UsageError(Exception):
     pass
 
@@ -386,7 +375,6 @@ def main(argv=None):
             "tol": flags.tol,
             "budget": flags.budget,
             "csv": flags.csv,
-            "threads": _threads_from_env(),
         }
         report = _COMMANDS[flags.command](cfg, flags)
         payload = {"command": flags.command, "config": resolved, "report": report}

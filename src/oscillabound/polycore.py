@@ -275,7 +275,11 @@ class ExpPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms):
-        self.terms = {int(j): parse_rational(c) for j, c in dict(terms).items() if parse_rational(c) != 0}
+        self.terms = {}
+        for j, c in dict(terms).items():
+            c = parse_rational(c)
+            if c != 0:
+                self.terms[int(j)] = c
         if any(j < 0 for j in self.terms):
             raise ValueError("negative exponents are not allowed")
 
@@ -398,8 +402,9 @@ def phi_from_frequency(family, lam):
         if lv == 0:
             continue
         for j, c in enumerate(p.coeffs):
-            terms[j] = terms.get(j, Fraction(0)) + lv * c
-    return ExpPoly(terms)
+            if c != 0:
+                terms[j] = terms.get(j, 0) + lv * c
+    return ExpPoly(sorted(terms.items()))  # ascending exponents
 
 
 def _solve_exact(mat, rhs):

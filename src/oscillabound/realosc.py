@@ -4,15 +4,17 @@ C with mu_hat_T >= -C/(T-a) uniformly in the frequency.
 
 Evaluation strategy.  The window is first cut at the roots of Phi' and
 Phi'' (isolated exactly in integer arithmetic by polycore) so that Phi and
-Phi' are monotone on every piece.  A piece
-spanning few oscillations is integrated directly by adaptive bisection with
-a nested Clenshaw-Curtis 16/8 pair (the 8-point rule rides on every other
-node of the 16-point rule, so the error estimate costs nothing extra); a
-panel is split unconditionally whenever the phase 2*pi*Phi moves by more
-than pi across it, which prevents a smooth-looking aliased panel from being
-accepted.  A piece spanning many oscillations is split at |Phi'| = Omega
-into a slow zone (direct) and a fast zone handled in closed form by
-three-term integration by parts: with psi = 2*pi*Phi and
+Phi' are monotone on every piece.  A piece spanning few oscillations is
+integrated directly by adaptive bisection with a nested Clenshaw-Curtis 16/8
+pair (the 8-point rule rides on every other node of the 16-point rule, so
+the error estimate costs nothing extra); a panel is split unconditionally
+whenever the phase 2*pi*Phi moves by more than pi across it, which prevents
+a smooth-looking aliased panel from being accepted.  The bisection is
+depth-first but evaluates up to _BATCH panels from the top of its stack in
+one vectorised call, and every evaluation of Phi and its derivatives reads
+one float table built per transform.  A piece spanning many oscillations is
+split at |Phi'| = Omega into a slow zone (direct) and a fast zone handled in
+closed form by three-term integration by parts: with psi = 2*pi*Phi and
 A = psi''' psi' - 3 psi''^2,
 
     int e^{i psi} dt = [e^{i psi} (1/(i psi') - psi''/psi'^3 + A/(i psi'^5))]
@@ -49,6 +51,7 @@ _DIRECT_SPAN = 24.0  # max |Delta Phi| (in periods) integrated without IBP
 _MAX_PANELS = 400_000
 _MAX_DEPTH = 52
 _CC_N = 16
+_BATCH = 32  # panels evaluated together by _adaptive_cc
 _EPS = 2.3e-16  # float64 phase-evaluation granularity
 
 
@@ -162,71 +165,111 @@ _CC_W_COARSE = _cc_rule(_CC_N // 2)[1]
 
 
 def _adaptive_cc(values_at, lo, hi, tol_abs, phase_at=None, rel=0.0):
-    """Adaptive bisection with the nested CC16/CC8 pair.
+    """Adaptive bisection with the nested CC16/CC8 pair, evaluated in
+    batches while keeping a depth-first traversal.
 
-    values_at(ts) -> complex ndarray of integrand values; phase_at(t), when
-    given, supplies Phi for the oscillation guard: a panel across which the
-    phase 2*pi*Phi moves by more than pi is split unconditionally, so an
-    aliased panel can never look converged.  rel > 0 additionally accepts a
-    panel at that relative accuracy -- only use it for sign-definite
-    integrands (error/remainder weights), where per-panel relative control
-    gives total relative control; the accepted estimates accumulate into the
-    returned error bound either way.
+    Each step pops up to _BATCH panels from the top of the stack.
+    values_at(ts) receives the nodes of all of them as one (panels, 17)
+    array and returns the integrand values in that shape; the fine and
+    coarse sums of the batch are one matmul each, and each panel's accept
+    test then runs on plain floats.  phase_at(ts), when given, maps an
+    array of points to Phi for the oscillation guard: a panel across which
+    the phase 2*pi*Phi moves by more than pi is split unevaluated, so an
+    aliased panel can never look converged, and the midpoints of every
+    panel split in a step are phased in one call.  rel > 0 additionally
+    accepts a panel at that relative accuracy -- only use it for
+    sign-definite integrands (error/remainder weights), where per-panel
+    relative control gives total relative control; the accepted estimates
+    accumulate into the returned error bound either way.
+
+    Every accept test depends on its own panel alone, so the accepted panels
+    are those of one-at-a-time depth-first bisection (tests/oracles.py keeps
+    that version as the reference).  The sums are kept in place and the
+    stack holds O(_BATCH * depth) panels.  Raises QuadratureError once more
+    than _MAX_PANELS panels are taken or one is deeper than _MAX_DEPTH, with
+    the width still unresolved added to its error.
     """
     total = 0.0 + 0.0j
     err_total = 0.0
     width_all = hi - lo
     panels = 0
-    fa0 = phase_at(lo) if phase_at is not None else 0.0
-    fb0 = phase_at(hi) if phase_at is not None else 0.0
-    stack = [(lo, hi, 0, fa0, fb0)]
-    while stack:
-        a, b, depth, fa, fb = stack.pop()
-        panels += 1
-        if panels > _MAX_PANELS or depth > _MAX_DEPTH:
-            raise QuadratureError(
-                "quadrature failed to converge", partial=total, error=err_total + abs(b - a)
-            )
-        if phase_at is not None and abs(fb - fa) > 0.5:
-            mid = 0.5 * (a + b)
-            fm = phase_at(mid)
-            stack.append((a, mid, depth + 1, fa, fm))
-            stack.append((mid, b, depth + 1, fm, fb))
-            continue
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        ts = mid + half * _CC_X
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = values_at(ts)
-            fine = half * complex(vals @ _CC_W)
-            coarse = half * complex(vals[::2] @ _CC_W_COARSE)
-        err = abs(fine - coarse)
-        budget = tol_abs * max((b - a) / width_all, 1e-300)
-        if err <= budget or err <= rel * abs(fine) or err <= 1e-15 * (1.0 + abs(fine)):
-            total += fine
-            err_total += err
-            continue
-        fm = phase_at(mid) if phase_at is not None else 0.0
-        stack.append((a, mid, depth + 1, fa, fm))
-        stack.append((mid, b, depth + 1, fm, fb))
+    fa, fb = phase_at(np.array([lo, hi])).tolist() if phase_at is not None else (0.0, 0.0)
+    stack = [(lo, hi, 0, fa, fb)]  # panels (a, b, depth, phase at a, phase at b)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while stack:
+            batch = stack[-_BATCH:]
+            del stack[-_BATCH:]
+            panels += len(batch)
+            if panels > _MAX_PANELS or max(p[2] for p in batch) > _MAX_DEPTH:
+                unresolved = sum(p[1] - p[0] for p in stack + batch)
+                raise QuadratureError(
+                    "quadrature failed to converge", partial=total, error=err_total + unresolved
+                )
+            run, split = [], []
+            for p in batch:
+                (split if phase_at is not None and abs(p[4] - p[3]) > 0.5 else run).append(p)
+            if run:
+                halves = [0.5 * (p[1] - p[0]) for p in run]
+                centred = np.array([(0.5 * (p[0] + p[1]), h) for p, h in zip(run, halves)])
+                vals = values_at(centred[:, :1] + centred[:, 1:] * _CC_X)
+                fines = (vals @ _CC_W).tolist()
+                coarses = (vals[:, ::2] @ _CC_W_COARSE).tolist()
+                for p, half, fine, coarse in zip(run, halves, fines, coarses):
+                    fine, coarse = half * fine, half * coarse
+                    err = abs(fine - coarse)
+                    budget = tol_abs * max((p[1] - p[0]) / width_all, 1e-300)
+                    if err <= budget or err <= rel * abs(fine) or err <= 1e-15 * (1.0 + abs(fine)):
+                        total += fine
+                        err_total += err
+                    else:
+                        split.append(p)
+            if split:
+                mids = [0.5 * (p[0] + p[1]) for p in split]
+                fms = phase_at(np.array(mids)).tolist() if phase_at is not None else [0.0] * len(mids)
+                for (a, b, depth, fa, fb), mid, fm in zip(split, mids, fms):
+                    stack.append((a, mid, depth + 1, fa, fm))
+                    stack.append((mid, b, depth + 1, fm, fb))
     return total, err_total
 
 
 # --- piecewise oscillatory integration --------------------------------------
 
 
-def _phi_evaluators(phi):
-    js = np.array(sorted(phi.terms), dtype=float)
-    cs = np.array([float(phi.terms[int(j)]) for j in js])
-    js_col = js.reshape(-1, 1)
+class _PhaseTable:
+    """Float coefficients of Phi, Phi', ..., Phi'''' for one transform.
 
-    def vec(ts):
-        return cs @ np.exp(js_col * ts)
+    Row k holds c_j * j^k rounded once from the exact rational, and every
+    evaluation shares one table of exp(j*t) across the rows it reads."""
 
-    def scal(t):
-        return float(cs @ np.exp(js * t))
+    __slots__ = ("js", "coef", "_js", "_coef")
 
-    return vec, scal
+    def __init__(self, phi):
+        terms = sorted(phi.terms.items())
+        self._js = [float(j) for j, _ in terms]
+        # int / int is correctly rounded: the bits of float(c * j**k)
+        self._coef = [[(c.numerator * j**k) / c.denominator for j, c in terms] for k in range(5)]
+        self.js = np.array(self._js)
+        self.coef = np.array(self._coef)
+
+    def rows(self, ks, ts):
+        """Phi^(k) at ts for k in range(5)[ks], shape (rows,) + ts.shape."""
+        ts = np.asarray(ts, dtype=float)
+        powers = np.exp(self.js[:, None] * ts.reshape(1, -1))
+        return (self.coef[ks] @ powers).reshape((-1,) + ts.shape)
+
+    def phase(self, ts):
+        """Phi at an array of points."""
+        return self.rows(slice(0, 1), ts)[0]
+
+    def derivs(self, t, rows=5):
+        """Phi^(k)(t) for k < rows at one point, in plain floats: cheaper
+        than numpy calls for a handful of terms."""
+        try:
+            powers = [math.exp(j * t) for j in self._js]
+        except OverflowError:  # past the float range: inf, as on the array paths
+            with np.errstate(over="ignore"):
+                powers = np.exp(self.js * t).tolist()
+        return [sum(c * x for c, x in zip(row, powers)) for row in self._coef[:rows]]
 
 
 def _x_window(a, T):
@@ -259,77 +302,75 @@ def _breakpoints(phi, a, T):
     return sorted(cuts)
 
 
-def _ibp_boundary(derivs_at, t):
+def _ibp_boundary(table, t):
     """Three-term stationary boundary e^{i psi}(1/(i psi') - psi''/psi'^3
-    + (psi''' psi' - 3 psi''^2)/(i psi'^5)) at t, with psi = 2*pi*Phi.
+    + (psi''' psi' - 3 psi''^2)/(i psi'^5)) at t, with psi = 2*pi*Phi, and
+    the bound on its float64 argument-reduction error.
 
     Evaluated via q = 1/psi' and the ratios psi^(k)/psi', which stay modest
     even when psi' itself would overflow raised to the fifth power."""
-    f, p1, p2, p3, _ = derivs_at(t)
+    f, p1, p2, p3 = (math.tau * v for v in table.derivs(t, 4))
     e = complex(math.cos(f), math.sin(f))
     q = 1.0 / p1
     u2, u3 = p2 * q, p3 * q
-    return e * q * (-1j - u2 * q - 1j * (u3 - 3.0 * u2 * u2) * q * q)
+    term = e * q * (-1j - u2 * q - 1j * (u3 - 3.0 * u2 * u2) * q * q)
+    return term, 2.0 * abs(term) * min(1.0, abs(f) * _EPS)
 
 
-def _phase_noise(phi_s, lo, hi):
+def _phase_noise(table, lo, hi):
     """Honest bound on the float64 argument-reduction error of cos(2*pi*Phi)
     integrated over [lo, hi]; Phi is monotone there so |Phi| peaks at an end."""
-    peak = max(abs(phi_s(lo)), abs(phi_s(hi)))
+    peak = float(np.max(np.abs(table.phase(np.array([lo, hi])))))
     return min(2.0 * (hi - lo), math.tau * peak * _EPS * (hi - lo))
 
 
-def _integrate_piece(phi, c, d, tol_piece):
+def _integrate_piece(table, c, d, tol_piece):
     """One piece with Phi and Phi' monotone; returns (value, error_bound)."""
-    vec, phi_s = _phi_evaluators(phi)
-    dvecs, dscals = zip(*(_phi_evaluators(exp_poly_derivative(phi, k)) for k in range(1, 5)))
-    dphi_s = dscals[0]
-
-    def derivs_at(t):
-        return (math.tau * phi_s(t),) + tuple(math.tau * s(t) for s in dscals)
 
     def integrand(ts):
-        return np.exp(2j * np.pi * vec(ts))
+        return np.exp(2j * np.pi * table.phase(ts))
 
-    span = abs(phi_s(d) - phi_s(c))
-    if span <= _DIRECT_SPAN:
-        val, err = _adaptive_cc(integrand, c, d, tol_piece, phase_at=phi_s)
-        return val, err + _phase_noise(phi_s, c, d)
+    def direct(lo, hi, tol):
+        val, err = _adaptive_cc(integrand, lo, hi, tol, phase_at=table.phase)
+        return val, err + _phase_noise(table, lo, hi)
+
+    (phi_c, phi_d), (dc, dd) = table.rows(slice(0, 2), np.array([c, d])).tolist()
+    if abs(phi_d - phi_c) <= _DIRECT_SPAN:
+        return direct(c, d, tol_piece)
 
     # |Phi'| is monotone on the piece; identify the slow end
-    dc, dd = abs(dphi_s(c)), abs(dphi_s(d))
+    dc, dd = abs(dc), abs(dd)
     slow_at_left = dc < dd
     omega = max(_DIRECT_SPAN / max(d - c, 1e-12), 1.0)
 
     def weight(ts):
         # |A'/psi'^5 - 5 A psi''/psi'^6| = |q^3 (u4 - 10 u2 u3 + 15 u2^3)|
         # with q = 1/psi', u_k = psi^(k)/psi'  (overflow-safe for huge psi')
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            p1, p2, p3, p4 = (math.tau * dv(ts) for dv in dvecs)
-            q = 1.0 / p1
-            u2, u3, u4 = p2 * q, p3 * q, p4 * q
-            return np.abs(q**3 * (u4 - 10.0 * u2 * u3 + 15.0 * u2**3)) + 0j
+        p1, p2, p3, p4 = math.tau * table.rows(slice(1, 5), ts)
+        q = 1.0 / p1
+        u2, u3, u4 = p2 * q, p3 * q, p4 * q
+        return np.abs(q**3 * (u4 - 10.0 * u2 * u3 + 15.0 * u2**3)) + 0j
 
     for _ in range(60):
         if omega >= max(dc, dd):
             # no fast zone left; integrate the whole piece directly
-            val, err = _adaptive_cc(integrand, c, d, tol_piece, phase_at=phi_s)
-            return val, err + _phase_noise(phi_s, c, d)
+            return direct(c, d, tol_piece)
         if min(dc, dd) >= omega:
             t_star = c if slow_at_left else d  # entire piece is fast
         else:
             lo, hi = c, d
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                if (abs(dphi_s(mid)) < omega) == slow_at_left:
+                if mid == lo or mid == hi:
+                    break  # float resolution reached; t_star below is mid
+                if (abs(table.derivs(mid, 2)[1]) < omega) == slow_at_left:
                     lo = mid
                 else:
                     hi = mid
             t_star = 0.5 * (lo + hi)
         fast_lo, fast_hi = (t_star, d) if slow_at_left else (c, t_star)
         if fast_hi - fast_lo <= 1e-13 * max(1.0, abs(c), abs(d)):
-            val, err = _adaptive_cc(integrand, c, d, tol_piece, phase_at=phi_s)
-            return val, err + _phase_noise(phi_s, c, d)
+            return direct(c, d, tol_piece)
         try:
             r3, werr = _adaptive_cc(weight, fast_lo, fast_hi, 0.05 * tol_piece + 1e-300, rel=0.05)
             r3 = abs(r3) + werr
@@ -341,12 +382,8 @@ def _integrate_piece(phi, c, d, tol_piece):
         if math.isnan(r3):
             r3 = math.inf
         if r3 <= 0.4 * tol_piece:
-            b_hi = _ibp_boundary(derivs_at, fast_hi)
-            b_lo = _ibp_boundary(derivs_at, fast_lo)
-            noise = sum(
-                2.0 * abs(term) * min(1.0, math.tau * abs(phi_s(t)) * _EPS)
-                for term, t in ((b_hi, fast_hi), (b_lo, fast_lo))
-            )
+            b_hi, noise_hi = _ibp_boundary(table, fast_hi)
+            b_lo, noise_lo = _ibp_boundary(table, fast_lo)
             slow_lo, slow_hi = (c, t_star) if slow_at_left else (t_star, d)
             sval, serr = (0.0 + 0.0j, 0.0)
             swidth = slow_hi - slow_lo
@@ -355,15 +392,12 @@ def _integrate_piece(phi, c, d, tol_piece):
                     serr = swidth  # measure bound: |integrand| = 1
                 else:
                     try:
-                        sval, serr = _adaptive_cc(
-                            integrand, slow_lo, slow_hi, 0.5 * tol_piece, phase_at=phi_s
-                        )
-                        serr += _phase_noise(phi_s, slow_lo, slow_hi)
+                        sval, serr = direct(slow_lo, slow_hi, 0.5 * tol_piece)
                     except QuadratureError:
                         sval, serr = 0.0 + 0.0j, math.inf
                     if serr > swidth:
                         sval, serr = 0.0 + 0.0j, swidth
-            return sval + b_hi - b_lo, serr + r3 + noise
+            return sval + b_hi - b_lo, serr + r3 + (noise_hi + noise_lo)
         # the remainder decays like Omega^-3; jump near the needed level
         jump = omega * (r3 / (0.4 * tol_piece)) ** (1.0 / 3.0) * 1.5
         omega = max(4.0 * omega, min(jump, 1e12 * omega))
@@ -376,6 +410,7 @@ def osc_integral(phi, a, T, tol_abs):
         c0 = float(phi.constant_term())
         return complex(math.cos(math.tau * c0), math.sin(math.tau * c0)) * (T - a), 0.0
     cuts = _breakpoints(phi, a, T)
+    table = _PhaseTable(phi)
     knots = [a] + cuts + [T]
     total = 0.0 + 0.0j
     err = 0.0
@@ -384,7 +419,7 @@ def osc_integral(phi, a, T, tol_abs):
         if hi - lo <= 0:
             continue
         try:
-            val, e = _integrate_piece(phi, lo, hi, tol_abs * (hi - lo) / width)
+            val, e = _integrate_piece(table, lo, hi, tol_abs * (hi - lo) / width)
         except QuadratureError:
             val, e = 0.0 + 0.0j, math.inf
         if e > hi - lo:

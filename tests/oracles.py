@@ -222,6 +222,77 @@ def poly_real_roots(coeffs, lo, hi):
     return sorted(out)
 
 
+def cc_rule(n):
+    """Clenshaw-Curtis nodes cos(j*pi/n) (j = 0..n) and weights on [-1, 1],
+    built from the cosine-transform identities."""
+    j = np.arange(n + 1)
+    theta = np.pi * j / n
+    x = np.cos(theta)
+    coef = np.cos(np.outer(np.arange(n + 1), theta)) * (2.0 / n)
+    coef[:, 0] *= 0.5
+    coef[:, -1] *= 0.5
+    c = np.zeros(n + 1)
+    even = np.arange(0, n + 1, 2)
+    c[even] = 2.0 / (1.0 - even.astype(float) ** 2)
+    c[0] = 2.0
+    half = np.ones(n + 1)
+    half[0] = 0.5
+    half[-1] = 0.5
+    return x, coef.T @ (c * half)
+
+
+_CC_X, _CC_W = cc_rule(16)
+_CC_W_COARSE = cc_rule(8)[1]
+
+
+def adaptive_cc_dfs(values_at, lo, hi, tol_abs, phase_at=None, rel=0.0, max_panels=400_000, max_depth=52):
+    """One-panel-at-a-time depth-first CC16/CC8 bisection: the reference
+    for the library's batched quadrature.
+
+    values_at(ts) gets the 17 nodes of one panel; phase_at(t) gets one
+    point.  A panel across which phase_at moves by more than 1/2 is split
+    unevaluated.  A panel is accepted when its CC16-CC8 difference is within
+    its share of tol_abs, within rel of its value, or at float noise level.
+    Returns (value, summed error estimates); raises RuntimeError once more
+    than max_panels panels are taken or one is deeper than max_depth.
+    """
+    total = 0.0 + 0.0j
+    err_total = 0.0
+    width_all = hi - lo
+    panels = 0
+    fa0 = phase_at(lo) if phase_at is not None else 0.0
+    fb0 = phase_at(hi) if phase_at is not None else 0.0
+    stack = [(lo, hi, 0, fa0, fb0)]
+    while stack:
+        a, b, depth, fa, fb = stack.pop()
+        panels += 1
+        if panels > max_panels or depth > max_depth:
+            raise RuntimeError("quadrature failed to converge")
+        if phase_at is not None and abs(fb - fa) > 0.5:
+            mid = 0.5 * (a + b)
+            fm = phase_at(mid)
+            stack.append((a, mid, depth + 1, fa, fm))
+            stack.append((mid, b, depth + 1, fm, fb))
+            continue
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        ts = mid + half * _CC_X
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            vals = values_at(ts)
+            fine = half * complex(vals @ _CC_W)
+            coarse = half * complex(vals[::2] @ _CC_W_COARSE)
+        err = abs(fine - coarse)
+        budget = tol_abs * max((b - a) / width_all, 1e-300)
+        if err <= budget or err <= rel * abs(fine) or err <= 1e-15 * (1.0 + abs(fine)):
+            total += fine
+            err_total += err
+            continue
+        fm = phase_at(mid) if phase_at is not None else 0.0
+        stack.append((a, mid, depth + 1, fa, fm))
+        stack.append((mid, b, depth + 1, fm, fb))
+    return total, err_total
+
+
 if __name__ == "__main__":
     # Freeze run: numbers printed here get copied into the test files.
     val = simpson_mu_hat({1: Fraction(1, 100)}, 1.0, 2.0)

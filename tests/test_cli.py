@@ -166,22 +166,6 @@ def test_consistency_failure_exits_2():
     assert payload["diagnostics"] == {"gap": -0.5}
 
 
-def test_threads_env_is_validated_and_recorded():
-    with tempfile.TemporaryDirectory() as tmp:
-        path = _write_config(
-            tmp, "c.json", {"family": FAMILY, "window": [1, 2], "lambda": ["0", "0"]}
-        )
-        os.environ["OSCILLABOUND_THREADS"] = "0"
-        try:
-            assert _run(["muhat", path])[0] == 1
-            os.environ["OSCILLABOUND_THREADS"] = "4"
-            code, _, payload = _run(["muhat", path])
-        finally:
-            del os.environ["OSCILLABOUND_THREADS"]
-    assert code == 0
-    assert payload["config"]["_resolved"]["threads"] == 4
-
-
 def test_pipeline_command_padic():
     with tempfile.TemporaryDirectory() as tmp:
         path = _write_config(

@@ -9,11 +9,15 @@ import os
 import random
 import tempfile
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import simpson_mu_hat
+from oracles import adaptive_cc_dfs, simpson_mu_hat
 
+from oscillabound import realosc
 from oscillabound.polycore import ExpPoly, parse_curve_family, phi_from_frequency
 from oscillabound.realosc import (
     HIGH,
@@ -159,11 +163,148 @@ def test_osc_integral_vs_complex_simpson():
         assert abs(val - want) < 5e-9, (phi, val, want)
 
 
+def _exp_sum(terms):
+    """Phi(ts) = sum c e^{j ts}, elementwise: a point's value does not depend
+    on the shape of the array it arrives in."""
+
+    def phase(ts):
+        ts = np.asarray(ts, dtype=float)
+        out = np.zeros(ts.shape)
+        for j, c in terms:
+            out = out + c * np.exp(j * ts)
+        return out
+
+    return phase
+
+
+@st.composite
+def _quadrature_cases(draw):
+    terms = [
+        (j, draw(st.integers(-60, 60)) / draw(st.integers(1, 9)))
+        for j in range(draw(st.integers(1, 3)) + 1)
+    ]
+    lo = draw(st.integers(-8, 16)) / 8
+    width = draw(st.sampled_from((1e-3, 0.1, 0.5, 1.0, 2.0)))
+    tol = 10.0 ** -draw(st.integers(3, 11))
+    return terms, lo, lo + width, tol, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_quadrature_cases())
+def test_batched_quadrature_matches_depth_first_oracle(case):
+    """Same evaluated panels, so the same value up to rounding and the same
+    failures; small limits make failures common."""
+    terms, lo, hi, tol, sign_definite = case
+    evaluated = {"batched": 0, "oracle": 0}
+
+    def counted(name, f):
+        def values_at(ts):
+            evaluated[name] += ts.size // 17
+            return f(ts)
+
+        return values_at
+
+    phase = _exp_sum(terms)
+    if sign_definite:
+        # like the IBP remainder weight: relative acceptance, no phase guard,
+        # and a blow-up wherever Phi crosses zero
+        def integrand(ts):
+            return 1.0 / phase(ts) ** 2 + 0j
+
+        lib_kw, oracle_kw = {"rel": 0.05}, {"rel": 0.05}
+    else:
+        def integrand(ts):
+            return np.exp(2j * np.pi * phase(ts))
+
+        lib_kw = {"phase_at": phase}
+        oracle_kw = {"phase_at": lambda t: float(phase(np.array([t]))[0])}
+    try:
+        with mock.patch.object(realosc, "_MAX_PANELS", 3000), mock.patch.object(realosc, "_MAX_DEPTH", 24):
+            got = realosc._adaptive_cc(counted("batched", integrand), lo, hi, tol, **lib_kw)
+    except QuadratureError:
+        got = None
+    try:
+        want = adaptive_cc_dfs(
+            counted("oracle", integrand), lo, hi, tol, max_panels=3000, max_depth=24, **oracle_kw
+        )
+    except RuntimeError:
+        want = None
+    assert (got is None) == (want is None), (got, want)
+    if got is not None:
+        (v, e), (w, f) = got, want
+        assert v == w or abs(v - w) <= e + f + 1e-12, (v, w, e, f)
+        assert evaluated["batched"] == evaluated["oracle"]
+
+
+def test_quadrature_batches_and_panel_ceiling():
+    shapes = []
+
+    def chirp(ts):
+        shapes.append(ts.shape)
+        return np.exp(2j * np.pi * 40.0 * ts**2)
+
+    val, err = realosc._adaptive_cc(chirp, 0.0, 3.0, 1e-10, phase_at=lambda ts: 40.0 * ts**2)
+    assert max(n for n, _ in shapes) == realosc._BATCH
+    assert {k for _, k in shapes} == {realosc._CC_N + 1}
+    want, werr = adaptive_cc_dfs(chirp, 0.0, 3.0, 1e-10, phase_at=lambda t: 40.0 * t**2)
+    assert abs(val - want) <= err + werr + 1e-12
+
+    # panels wider than 1e-6 never converge: the full tree to depth 20 has
+    # 2M panels, so the panel ceiling fires long before the depth ceiling
+    seen = []
+
+    def stubborn(ts):
+        seen.append(len(ts))
+        vals = np.ones(ts.shape, dtype=complex)
+        vals[ts[:, 0] - ts[:, -1] > 1e-6, 1::2] = -1.0
+        return vals
+
+    try:
+        realosc._adaptive_cc(stubborn, 0.0, 1.0, 1e-12)
+    except QuadratureError as exc:
+        assert math.isfinite(abs(exc.partial)) and exc.error > 0
+    else:
+        raise AssertionError("a non-converging integrand returned")
+    assert max(seen) <= realosc._BATCH
+    assert realosc._MAX_PANELS - realosc._BATCH < sum(seen) <= realosc._MAX_PANELS
+
+    # refinement towards one point: panels at depth _MAX_DEPTH are allowed,
+    # one level deeper is not
+    def pinned(limit, x0=0.3 * 2.0**20):
+        def values_at(ts):
+            vals = np.ones(ts.shape, dtype=complex)
+            vals[(ts[:, -1] < x0) & (x0 < ts[:, 0]) & (ts[:, 0] - ts[:, -1] > limit), 1::2] = -1.0
+            return vals
+
+        return values_at
+
+    finest = 2.0 ** (20 - realosc._MAX_DEPTH)
+    val, _ = realosc._adaptive_cc(pinned(1.5 * finest), 0.0, 2.0**20, 1e-12)
+    assert abs(val - 2.0**20) < 1.0
+    try:
+        realosc._adaptive_cc(pinned(0.75 * finest), 0.0, 2.0**20, 1e-12)
+    except QuadratureError:
+        pass
+    else:
+        raise AssertionError("refinement went deeper than _MAX_DEPTH")
+
+
 def test_huge_frequency_is_fast_and_sane():
     fam = parse_curve_family([["0", "0", "1"], ["0", "0", "0", "1"], ["0", "0", "0", "0", "0", "1"]])
     lam = (Fraction(999_983), Fraction(-1_000_003), Fraction(1_000_033))
     val = mu_hat_real(fam, Window(1, 3), lam, tol=1e-6)
     assert abs(val) < 1e-2  # enormous phase gradient: essentially full cancellation
+
+
+def test_phase_beyond_float_range_fails_as_quadrature_error():
+    # e^{5t} overflows a float for t > 142, inside the t_star bisection
+    fam = parse_curve_family([["0", "0", "0", "0", "0", "1"]])
+    try:
+        mu_hat_real(fam, Window(1, 150), (Fraction(1, 10**300),), tol=1e-3)
+    except QuadratureError:
+        pass
+    else:
+        raise AssertionError("an unreachable tolerance was reported as reached")
 
 
 def test_superlevel_decompose_two_sided():
