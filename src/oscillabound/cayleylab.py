@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polycore import CurveFamily, RationalPoly, _rank, check_independence, parse_rational
+from .polycore import CurveFamily, RationalPoly, _bareiss, check_independence, parse_rational
 
 _MEMBERSHIP_TOL = 1e-9  # curve-membership tolerance for float samples
 
@@ -351,7 +351,7 @@ def multivariate_reduce(polys, ell=None):
             if any(exps):
                 row[columns[exps]] = c
         coeff_rows.append(row)
-    if not support or _rank(coeff_rows) < len(ps):
+    if not support or len(_bareiss(coeff_rows)[2]) < len(ps):
         raise ValueError("components must be linearly independent together with constants")
     weights = [ell**i for i in range(d)]
     rows = []

@@ -34,6 +34,7 @@ from .polycore import check_independence, parse_curve_family, parse_rational
 from .realosc import QuadratureError, Window, certified_constant_real, mu_hat_real_with_error
 from .spectral import (
     PipelineConsistencyError,
+    _normalize_field,
     independence_pipeline,
     minimize_mu_hat,
 )
@@ -65,33 +66,6 @@ def _jsonable(x):
     return x
 
 
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _field_of(cfg):
-    """-> ('real', None) or ('padic', p), validated."""
-    field = cfg.get("field", "real")
-    if field in ("real", "R"):
-        return "real", None
-    if isinstance(field, dict) and "padic" in field:
-        p = int(field["padic"])
-    elif isinstance(field, int):
-        p = field
-    else:
-        raise ValueError(f"field must be 'real' or {{'padic': p}}; got {field!r}")
-    if not _is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    return "padic", p
-
-
 def _family_of(cfg):
     fam = parse_curve_family(cfg["family"])
     if not check_independence(fam):
@@ -104,7 +78,11 @@ def _real_window_of(cfg):
     return Window(float(parse_rational(a)), float(parse_rational(T)))
 
 
-def _padic_window_of(cfg, p):
+def _window_of(cfg):
+    """The Window or PadicWindow that the config's field asks for."""
+    kind, p = _normalize_field(cfg.get("field", "real"))
+    if kind == "real":
+        return _real_window_of(cfg)
     a, T = cfg["window"]
     return PadicWindow(int(a), int(T), p)
 
@@ -158,11 +136,10 @@ def _cmd_muhat(cfg, flags):
 
 @_command("padic-muhat")
 def _cmd_padic_muhat(cfg, flags):
-    kind, p = _field_of(cfg)
-    if kind != "padic":
+    w = _window_of(cfg)
+    if not isinstance(w, PadicWindow):
         raise ValueError("padic-muhat needs field = {'padic': p}")
     fam = _family_of(cfg)
-    w = _padic_window_of(cfg, p)
     out = []
     for lam in _lambdas_of(cfg, fam.m):
         v = mu_hat_padic(fam, w, lam)
@@ -195,11 +172,10 @@ def _cmd_certify(cfg, flags):
 
 @_command("padic-certify")
 def _cmd_padic_certify(cfg, flags):
-    kind, p = _field_of(cfg)
-    if kind != "padic":
+    w = _window_of(cfg)
+    if not isinstance(w, PadicWindow):
         raise ValueError("padic-certify needs field = {'padic': p}")
     fam = _family_of(cfg)
-    w = _padic_window_of(cfg, p)
     transform, reduced = echelon_reduce(fam)
     bound_b = certified_bound_padic(reduced, w)
     floor = Fraction(-bound_b) / w.L
@@ -215,17 +191,12 @@ def _cmd_padic_certify(cfg, flags):
 
 @_command("minimize")
 def _cmd_minimize(cfg, flags):
-    kind, p = _field_of(cfg)
+    w = _window_of(cfg)
     fam = _family_of(cfg)
     seed = flags.seed if flags.seed is not None else int(cfg.get("seed", 0))
     budget = flags.budget if flags.budget is not None else cfg.get("budget")
     tol = flags.tol if flags.tol is not None else float(cfg.get("tol", 1e-6))
-    if kind == "real":
-        w = _real_window_of(cfg)
-        rep = minimize_mu_hat(fam, w, field="real", budget=budget, seed=seed, tol=tol)
-    else:
-        w = _padic_window_of(cfg, p)
-        rep = minimize_mu_hat(fam, w, field=("padic", p), budget=budget, seed=seed, tol=tol)
+    rep = minimize_mu_hat(fam, w, field=cfg.get("field", "real"), budget=budget, seed=seed, tol=tol)
     if flags.csv:
         _write_csv(flags.csv, fam.m, [(lam, val, tol) for _, lam, val in rep.trace])
     return _jsonable(rep)
@@ -233,17 +204,12 @@ def _cmd_minimize(cfg, flags):
 
 @_command("pipeline")
 def _cmd_pipeline(cfg, flags):
-    kind, p = _field_of(cfg)
+    w = _window_of(cfg)
     fam = _family_of(cfg)
     seed = flags.seed if flags.seed is not None else int(cfg.get("seed", 0))
     budget = flags.budget if flags.budget is not None else cfg.get("budget")
     tol = flags.tol if flags.tol is not None else float(cfg.get("tol", 1e-6))
-    if kind == "real":
-        w = _real_window_of(cfg)
-        res = independence_pipeline(fam, w, field="real", budget=budget, seed=seed, tol=tol)
-    else:
-        w = _padic_window_of(cfg, p)
-        res = independence_pipeline(fam, w, field=("padic", p), budget=budget, seed=seed, tol=tol)
+    res = independence_pipeline(fam, w, field=cfg.get("field", "real"), budget=budget, seed=seed, tol=tol)
     if flags.csv:
         _write_csv(flags.csv, fam.m, [(lam, val, tol) for _, lam, val in res.report.trace])
     return _jsonable(res)

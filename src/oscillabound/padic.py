@@ -16,12 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .polycore import CurveFamily, RationalPoly, parse_rational
-
-DEFAULT_PRECISION = 64
-_RESIDUE_CEILING = 20_000_000  # refuse residue enumerations beyond this
 
 
 def vp(x, p):
@@ -40,76 +35,6 @@ def vp(x, p):
     return v
 
 
-class PadicScalar:
-    """A p-adic number stored as p^v * u with the unit u kept modulo p^N.
-
-    All inputs in this package are rational, so the scalar also remembers the
-    exact Fraction it came from; arithmetic stays exact whenever possible.
-    """
-
-    __slots__ = ("p", "v", "unit", "N", "exact")
-
-    def __init__(self, p, v, unit, N=DEFAULT_PRECISION, exact=None):
-        self.p = int(p)
-        self.v = v
-        self.N = int(N)
-        self.unit = unit % p**N if v != math.inf else 0
-        if v != math.inf and self.unit % p == 0:
-            raise ValueError("unit part divisible by p")
-        self.exact = exact
-
-    @classmethod
-    def from_rational(cls, x, p, N=DEFAULT_PRECISION):
-        x = parse_rational(x)
-        if x == 0:
-            return cls(p, math.inf, 0, N, exact=Fraction(0))
-        v = vp(x, p)
-        red = x / Fraction(p) ** v  # unit rational, denominator coprime to p
-        unit = red.numerator * pow(red.denominator, -1, p**N) % p**N
-        return cls(p, v, unit, N, exact=x)
-
-    def to_rational(self):
-        """The exact value if known, else the canonical lift of the unit."""
-        if self.exact is not None:
-            return self.exact
-        if self.v == math.inf:
-            return Fraction(0)
-        return Fraction(self.unit) * Fraction(self.p) ** self.v
-
-    @property
-    def norm(self):
-        return 0.0 if self.v == math.inf else float(self.p) ** (-self.v)
-
-    def is_zero(self):
-        return self.v == math.inf
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return PadicScalar.from_rational(self.to_rational() + other.to_rational(), self.p, self.N)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return PadicScalar.from_rational(self.to_rational() * other.to_rational(), self.p, self.N)
-
-    def _coerce(self, other):
-        if isinstance(other, PadicScalar):
-            if other.p != self.p:
-                raise ValueError("mixed primes")
-            return other
-        return PadicScalar.from_rational(other, self.p, self.N)
-
-    def __repr__(self):
-        if self.v == math.inf:
-            return f"PadicScalar(p={self.p}, 0)"
-        return f"PadicScalar(p={self.p}, v={self.v}, u={self.unit} mod {self.p}^{self.N})"
-
-
-def _as_fraction(lam, p=None):
-    if isinstance(lam, PadicScalar):
-        return lam.to_rational()
-    return parse_rational(lam)
-
-
 def padic_fractional_phase(x, p):
     """{x}_p as a Fraction r/p^n in [0,1); 0 for p-integral x."""
     x = parse_rational(x)
@@ -121,17 +46,6 @@ def padic_fractional_phase(x, p):
     scaled = x * pn  # now p-integral with denominator coprime to p
     r = scaled.numerator * pow(scaled.denominator, -1, pn) % pn
     return Fraction(r, pn)
-
-
-def tate_character(x):
-    """psi(x) = exp(2*pi*i*{x}_p) for a PadicScalar x; exactly 1 on Z_p."""
-    if x.is_zero() or x.v >= 0:
-        return complex(1.0)
-    n = -x.v
-    if x.exact is None and x.N <= n:
-        raise ValueError(f"precision {x.N} cannot resolve the phase mod p^{n}")
-    theta = padic_fractional_phase(x.to_rational(), x.p)
-    return cmath.exp(2j * cmath.pi * float(theta))
 
 
 class CycNum:
@@ -276,95 +190,13 @@ def _sphere_sum_cyc(phase_poly, p, r):
     return _ball_integral_cyc(phase_poly, p, -r) + _ball_integral_cyc(phase_poly, p, -(r - 1)).scale(-1)
 
 
-def _constancy_level(phase_poly, p, R):
-    """Smallest K with psi(phase(p^R u)) constant on classes u mod p^K."""
-    k = 0
-    for j, c in enumerate(phase_poly.coeffs):
-        if j >= 1 and c != 0:
-            k = max(k, -(vp(c, p) + R * j))
-    return max(k, 0)
-
-
-def _ball_average_residue(phase_poly, p, R, K):
-    """Average of psi(phase(p^R u)) over u mod p^K, by direct enumeration."""
-    if p**K > _RESIDUE_CEILING:
-        raise ArithmeticError("precision ceiling reached without stabilization")
-    count = p**K
-    total = np.zeros((), dtype=np.complex128)
-    # common denominator p^k * Q for the scaled coefficients
-    coeffs = [c * Fraction(p) ** (R * j) for j, c in enumerate(phase_poly.coeffs)]
-    k = max((-vp(c, p) for c in coeffs if c != 0), default=0)
-    k = max(k, 0)
-    if k == 0:
-        return 1.0 + 0.0j
-    pk = p**k
-    Q = 1
-    for c in coeffs:
-        if c != 0:
-            den = (c * pk).denominator
-            Q = Q * den // math.gcd(Q, den)
-    mod = pk * Q
-    ints = []
-    for c in coeffs:
-        scaled = c * pk * Q
-        ints.append(int(scaled) % mod)
-    qinv = pow(Q, -1, pk)
-    u = np.arange(count, dtype=object if mod > 2**31 else np.int64)
-    acc = np.zeros_like(u)
-    for a in reversed(ints[1:]):
-        acc = (acc + a) % mod
-        acc = (acc * u) % mod
-    acc = (acc + ints[0]) % mod
-    frac = ((np.asarray(acc) % pk) * qinv) % pk
-    phases = np.exp(2j * np.pi * np.asarray(frac, dtype=np.float64) / pk)
-    return complex(phases.mean())
-
-
-def _sphere_sum_residue(phase_poly, p, r):
-    """Sphere sum by adaptive residue enumeration with exact-agreement stop.
-
-    The refinement level starts at K0 = r + deg + max(0, -min v(coeff)) and
-    steps up one level (a p-fold refinement) until two successive values agree
-    to 1e-12 *and* the level provably resolves the phase (so agreement is a
-    theorem, not luck).
-    """
-
-    def ball(R):
-        min_v = min((vp(c, p) for c in phase_poly.coeffs if c != 0), default=0)
-        K = max(0, -R) + max(phase_poly.degree, 0) + max(0, -int(min(min_v, 0)))
-        # values are provably constant in levels >= k_exact; never pay for more
-        k_exact = _constancy_level(phase_poly, p, R)
-        K = min(K, k_exact)
-        prev = _ball_average_residue(phase_poly, p, R, K)
-        while K < k_exact:
-            K += 1
-            cur = _ball_average_residue(phase_poly, p, R, K)
-            stable = abs(cur - prev) <= 1e-12
-            prev = cur
-            if stable and K >= k_exact:
-                break
-        return prev
-
-    avg_r = ball(-r)
-    avg_r1 = ball(-(r - 1))
-    return (p**r) * avg_r - p ** (r - 1) * avg_r1
-
-
-def sphere_character_sum(f, lam, r, p, method="exact"):
-    """int_{C_r} psi(lam * f(s)) ds over the sphere C_r = {|s| = p^r}.
-
-    Exact by default (cyclotomic stationary-phase descent); method="residue"
-    switches to the adaptive residue-enumeration route, which is also what
-    the cross-check tests compare against.
-    """
-    lam = _as_fraction(lam)
+def sphere_character_sum(f, lam, r, p):
+    """int_{C_r} psi(lam * f(s)) ds over the sphere C_r = {|s| = p^r}, exact
+    (cyclotomic stationary-phase descent)."""
+    lam = parse_rational(lam)
     if lam == 0:
         return complex(p**r - p ** (r - 1))
     phase = RationalPoly([c * lam for c in f.coeffs])
-    if method == "residue":
-        return _sphere_sum_residue(phase, p, r)
-    if method != "exact":
-        raise ValueError(f"unknown method {method!r}")
     return _sphere_sum_cyc(phase, p, r).to_complex()
 
 
@@ -383,7 +215,8 @@ def ess_part(f, p):
 
 @dataclass(frozen=True)
 class PadicWindow:
-    """Summation window a..T (integers, T > a) for the sphere decomposition."""
+    """Summation window a..T (integers, T > a) for the sphere decomposition
+    over Q_p, p prime."""
 
     a: int
     T: int
@@ -392,8 +225,8 @@ class PadicWindow:
     def __post_init__(self):
         if self.T <= self.a:
             raise ValueError("window needs T > a")
-        if self.p < 2:
-            raise ValueError("p must be a prime >= 2")
+        if self.p < 2 or any(self.p % d == 0 for d in range(2, math.isqrt(self.p) + 1)):
+            raise ValueError(f"p = {self.p} is not prime")
 
     @property
     def L(self):
@@ -412,7 +245,7 @@ def mu_hat_padic(family, window, lam):
     a0 = max(ess_part(f, p) for f in family.polys)
     if window.a <= a0:
         raise ValueError(f"window start {window.a} must exceed the essential part {a0}")
-    lams = [_as_fraction(v) for v in lam]
+    lams = [parse_rational(v) for v in lam]
     if len(lams) != family.m:
         raise ValueError("frequency length mismatch")
     phase = RationalPoly([0])
@@ -439,7 +272,7 @@ def mu_hat_padic(family, window, lam):
 
 def padic_vdc_check(f, lam, r, p):
     """Oscillation bound check on a ball: |int_{p^r Z_p} psi(lam f)| vs 2 p^n |lam a_n|^{-1/n}."""
-    lam = _as_fraction(lam)
+    lam = parse_rational(lam)
     n = f.degree
     if n < 1 or lam * f.coeffs[-1] == 0:
         raise ValueError("leading coefficient of the phase must be nonzero")
@@ -450,7 +283,7 @@ def padic_vdc_check(f, lam, r, p):
     return lhs, rhs, lhs <= rhs + 1e-9
 
 
-def echelon_reduce(family, p=None):
+def echelon_reduce(family):
     """Rewrite the family as B.f with strictly decreasing degrees >= 1.
 
     Exact Gauss elimination on the coefficient rows; B is returned as a tuple

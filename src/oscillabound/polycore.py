@@ -1,7 +1,8 @@
 """Exact polynomial curves, frequency phases, and the constants they certify.
 
 Everything in this module is exact rational arithmetic (fractions.Fraction,
-or plain integers where root isolation only needs signs); floats only appear
+or plain integers where root isolation only needs signs and elimination runs
+fraction-free); floats only appear
 on the way out, rounded in whichever direction keeps the
 downstream certificate valid.
 """
@@ -363,23 +364,41 @@ def parse_curve_family(data):
     return CurveFamily([RationalPoly(row) for row in data])
 
 
-def _rank(rows):
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
+def _bareiss(rows):
+    """Fraction-free (Bareiss) elimination of a rational matrix to echelon form.
+
+    Each row is first scaled to integers by the lcm of its denominators.
+    Every entry then stays an integer (a minor of the scaled matrix), and a
+    row is swapped up only when the pivot position holds zero.  Returns
+    (rows, order, pivots): the eliminated rows, the original index of each,
+    and the (column, value) of each pivot.  While order is the identity, the
+    pivot of step k is the leading principal minor of order k + 1; the last
+    pivot of a square matrix of full rank is its determinant up to the sign
+    of order.
+    """
+    a = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (den // x.denominator) for x in row])
+    order = list(range(len(a)))
+    pivots = []
+    prev = 1
+    for col in range(len(a[0]) if a else 0):
+        r = piv = len(pivots)
+        while piv < len(a) and not a[piv][col]:
+            piv += 1
+        if piv == len(a):
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+        a[r], a[piv] = a[piv], a[r]
+        order[r], order[piv] = order[piv], order[r]
+        top = a[r]
+        p = top[col]
+        for i in range(r + 1, len(a)):
+            f = a[i][col]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+        pivots.append((col, p))
+        prev = p
+    return a, order, pivots
 
 
 def check_independence(family):
@@ -389,7 +408,7 @@ def check_independence(family):
     """
     rows = family.coefficient_matrix()
     aug = rows + [[Fraction(1)] + [Fraction(0)] * family.n]
-    return _rank(aug) == family.m + 1
+    return len(_bareiss(aug)[2]) == family.m + 1
 
 
 def phi_from_frequency(family, lam):
@@ -407,22 +426,17 @@ def phi_from_frequency(family, lam):
     return ExpPoly(sorted(terms.items()))  # ascending exponents
 
 
-def _solve_exact(mat, rhs):
-    """Gaussian elimination over Q; raises on a singular matrix."""
+def _solve(mat, rhs):
+    """Exact solution of mat x = rhs for a square rational mat, by
+    fraction-free elimination and back substitution; raises on a singular mat."""
     n = len(mat)
-    a = [list(row) + [r] for row, r in zip(mat, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular system")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+    a, _, pivots = _bareiss([list(row) + [v] for row, v in zip(mat, rhs)])
+    if [c for c, _ in pivots[:n]] != list(range(n)):
+        raise ValueError("singular system")
+    x = [Fraction(0)] * n
+    for k in reversed(range(n)):
+        x[k] = Fraction(a[k][n] - sum(a[k][j] * x[j] for j in range(k + 1, n))) / a[k][k]
+    return x
 
 
 def vandermonde_interpolation(values, n):
@@ -435,8 +449,8 @@ def vandermonde_interpolation(values, n):
     values = [parse_rational(v) for v in values]
     if len(values) != n:
         raise ValueError("need exactly n target values")
-    mat = [[Fraction(j**k) for k in range(1, n + 1)] for j in range(1, n + 1)]
-    return tuple(_solve_exact(mat, values))
+    mat = [[j**k for k in range(1, n + 1)] for j in range(1, n + 1)]
+    return tuple(_solve(mat, values))
 
 
 def compute_a0_real(family):
@@ -462,7 +476,7 @@ def _a0_real(polys):
         best = Fraction(1)
     else:
         best = None
-    cauchy = Fraction(1) + max(abs(c) for c in g.coeffs[:-1]) / abs(g.coeffs[-1]) if g.degree >= 1 else Fraction(2)
+    cauchy = Fraction(1) + max(abs(c) for c in g.coeffs[:-1]) / abs(g.coeffs[-1])
     for left, right in isolate_positive_roots(g, Fraction(1), cauchy + 1):
         if best is None or right > best:
             best = right
@@ -474,65 +488,35 @@ def _a0_real(polys):
 # --- operator norms of inverse submatrices, exactly bounded -----------------
 
 
-def _det(mat):
-    n = len(mat)
-    a = [list(r) for r in mat]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return det
-
-
-def _char_poly(mat):
-    """det(x I - mat) as a RationalPoly, by interpolation at x = 0..n."""
-    n = len(mat)
-    xs = [Fraction(k) for k in range(n + 1)]
-    ys = []
-    for x in xs:
-        shifted = [[(x if i == j else Fraction(0)) - mat[i][j] for j in range(n)] for i in range(n)]
-        ys.append(_det(shifted))
-    # Lagrange interpolation (n+1 points determine the degree-n char poly)
-    acc = RationalPoly([0])
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        term = RationalPoly([yi])
-        for j, xj in enumerate(xs):
-            if j != i:
-                term = term * RationalPoly([-xj, 1]) * Fraction(1, int(xi - xj))
-        acc = acc + term
-    return acc
-
-
 def _min_eigenvalue_lower(gram):
     """A positive rational lower bound on the smallest eigenvalue of a
-    positive-definite Gram matrix, via exact bisection on its char poly."""
-    chain = _squarefree_chain(_char_poly(gram))
-    hi = sum(gram[i][i] for i in range(len(gram))) + 1  # trace bounds every eigenvalue
-    lo = Fraction(0)
-    v_zero = _variations(chain, 0, 1)
-    # invariant: no root in (0, lo];  at least one root in (lo, hi]
+    positive-definite Gram matrix, by exact bisection on mu in [0, trace + 1].
+
+    G - mu I is positive definite iff every leading pivot of its fraction-free
+    elimination is positive.  mu is carried as an integer numerator over the
+    shared denominator den * 2^k, where den clears every entry of G, so each
+    test eliminates the integer matrix den * 2^k * G - numerator(mu) * I.
+    """
+    n = len(gram)
+    den = math.lcm(*(g.denominator for row in gram for g in row))
+    g_int = [[g.numerator * (den // g.denominator) for g in row] for row in gram]
+    lo, hi = 0, sum(g_int[i][i] for i in range(n)) + den  # trace bounds every eigenvalue
+    scale = 1
+    # invariant: G - (lo / (den * scale)) I is positive definite or lo = 0,
+    # and G - (hi / (den * scale)) I is not
     for _ in range(_EIG_BITS):
-        mid = (lo + hi) / 2
-        if mid == 0:
-            break
-        n, d = mid.numerator, mid.denominator
-        if _variations(chain, n, d) == v_zero and _sign_at(chain[0], n, d) != 0:
+        scale, mid, lo, hi = 2 * scale, lo + hi, 2 * lo, 2 * hi
+        shifted = [[scale * g for g in row] for row in g_int]
+        for i in range(n):
+            shifted[i][i] -= mid
+        _, order, pivots = _bareiss(shifted)
+        if order == list(range(n)) and len(pivots) == n and all(v > 0 for _, v in pivots):
             lo = mid
         else:
             hi = mid
     if lo <= 0:
         raise ArithmeticError("Gram matrix is numerically singular")
-    return lo
+    return Fraction(lo, den * scale)
 
 
 def _operator_norm_inverse_upper(mat):
@@ -585,7 +569,7 @@ def high_freq_constants(family):
     M = 0.0
     for cols in combinations(range(n), m):
         sub = [[row[c] for c in cols] for row in aprime]
-        if _det(sub) == 0:
+        if len(_bareiss(sub)[2]) < m:
             continue
         M = max(M, _operator_norm_inverse_upper(sub))
     if M == 0.0:

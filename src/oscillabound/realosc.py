@@ -27,7 +27,6 @@ This evaluates frequencies with |lambda| ~ 1e6 (phase counts ~ 1e60) at
 fixed cost.
 """
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -612,14 +611,3 @@ def certified_constant_real(family):
         c_val = max(low_total, high_total)
     return CertifiedBound(C=c_val, breakdown={LOW: (kappa, low_total), HIGH: high}, constants=hc)
 
-
-def write_profile_csv(path, family, window, lams, tol=1e-6):
-    """mu_hat profile rows (lambda components, value, error estimate) as CSV."""
-    window = _as_window(window)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"lambda_{i+1}" for i in range(family.m)] + ["value", "error"])
-        for lam in lams:
-            val, err = mu_hat_real_with_error(family, window, lam, tol)
-            writer.writerow([repr(float(v)) for v in lam] + [repr(val), repr(err)])
-    return path

@@ -88,18 +88,24 @@ class PipelineConsistencyError(RuntimeError):
 
 
 def _normalize_field(field):
-    """-> ('real', None) or ('padic', p)."""
+    """-> ('real', None) or ('padic', p).
+
+    Accepts 'real' (or 'R', None), a prime p, ('padic', p), 'padic:p' and
+    {'padic': p}; PadicWindow checks that p is prime.
+    """
     if field in ("real", "R", None):
         return "real", None
     if isinstance(field, int):
         return "padic", field
     if isinstance(field, (tuple, list)) and len(field) == 2 and field[0] == "padic":
         return "padic", int(field[1])
+    if isinstance(field, dict) and "padic" in field:
+        return "padic", int(field["padic"])
     if isinstance(field, str) and field.startswith("padic"):
         tail = field.replace("padic", "").strip(":- ")
         if tail.isdigit():
             return "padic", int(tail)
-    raise ValueError(f"field must be 'real', a prime p, or ('padic', p); got {field!r}")
+    raise ValueError(f"field must be 'real', a prime p, ('padic', p) or {{'padic': p}}; got {field!r}")
 
 
 class _Budget:

@@ -155,15 +155,8 @@ def _poly_divmod(a, b):
     return q, rem
 
 
-def sturm_isolate(coeffs, lo, hi, width=Fraction(1, 10**12)):
-    """Isolating intervals for the distinct real roots of sum a_i x^i in the
-    open (lo, hi): Fraction Sturm chain of the squarefree part, bisected on
-    chain counts until each piece holds one root and is at most width wide;
-    a rational root hit by a midpoint shows up as the pair (r, r)."""
-    p = _trim(Fraction(c) for c in coeffs)
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo >= hi or len(p) <= 1:
-        return []
+def _squarefree_sturm_chain(p):
+    """Fraction Sturm chain of the squarefree part of a nonconstant p."""
     deriv = [i * c for i, c in enumerate(p)][1:]
     g, h = p, deriv
     while h:
@@ -176,13 +169,28 @@ def sturm_isolate(coeffs, lo, hi, width=Fraction(1, 10**12)):
         if not rem:
             break
         chain.append([-c for c in rem])
+    return chain
 
-    def changes(x):
-        signs = [v > 0 for v in (eval_poly_fraction(q, x) for q in chain) if v != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+def _sign_changes(chain, x):
+    signs = [v > 0 for v in (eval_poly_fraction(q, x) for q in chain) if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def sturm_isolate(coeffs, lo, hi, width=Fraction(1, 10**12)):
+    """Isolating intervals for the distinct real roots of sum a_i x^i in the
+    open (lo, hi): Fraction Sturm chain of the squarefree part, bisected on
+    chain counts until each piece holds one root and is at most width wide;
+    a rational root hit by a midpoint shows up as the pair (r, r)."""
+    p = _trim(Fraction(c) for c in coeffs)
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo >= hi or len(p) <= 1:
+        return []
+    chain = _squarefree_sturm_chain(p)
+    p = chain[0]
 
     def count(a, b):  # distinct roots in (a, b]
-        return changes(a) - changes(b)
+        return _sign_changes(chain, a) - _sign_changes(chain, b)
 
     out = []
 
@@ -291,6 +299,204 @@ def adaptive_cc_dfs(values_at, lo, hi, tol_abs, phase_at=None, rel=0.0, max_pane
         stack.append((a, mid, depth + 1, fa, fm))
         stack.append((mid, b, depth + 1, fm, fb))
     return total, err_total
+
+
+# --- Gaussian elimination over Q -------------------------------------------
+
+
+def rank_fraction(rows):
+    """Rank by Gauss-Jordan elimination over Q."""
+    rows = [[Fraction(v) for v in r] for r in rows]
+    rank = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [v * inv for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def solve_fraction(mat, rhs):
+    """Gauss-Jordan solve of a square system over Q; raises ValueError on a
+    singular matrix."""
+    n = len(mat)
+    a = [[Fraction(v) for v in row] + [Fraction(r)] for row, r in zip(mat, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular system")
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [v * inv for v in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    return [a[r][n] for r in range(n)]
+
+
+def det_fraction(mat):
+    """Determinant by Gaussian elimination over Q."""
+    n = len(mat)
+    a = [[Fraction(v) for v in r] for r in mat]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = 1 / a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col] != 0:
+                f = a[r][col] * inv
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    return det
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def char_poly(mat):
+    """det(x I - mat) as an ascending coefficient list, by Lagrange
+    interpolation through x = 0..n."""
+    n = len(mat)
+    ys = [det_fraction([[(x if i == j else 0) - mat[i][j] for j in range(n)] for i in range(n)]) for x in range(n + 1)]
+    acc = [Fraction(0)] * (n + 1)
+    for i, yi in enumerate(ys):
+        term = [Fraction(yi)]
+        for j in range(n + 1):
+            if j != i:
+                term = [c / (i - j) for c in _poly_mul(term, [Fraction(-j), Fraction(1)])]
+        acc = [u + v for u, v in zip(acc, term)]
+    return acc
+
+
+def min_eigenvalue_lower_charpoly(gram, bits=80):
+    """Lower bound on the smallest eigenvalue of a positive-definite Gram
+    matrix: bisect mu over [0, trace + 1] for bits steps, keeping mu as the
+    lower end while a Sturm chain of the characteristic polynomial finds no
+    root in (0, mu]."""
+    chain = _squarefree_sturm_chain(_trim(char_poly(gram)))
+    lo, hi = Fraction(0), sum(Fraction(gram[i][i]) for i in range(len(gram))) + 1
+    v_zero = _sign_changes(chain, Fraction(0))
+    for _ in range(bits):
+        mid = (lo + hi) / 2
+        if _sign_changes(chain, mid) == v_zero and eval_poly_fraction(chain[0], mid) != 0:
+            lo = mid
+        else:
+            hi = mid
+    if lo <= 0:
+        raise ArithmeticError("Gram matrix is numerically singular")
+    return lo
+
+
+# --- p-adic sphere sums by adaptive residue enumeration ----------------------
+
+_RESIDUE_CEILING = 20_000_000  # refuse residue enumerations beyond this
+
+
+def _vp(x, p):
+    x = Fraction(x)
+    v, num, den = 0, x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+def _constancy_level(coeffs, p, R):
+    """Smallest K with psi(phase(p^R u)) constant on classes u mod p^K."""
+    k = 0
+    for j, c in enumerate(coeffs):
+        if j >= 1 and c != 0:
+            k = max(k, -(_vp(c, p) + R * j))
+    return max(k, 0)
+
+
+def _ball_average_residue(phase_coeffs, p, R, K):
+    """Average of psi(phase(p^R u)) over u mod p^K, by direct enumeration."""
+    if p**K > _RESIDUE_CEILING:
+        raise ArithmeticError("precision ceiling reached without stabilization")
+    count = p**K
+    # common denominator p^k * Q for the scaled coefficients
+    coeffs = [c * Fraction(p) ** (R * j) for j, c in enumerate(phase_coeffs)]
+    k = max((-_vp(c, p) for c in coeffs if c != 0), default=0)
+    k = max(k, 0)
+    if k == 0:
+        return 1.0 + 0.0j
+    pk = p**k
+    Q = 1
+    for c in coeffs:
+        if c != 0:
+            den = (c * pk).denominator
+            Q = Q * den // math.gcd(Q, den)
+    mod = pk * Q
+    ints = []
+    for c in coeffs:
+        scaled = c * pk * Q
+        ints.append(int(scaled) % mod)
+    qinv = pow(Q, -1, pk)
+    u = np.arange(count, dtype=object if mod > 2**31 else np.int64)
+    acc = np.zeros_like(u)
+    for a in reversed(ints[1:]):
+        acc = (acc + a) % mod
+        acc = (acc * u) % mod
+    acc = (acc + ints[0]) % mod
+    frac = ((np.asarray(acc) % pk) * qinv) % pk
+    phases = np.exp(2j * np.pi * np.asarray(frac, dtype=np.float64) / pk)
+    return complex(phases.mean())
+
+
+def residue_sphere_sum(phase_coeffs, p, r):
+    """Sphere sum of psi(phase) over |s| = p^r, by adaptive residue
+    enumeration with an exact-agreement stop; phase_coeffs ascending,
+    trailing coefficient nonzero.
+
+    The refinement level starts at K0 = r + deg + max(0, -min v(coeff)) and
+    steps up one level (a p-fold refinement) until two successive values agree
+    to 1e-12 *and* the level provably resolves the phase (so agreement is a
+    theorem, not luck).
+    """
+    coeffs = [Fraction(c) for c in phase_coeffs]
+
+    def ball(R):
+        min_v = min((_vp(c, p) for c in coeffs if c != 0), default=0)
+        K = max(0, -R) + max(len(coeffs) - 1, 0) + max(0, -int(min(min_v, 0)))
+        # values are provably constant in levels >= k_exact; never pay for more
+        k_exact = _constancy_level(coeffs, p, R)
+        K = min(K, k_exact)
+        prev = _ball_average_residue(coeffs, p, R, K)
+        while K < k_exact:
+            K += 1
+            cur = _ball_average_residue(coeffs, p, R, K)
+            stable = abs(cur - prev) <= 1e-12
+            prev = cur
+            if stable and K >= k_exact:
+                break
+        return prev
+
+    avg_r = ball(-r)
+    avg_r1 = ball(-(r - 1))
+    return (p**r) * avg_r - p ** (r - 1) * avg_r1
 
 
 if __name__ == "__main__":

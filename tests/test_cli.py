@@ -10,6 +10,8 @@ import os
 import tempfile
 
 from oscillabound import cli
+from oscillabound.polycore import parse_curve_family, parse_rational
+from oscillabound.realosc import Window, mu_hat_real_with_error
 from oscillabound.spectral import PipelineConsistencyError
 
 FAMILY = [["0", "1"], ["0", "0", "1"]]
@@ -142,11 +144,18 @@ def test_csv_sidecar_schema():
             rows = list(csv.reader(fh))
     assert rows[0] == ["lambda_1", "lambda_2", "value", "error"]
     assert len(rows) == 4
-    for row in rows[1:]:
+    samples = payload["report"]["samples"]
+    assert len(samples) == 3
+    fam = parse_curve_family(FAMILY)
+    for row, sample in zip(rows[1:], samples):
         assert all("," not in cell for cell in row)  # '.'-decimal floats
-        float(row[2]), float(row[3])
+        lam = [parse_rational(v) for v in sample["lambda"]]
+        assert [float(cell) for cell in row[:2]] == [float(v) for v in lam]
+        # the sidecar carries the report's numbers bit for bit
+        assert (float(row[2]), float(row[3])) == (sample["value"], sample["error"])
+        assert (sample["value"], sample["error"]) == mu_hat_real_with_error(fam, Window(1, 2), lam, tol=1e-6)
+        assert float(row[3]) >= 0.0
     assert float(rows[1][2]) == 1.0
-    assert len(payload["report"]["samples"]) == 3
 
 
 def test_consistency_failure_exits_2():

@@ -2,15 +2,16 @@
 sphere integrals vs. brute-force residue enumeration, the normalized
 transform, and the certified lower-bound constant."""
 
-import cmath
 import math
 import random
 from fractions import Fraction
 
-from oracles import brute_force_sphere_sum
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import brute_force_sphere_sum, residue_sphere_sum
 
 from oscillabound.padic import (
-    PadicScalar,
     PadicWindow,
     certified_bound_padic,
     echelon_reduce,
@@ -19,10 +20,10 @@ from oscillabound.padic import (
     padic_fractional_phase,
     padic_vdc_check,
     sphere_character_sum,
-    tate_character,
     vp,
 )
-from oscillabound.polycore import RationalPoly, parse_curve_family
+from oscillabound import polycore
+from oscillabound.polycore import CurveFamily, RationalPoly, check_independence, parse_curve_family
 
 X = RationalPoly([0, 1])
 X2 = RationalPoly([0, 0, 1])
@@ -62,32 +63,6 @@ def test_padic_fractional_phase():
         theta = padic_fractional_phase(x, p)
         assert 0 <= theta < 1
         assert vp(x - theta, p) >= 0  # x minus its fractional part is integral
-
-
-def test_padic_scalar_roundtrip():
-    s = PadicScalar.from_rational(Fraction(18, 5), 3)
-    assert s.v == 2 and s.to_rational() == Fraction(18, 5)
-    assert s.norm == 3.0**-2
-    t = s * Fraction(1, 9) + 1
-    assert t.to_rational() == Fraction(18, 45) + 1
-    zero = PadicScalar.from_rational(0, 3)
-    assert zero.is_zero() and zero.norm == 0.0
-
-
-def test_tate_character():
-    assert tate_character(PadicScalar.from_rational(5, 3)) == 1.0
-    z = tate_character(PadicScalar.from_rational(Fraction(1, 3), 3))
-    want = cmath.exp(2j * cmath.pi / 3)
-    assert abs(z - want) < 1e-12
-    rng = random.Random(3)
-    for _ in range(40):
-        p = rng.choice((2, 3, 5))
-        x = _random_rational_with_valuation(rng, p, -4, 2)
-        y = _random_rational_with_valuation(rng, p, -4, 2)
-        zx = tate_character(PadicScalar.from_rational(x, p))
-        zy = tate_character(PadicScalar.from_rational(y, p))
-        zxy = tate_character(PadicScalar.from_rational(x + y, p))
-        assert abs(zx * zy - zxy) < 1e-12  # additive character
 
 
 def test_sphere_sums_frozen():
@@ -134,8 +109,8 @@ def test_sphere_exact_vs_residue_method():
         f = RationalPoly(coeffs)
         lam = _random_rational_with_valuation(rng, p, -2, 2)
         r = rng.randint(-1, 3)
-        exact = sphere_character_sum(f, lam, r, p, method="exact")
-        residue = sphere_character_sum(f, lam, r, p, method="residue")
+        exact = sphere_character_sum(f, lam, r, p)
+        residue = residue_sphere_sum([lam * c for c in f.coeffs], p, r)
         assert abs(exact - residue) < 1e-9
 
 
@@ -164,6 +139,16 @@ def test_padic_window():
             pass
         else:
             raise AssertionError(f"PadicWindow accepted {bad}")
+
+
+def test_non_prime_p_is_rejected():
+    for p in (4, 9, 15):
+        try:
+            PadicWindow(1, 3, p)
+        except ValueError as exc:
+            assert "not prime" in str(exc)
+        else:
+            raise AssertionError(f"PadicWindow accepted p = {p}")
 
 
 def test_mu_hat_worked_value():
@@ -255,6 +240,52 @@ def test_echelon_reduce():
         assert combo == got[: len(combo)]
     try:
         echelon_reduce(parse_curve_family([["1", "1"], ["2", "2"]]))
+    except ValueError:
+        pass
+    else:
+        raise AssertionError("dependent family reduced")
+
+
+_COEFF = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+_NONZERO = st.builds(Fraction, st.integers(1, 5), st.integers(1, 4)).flatmap(
+    lambda c: st.sampled_from((c, -c))
+)
+
+
+@st.composite
+def _independent_families(draw):
+    """Families whose components often share degrees, so that echelon_reduce
+    has to eliminate; drawn until 1, f_1, ..., f_m are independent."""
+    m = draw(st.integers(1, 3))
+    polys = []
+    while len(polys) < m:
+        deg = draw(st.integers(1, 3))
+        poly = RationalPoly(draw(st.lists(_COEFF, min_size=deg, max_size=deg)) + [draw(_NONZERO)])
+        if check_independence(CurveFamily(polys + [poly])):
+            polys.append(poly)
+    return CurveFamily(polys)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_independent_families())
+def test_echelon_reduce_properties(fam):
+    rows, reduced = echelon_reduce(fam)
+    degs = [f.degree for f in reduced.polys]
+    assert all(x > y for x, y in zip(degs, degs[1:])) and degs[-1] >= 1
+    for row, g in zip(rows, reduced.polys):
+        assert sum((f * c for c, f in zip(row, fam.polys)), RationalPoly([0])) == g
+    assert len(polycore._bareiss(rows)[2]) == fam.m  # B is invertible
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_independent_families(), st.data())
+def test_echelon_reduce_rejects_dependent_families(fam, data):
+    coefs = data.draw(st.lists(_NONZERO, min_size=fam.m, max_size=fam.m))
+    combo = sum((f * c for c, f in zip(coefs, fam.polys)), RationalPoly([data.draw(_COEFF)]))
+    polys = list(fam.polys)
+    polys.insert(data.draw(st.integers(0, fam.m)), combo)
+    try:
+        echelon_reduce(CurveFamily(polys))
     except ValueError:
         pass
     else:

@@ -7,10 +7,17 @@ import random
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import poly_real_roots, sturm_isolate
+from oracles import (
+    det_fraction,
+    min_eigenvalue_lower_charpoly,
+    poly_real_roots,
+    rank_fraction,
+    solve_fraction,
+    sturm_isolate,
+)
 
 from oscillabound import polycore
 from oscillabound.polycore import (
@@ -190,6 +197,74 @@ def test_isolation_width_is_pinned():
     # breakpoint accuracy is load-bearing: a width of 1e-3 makes the
     # quadrature raise QuadratureError on the criterion-6 sweep
     assert ISOLATION_WIDTH == Fraction(1, 10**12)
+
+
+_ENTRY = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+
+
+@st.composite
+def _rational_matrices(draw, square=False, dependent=True):
+    """Random rational matrices.  With dependent, a row is often a rational
+    combination of the rows above it, so singular and rank-deficient
+    matrices come up as often as regular ones."""
+    nrows = draw(st.integers(1, 5 if dependent else 4))
+    ncols = nrows if square else draw(st.integers(1, 5))
+    rows = []
+    for _ in range(nrows):
+        if dependent and rows and draw(st.booleans()):
+            coefs = draw(st.lists(_ENTRY, min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(coefs, rows)) for j in range(ncols)])
+        else:
+            rows.append(draw(st.lists(_ENTRY, min_size=ncols, max_size=ncols)))
+    return rows
+
+
+def _det_by_bareiss(mat):
+    """det of a square rational matrix from its fraction-free elimination:
+    the last pivot, signed by the row order, over the product of the row
+    scales."""
+    _, order, pivots = polycore._bareiss(mat)
+    if len(pivots) < len(mat):
+        return Fraction(0)
+    inversions = sum(1 for i in range(len(order)) for j in range(i) if order[j] > order[i])
+    scale = math.prod(math.lcm(*(x.denominator for x in row)) for row in mat)
+    return Fraction((-1) ** inversions * pivots[-1][1], scale)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_rational_matrices())
+def test_bareiss_rank_matches_oracle(rows):
+    a, _, pivots = polycore._bareiss(rows)
+    assert len(pivots) == rank_fraction(rows)
+    assert all(isinstance(x, int) for row in a for x in row)
+    assert [c for c, _ in pivots] == sorted({c for c, _ in pivots})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_rational_matrices(square=True), st.data())
+def test_bareiss_det_and_solve_match_oracle(mat, data):
+    assert _det_by_bareiss(mat) == det_fraction(mat)
+    rhs = data.draw(st.lists(_ENTRY, min_size=len(mat), max_size=len(mat)))
+    try:
+        want = solve_fraction(mat, rhs)
+    except ValueError:
+        try:
+            polycore._solve(mat, rhs)
+        except ValueError:
+            return
+        raise AssertionError("singular system solved")
+    assert polycore._solve(mat, rhs) == want
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_rational_matrices(square=True, dependent=False))
+def test_min_eigenvalue_lower_matches_charpoly_oracle(mat):
+    assume(det_fraction(mat) != 0)
+    n = len(mat)
+    gram = [[sum(mat[k][i] * mat[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    got = polycore._min_eigenvalue_lower(gram)
+    assert got == min_eigenvalue_lower_charpoly(gram)
+    assert 0 < got <= min(gram[i][i] for i in range(n))
 
 
 def test_exp_poly_basics():

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from oracles import adaptive_cc_dfs, simpson_mu_hat
 
 from oscillabound import realosc
+from oscillabound.cli import _write_csv
 from oscillabound.polycore import ExpPoly, parse_curve_family, phi_from_frequency
 from oscillabound.realosc import (
     HIGH,
@@ -33,7 +34,6 @@ from oscillabound.realosc import (
     superlevel_decompose,
     vdc_bound,
     witness_intervals,
-    write_profile_csv,
 )
 
 FAM_XX2 = parse_curve_family([["0", "1"], ["0", "0", "1"]])
@@ -428,15 +428,15 @@ def test_certified_floor_spot_sample():
 
 def test_write_profile_csv_roundtrip():
     lams = [(0, 0), (Fraction(1, 100), 0), (Fraction(-1, 2), Fraction(1, 3))]
+    profile = [(lam, *mu_hat_real_with_error(FAM_XX2, Window(1, 2), lam, tol=1e-8)) for lam in lams]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "profile.csv")
-        write_profile_csv(path, FAM_XX2, Window(1, 2), lams, tol=1e-8)
+        _write_csv(path, FAM_XX2.m, profile)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
     assert rows[0] == ["lambda_1", "lambda_2", "value", "error"]
     assert len(rows) == 1 + len(lams)
-    for row, lam in zip(rows[1:], lams):
+    for row, (lam, want, err) in zip(rows[1:], profile):
         assert [float(row[0]), float(row[1])] == [float(lam[0]), float(lam[1])]
-        want, _ = mu_hat_real_with_error(FAM_XX2, Window(1, 2), lam, tol=1e-8)
-        assert abs(float(row[2]) - want) < 1e-12
+        assert (float(row[2]), float(row[3])) == (want, err)
         assert float(row[3]) >= 0.0

@@ -133,3 +133,20 @@ def test_pipeline_consistency_error_payload():
         raise PipelineConsistencyError("x", {})
     except PipelineConsistencyError:
         pass
+
+
+def test_field_forms_and_non_prime_p():
+    for field in (3, ("padic", 3), "padic:3", {"padic": 3}):
+        rep = minimize_mu_hat(FAM, (1, 2), field=field, budget=3)
+        assert rep.grid_spec["field"] == "padic:3"
+    calls = (
+        lambda: minimize_mu_hat(FAM, (1, 3), field=4),
+        lambda: independence_pipeline(FAM, (1, 3), field="padic:4"),
+    )
+    for call in calls:
+        try:
+            call()
+        except ValueError as exc:
+            assert "not prime" in str(exc)
+        else:
+            raise AssertionError("non-prime p accepted")
