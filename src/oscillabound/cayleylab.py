@@ -16,6 +16,8 @@ import numpy as np
 from .polycore import CurveFamily, RationalPoly, _bareiss, check_independence, parse_rational
 
 _MEMBERSHIP_TOL = 1e-9  # curve-membership tolerance for float samples
+_DENSITY_GRID = 200  # grid cells per axis in upper_density_estimate
+_COLORING_SAMPLES = 20001  # sample points on one period in coloring_threshold
 
 
 # --- box sets ----------------------------------------------------------------
@@ -121,7 +123,7 @@ class DensityEstimate:
     error: float  # boundary-cell volume / ball volume
 
 
-def upper_density_estimate(box_set, radii, samples_per_axis=200):
+def upper_density_estimate(box_set, radii):
     """|I intersect B_r| / |B_r| per radius on a corner-classified grid.
 
     Cells whose 2^m corners and center agree (both for the ball and for I)
@@ -134,7 +136,7 @@ def upper_density_estimate(box_set, radii, samples_per_axis=200):
     if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError("radii must be increasing")
     m = box_set.dim
-    g = max(4, int(samples_per_axis))
+    g = _DENSITY_GRID
 
     # scale-free ball classification on the [-1,1]^m grid: corner j has
     # coordinate (2j-g)/g, so |x|^2 <= 1 iff sum (2j-g)^2 <= g^2 (integers)
@@ -266,10 +268,7 @@ def config_search(family, window, box_set, step):
         best = None
         for x2 in cands:
             x1 = tuple(x + d for x, d in zip(x2, fs))
-            gap = max(
-                box_set.distance(x1),
-                Fraction(0) if box_set.contains(x2) else Fraction(1),
-            )
+            gap = box_set.distance(x1)
             if gap == 0:
                 return ConfigResult(found=True, s=s, x1=x1, x2=x2, residual=0.0), Fraction(0)
             if best is None or gap < best:
@@ -498,7 +497,7 @@ def _sample_f(f, ts):
     return np.array([float(f(t)) for t in ts], dtype=float)
 
 
-def coloring_threshold(f, samples=20001):
+def coloring_threshold(f):
     """Sampled profile (n_min, M, eps, delta) for a period-1 function.
 
     M is the sampled sup of |f|; delta is the largest value from the ladder
@@ -507,7 +506,7 @@ def coloring_threshold(f, samples=20001):
     gaps).  Any integer n > max(M+2, 1/eps, 1/delta) makes the two-level
     coloring proper.
     """
-    ts = np.linspace(-0.5, 0.5, samples)
+    ts = np.linspace(-0.5, 0.5, _COLORING_SAMPLES)
     vals = np.abs(_sample_f(f, ts))
     period_slip = abs(float(_sample_f(f, np.array([0.25]))[0]) - float(_sample_f(f, np.array([1.25]))[0]))
     if period_slip > 1e-9:

@@ -73,18 +73,19 @@ def _family_of(cfg):
     return fam
 
 
-def _real_window_of(cfg):
-    a, T = cfg["window"]
-    return Window(float(parse_rational(a)), float(parse_rational(T)))
-
-
 def _window_of(cfg):
     """The Window or PadicWindow that the config's field asks for."""
     kind, p = _normalize_field(cfg.get("field", "real"))
-    if kind == "real":
-        return _real_window_of(cfg)
     a, T = cfg["window"]
+    if kind == "real":
+        return Window(float(parse_rational(a)), float(parse_rational(T)))
     return PadicWindow(int(a), int(T), p)
+
+
+def _real_only(cfg, command):
+    """Reject a p-adic field for a command that evaluates over R only."""
+    if _normalize_field(cfg.get("field", "real"))[0] != "real":
+        raise ValueError(f"{command} is real-only; use padic-{command} for field = {{'padic': p}}")
 
 
 def _lambdas_of(cfg, m):
@@ -113,8 +114,9 @@ def _write_csv(path, m, rows):
 
 @_command("muhat")
 def _cmd_muhat(cfg, flags):
+    _real_only(cfg, "muhat")
     fam = _family_of(cfg)
-    w = _real_window_of(cfg)
+    w = _window_of(cfg)
     tol = flags.tol if flags.tol is not None else float(cfg.get("tol", 1e-9))
     rows = []
     for lam in _lambdas_of(cfg, fam.m):
@@ -155,6 +157,7 @@ def _cmd_padic_muhat(cfg, flags):
 
 @_command("certify")
 def _cmd_certify(cfg, flags):
+    _real_only(cfg, "certify")
     fam = _family_of(cfg)
     bound = certified_constant_real(fam)
     report = {
@@ -163,7 +166,7 @@ def _cmd_certify(cfg, flags):
         "constants": _jsonable(bound.constants),
     }
     if "window" in cfg:
-        w = _real_window_of(cfg)
+        w = _window_of(cfg)
         report["window"] = [w.a, w.T]
         report["ratio_bound"] = bound.C / w.length
         report["floor"] = -bound.C / w.length

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polycore import CurveFamily, RationalPoly, parse_rational
+from .polycore import CurveFamily, RationalPoly, parse_rational, phi_from_frequency
 
 
 def vp(x, p):
@@ -196,8 +196,7 @@ def sphere_character_sum(f, lam, r, p):
     lam = parse_rational(lam)
     if lam == 0:
         return complex(p**r - p ** (r - 1))
-    phase = RationalPoly([c * lam for c in f.coeffs])
-    return _sphere_sum_cyc(phase, p, r).to_complex()
+    return _sphere_sum_cyc(f * lam, p, r).to_complex()
 
 
 def ess_part(f, p):
@@ -236,28 +235,19 @@ class PadicWindow:
 def mu_hat_padic(family, window, lam):
     """Normalized transform (1/L) sum_{r=a}^{T} p^{-r} * 2 Re int_{C_r} psi(phase).
 
-    phase = sum_i lam_i f_i(s).  Returns an exact Fraction whenever the
-    cyclotomic value reduces to a rational (lam = 0 gives exactly 1), else a
-    float.  The conjugate-pair construction makes the value real and even in
+    phase = sum_i lam_i f_i(s), the phase polynomial of phi_from_frequency.
+    Returns an exact Fraction whenever the cyclotomic value reduces to a
+    rational (lam = 0 gives exactly 1), else a float.  The conjugate-pair construction makes the value real and even in
     lam by construction.
     """
     p = window.p
     a0 = max(ess_part(f, p) for f in family.polys)
     if window.a <= a0:
         raise ValueError(f"window start {window.a} must exceed the essential part {a0}")
-    lams = [parse_rational(v) for v in lam]
-    if len(lams) != family.m:
-        raise ValueError("frequency length mismatch")
-    phase = RationalPoly([0])
-    for lv, f in zip(lams, family.polys):
-        if lv != 0:
-            phase = phase + RationalPoly([c * lv for c in f.coeffs])
+    phase = phi_from_frequency(family, lam)
     total = CycNum.zero(p)
     for r in range(window.a, window.T + 1):
-        if phase.is_zero():
-            s = CycNum.from_phase(p, Fraction(0), Fraction(p**r - p ** (r - 1)))
-        else:
-            s = _sphere_sum_cyc(phase, p, r)
+        s = _sphere_sum_cyc(phase, p, r)
         pair = s + s.conj()
         total = total + pair.scale(Fraction(1, p**r))
     total = total.scale(1 / window.L)
@@ -276,8 +266,7 @@ def padic_vdc_check(f, lam, r, p):
     n = f.degree
     if n < 1 or lam * f.coeffs[-1] == 0:
         raise ValueError("leading coefficient of the phase must be nonzero")
-    phase = RationalPoly([c * lam for c in f.coeffs])
-    lhs = abs(_ball_integral_cyc(phase, p, r).to_complex())
+    lhs = abs(_ball_integral_cyc(f * lam, p, r).to_complex())
     v = vp(lam * f.coeffs[-1], p)
     rhs = 2.0 * p**n * float(p) ** (v / n)
     return lhs, rhs, lhs <= rhs + 1e-9

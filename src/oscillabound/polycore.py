@@ -126,6 +126,13 @@ class RationalPoly:
             return self
         return self.divmod(g)[0]
 
+    def t_derivative(self, k):
+        """The k-th t-derivative of g(e^t), as a polynomial in x = e^t: the
+        Euler operator (x d/dx)^k multiplies the coefficient of x^j by j^k."""
+        if k < 0:
+            raise ValueError("derivative order must be >= 0")
+        return RationalPoly([c * j**k for j, c in enumerate(self.coeffs)])
+
     def compose_linear(self, c, d):
         """p(c + d*x), exact."""
         c, d = parse_rational(c), parse_rational(d)
@@ -270,56 +277,6 @@ def isolate_positive_roots(poly, lo, hi):
     return out
 
 
-class ExpPoly:
-    """Finite sums  sum_j c_j * e^{j t}  with rational c_j, integer j >= 0."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        self.terms = {}
-        for j, c in dict(terms).items():
-            c = parse_rational(c)
-            if c != 0:
-                self.terms[int(j)] = c
-        if any(j < 0 for j in self.terms):
-            raise ValueError("negative exponents are not allowed")
-
-    @property
-    def max_index(self):
-        return max(self.terms) if self.terms else 0
-
-    def is_constant(self):
-        return all(j == 0 for j in self.terms)
-
-    def constant_term(self):
-        return self.terms.get(0, Fraction(0))
-
-    def __call__(self, t):
-        return sum(float(c) * math.exp(j * t) for j, c in self.terms.items())
-
-    def eval_exact(self, x):
-        """Value at t = ln(x) for rational x, i.e. the x-polynomial at x."""
-        return sum(c * x**j for j, c in self.terms.items())
-
-    def as_x_poly(self):
-        """The polynomial g with Phi(t) = g(e^t)."""
-        n = self.max_index
-        cs = [Fraction(0)] * (n + 1)
-        for j, c in self.terms.items():
-            cs[j] = c
-        return RationalPoly(cs)
-
-    def __repr__(self):
-        return f"ExpPoly({dict(sorted(self.terms.items()))})"
-
-
-def exp_poly_derivative(phi, k=1):
-    """k-th t-derivative: e^{jt} picks up j^k."""
-    if k < 0:
-        raise ValueError("derivative order must be >= 0")
-    return ExpPoly({j: c * j**k for j, c in phi.terms.items()})
-
-
 class CurveFamily:
     """A tuple of nonconstant rational polynomials f_1..f_m defining the curve
     t -> (f_1(e^t), ..., f_m(e^t))."""
@@ -412,18 +369,19 @@ def check_independence(family):
 
 
 def phi_from_frequency(family, lam):
-    """The phase Phi(t) = sum_i lam_i f_i(e^t) as an ExpPoly (exact)."""
+    """The phase polynomial g = sum_i lam_i f_i (exact).  Over R the phase is
+    Phi(t) = g(e^t); over Q_p it is g itself."""
     lam = [parse_rational(v) for v in lam]
     if len(lam) != family.m:
         raise ValueError(f"frequency has {len(lam)} components, family has {family.m}")
-    terms = {}
+    coeffs = [Fraction(0)] * (family.n + 1)
     for lv, p in zip(lam, family.polys):
         if lv == 0:
             continue
         for j, c in enumerate(p.coeffs):
             if c != 0:
-                terms[j] = terms.get(j, 0) + lv * c
-    return ExpPoly(sorted(terms.items()))  # ascending exponents
+                coeffs[j] += lv * c
+    return RationalPoly(coeffs)
 
 
 def _solve(mat, rhs):

@@ -1,5 +1,6 @@
-"""Oscillatory integrals of exp(2*pi*i*Phi(t)) with Phi(t) = sum c_j e^{jt},
-interval decompositions with derivative witnesses, and the certified constant
+"""Oscillatory integrals of exp(2*pi*i*Phi(t)) with Phi(t) = g(e^t) for a
+rational polynomial g (the phase polynomial sum lam_i f_i), interval
+decompositions with derivative witnesses, and the certified constant
 C with mu_hat_T >= -C/(T-a) uniformly in the frequency.
 
 Evaluation strategy.  The window is first cut at the roots of Phi' and
@@ -36,7 +37,6 @@ import numpy as np
 from .polycore import (
     RationalPoly,
     compute_a0_real,
-    exp_poly_derivative,
     high_freq_constants,
     isolate_positive_roots,
     parse_rational,
@@ -52,6 +52,7 @@ _MAX_DEPTH = 52
 _CC_N = 16
 _BATCH = 32  # panels evaluated together by _adaptive_cc
 _EPS = 2.3e-16  # float64 phase-evaluation granularity
+_SPOT_POINTS = 32  # interior samples per interval in IntervalDecomposition.spot_check
 
 
 class QuadratureError(RuntimeError):
@@ -100,13 +101,14 @@ class IntervalDecomposition:
     def __len__(self):
         return len(self.intervals)
 
-    def spot_check(self, phi, points=32):
-        """Verify each witness |Phi^{(k)}| >= eta at interior sample points."""
+    def spot_check(self, phi):
+        """Verify each witness |Phi^{(k)}| >= eta at interior sample points;
+        phi is the phase polynomial g, so Phi^{(k)}(t) = g.t_derivative(k)(e^t)."""
         for iv in self.intervals:
-            der = exp_poly_derivative(phi, iv.k)
-            ts = np.linspace(iv.lo, iv.hi, points + 2)[1:-1]
+            der = phi.t_derivative(iv.k)
+            ts = np.linspace(iv.lo, iv.hi, _SPOT_POINTS + 2)[1:-1]
             for t in ts:
-                if abs(der(float(t))) < iv.eta * (1 - 1e-9):
+                if abs(der(math.exp(t))) < iv.eta * (1 - 1e-9):
                     return False
         return True
 
@@ -129,12 +131,10 @@ def vdc_bound(k, eta):
 
 
 def classify_frequency(family, lam):
-    """LOW iff |sum lam_i f_i(0)| <= 1/8 (exact rational test)."""
-    lams = [parse_rational(v) for v in lam]
-    if all(v == 0 for v in lams):
+    """LOW iff |g(0)| <= 1/8 for the phase polynomial g (exact rational test)."""
+    if all(parse_rational(v) == 0 for v in lam):
         raise ValueError("lambda = 0 has no frequency class")
-    s = sum(lv * f.coeffs[0] for lv, f in zip(lams, family.polys))
-    return LOW if abs(s) <= Fraction(1, 8) else HIGH
+    return LOW if abs(phi_from_frequency(family, lam)(0)) <= Fraction(1, 8) else HIGH
 
 
 # --- Clenshaw-Curtis panel rule --------------------------------------------
@@ -237,13 +237,15 @@ def _adaptive_cc(values_at, lo, hi, tol_abs, phase_at=None, rel=0.0):
 class _PhaseTable:
     """Float coefficients of Phi, Phi', ..., Phi'''' for one transform.
 
-    Row k holds c_j * j^k rounded once from the exact rational, and every
-    evaluation shares one table of exp(j*t) across the rows it reads."""
+    Row k holds c_j * j^k for the nonzero coefficients c_j of g, ascending,
+    rounded once from the exact rational, and every evaluation shares one
+    table of exp(j*t) across the rows it reads.  Zero terms stay out: 0 * inf
+    from an overflowed exp would be NaN."""
 
     __slots__ = ("js", "coef", "_js", "_coef")
 
     def __init__(self, phi):
-        terms = sorted(phi.terms.items())
+        terms = [(j, c) for j, c in enumerate(phi.coeffs) if c != 0]
         self._js = [float(j) for j, _ in terms]
         # int / int is correctly rounded: the bits of float(c * j**k)
         self._coef = [[(c.numerator * j**k) / c.denominator for j, c in terms] for k in range(5)]
@@ -253,7 +255,8 @@ class _PhaseTable:
     def rows(self, ks, ts):
         """Phi^(k) at ts for k in range(5)[ks], shape (rows,) + ts.shape."""
         ts = np.asarray(ts, dtype=float)
-        powers = np.exp(self.js[:, None] * ts.reshape(1, -1))
+        with np.errstate(over="ignore"):  # past the float range: inf, as in derivs
+            powers = np.exp(self.js[:, None] * ts.reshape(1, -1))
         return (self.coef[ks] @ powers).reshape((-1,) + ts.shape)
 
     def phase(self, ts):
@@ -280,25 +283,26 @@ def _x_window(a, T):
     )
 
 
+def _t_roots(poly, a, T):
+    """t = ln x for the roots x of poly in (e^a, e^T), exactly isolated,
+    ascending."""
+    # cheap Descartes screen: no sign change -> no positive roots
+    signs = {c > 0 for c in poly.coeffs if c != 0}
+    if len(signs) < 2:
+        return []
+    ts = []
+    for left, right in isolate_positive_roots(poly, *_x_window(a, T)):
+        x = float(left + right) / 2.0
+        if x > 0:
+            t = math.log(x)
+            if a < t < T:
+                ts.append(t)
+    return ts
+
+
 def _breakpoints(phi, a, T):
     """Interior roots of Phi' and Phi'' (t-coordinates), exactly isolated."""
-    xlo, xhi = _x_window(a, T)
-    cuts = set()
-    for k in (1, 2):
-        poly = exp_poly_derivative(phi, k).as_x_poly()
-        if poly.degree < 1:
-            continue
-        # cheap Descartes screen: no sign change -> no positive roots
-        signs = [1 if c > 0 else -1 for c in poly.coeffs if c != 0]
-        if all(s == signs[0] for s in signs):
-            continue
-        for left, right in isolate_positive_roots(poly, xlo, xhi):
-            x = float(left + right) / 2.0
-            if x > 0:
-                t = math.log(x)
-                if a < t < T:
-                    cuts.add(t)
-    return sorted(cuts)
+    return sorted(set(_t_roots(phi.t_derivative(1), a, T) + _t_roots(phi.t_derivative(2), a, T)))
 
 
 def _ibp_boundary(table, t):
@@ -405,8 +409,8 @@ def _integrate_piece(table, c, d, tol_piece):
 
 def osc_integral(phi, a, T, tol_abs):
     """int_a^T exp(2*pi*i*Phi(t)) dt with an error estimate <= tol_abs."""
-    if phi.is_constant():
-        c0 = float(phi.constant_term())
+    if phi.degree <= 0:
+        c0 = float(phi(0))
         return complex(math.cos(math.tau * c0), math.sin(math.tau * c0)) * (T - a), 0.0
     cuts = _breakpoints(phi, a, T)
     table = _PhaseTable(phi)
@@ -435,8 +439,8 @@ def mu_hat_real_with_error(family, window, lam, tol=1e-9):
     """Normalized transform (1/(T-a)) int_a^T cos(2*pi*Phi) dt within tol,
     as (value, error_estimate).
 
-    Phi(t) = sum_i lam_i f_i(e^t); exact rational phase construction, then
-    the piecewise oscillatory integrator above.  Raises ValueError unless
+    Phi(t) = g(e^t) with g = sum_i lam_i f_i; exact rational phase
+    construction, then the piecewise oscillatory integrator above.  Raises ValueError unless
     0 < tol <= 1e-3 and the window starts above a0, and QuadratureError
     (with the partial estimate attached) if refinement cannot reach tol.
     """
@@ -446,10 +450,7 @@ def mu_hat_real_with_error(family, window, lam, tol=1e-9):
     a0 = compute_a0_real(family)
     if not window.a > a0:
         raise ValueError(f"window start {window.a} must exceed a0 = {a0}")
-    lams = [parse_rational(v) for v in lam]
-    if all(v == 0 for v in lams):
-        return 1.0, 0.0
-    phi = phi_from_frequency(family, lams)
+    phi = phi_from_frequency(family, lam)
     value, err = osc_integral(phi, window.a, window.T, tol * window.length)
     if err > tol * window.length * 1.5:
         raise QuadratureError("requested tolerance not reached", partial=value, error=err)
@@ -468,33 +469,33 @@ def mu_hat_real(family, window, lam, tol=1e-9):
 
 
 def superlevel_decompose(phi, M, window):
-    """{t in [a,T] : |Phi(t)| >= M} as <= 3n intervals with Phi' monotone.
+    """{t in [a,T] : |Phi(t)| >= M} as <= 3n intervals with Phi' monotone,
+    for Phi(t) = phi(e^t) and a phase polynomial phi.
 
-    Exact endpoint machinery: the crossings are roots of g(x) -/+ M and the
-    monotonicity cuts are roots of sum c_j j^2 x^j, all exactly isolated; the
-    membership of each elementary gap is decided by one exact sign test.
+    Exact endpoint machinery: the crossings are roots of phi(x) -/+ M and the
+    monotonicity cuts are roots of phi.t_derivative(2), all exactly isolated;
+    the membership of each elementary gap is decided by one exact sign test.
     """
     window = _as_window(window)
-    g = phi.as_x_poly()
-    if g.degree < 1:
+    if phi.degree < 1:
         raise ValueError("phase must be nonconstant")
     M = parse_rational(M)
     if M <= 0:
         raise ValueError("level must be positive")
-    n = phi.max_index
+    n = phi.degree
     xlo, xhi = _x_window(window.a, window.T)
     crossing_cuts = []
-    for shifted in (g - RationalPoly([M]), g + RationalPoly([M])):
+    for shifted in (phi - RationalPoly([M]), phi + RationalPoly([M])):
         for left, right in isolate_positive_roots(shifted, xlo, xhi):
             crossing_cuts.append((left + right) / 2)
-    second = exp_poly_derivative(phi, 2).as_x_poly()
+    second = phi.t_derivative(2)
     curvature_cuts = []
     if second.degree >= 1:
         for left, right in isolate_positive_roots(second, xlo, xhi):
             curvature_cuts.append((left + right) / 2)
     curvature_set = set(curvature_cuts)
     cuts = sorted(set(crossing_cuts) | curvature_set | {xlo, xhi})
-    kept = []  # (x_left, x_right) elementary pieces where |g| >= M
+    kept = []  # (x_left, x_right) elementary pieces where |phi| >= M
     for left, right in zip(cuts, cuts[1:]):
         if right <= xlo or left >= xhi:
             continue
@@ -502,7 +503,7 @@ def superlevel_decompose(phi, M, window):
         if right <= left:
             continue
         mid = (left + right) / 2
-        if abs(g(mid)) >= M:
+        if abs(phi(mid)) >= M:
             kept.append((left, right))
     merged = []
     for left, right in kept:
@@ -564,19 +565,11 @@ def witness_intervals(phi, k, eta, window):
     oscillation estimate's monotonicity proviso holds.
     """
     window = _as_window(window)
-    dec = superlevel_decompose(exp_poly_derivative(phi, k), eta, window)
-    cuts = []
-    if k == 1:
-        second = exp_poly_derivative(phi, 2).as_x_poly()
-        if second.degree >= 1:
-            xlo, xhi = _x_window(window.a, window.T)
-            for left, right in isolate_positive_roots(second, xlo, xhi):
-                x = float(left + right) / 2
-                if x > 0:
-                    cuts.append(math.log(x))
+    dec = superlevel_decompose(phi.t_derivative(k), eta, window)
+    cuts = _t_roots(phi.t_derivative(2), window.a, window.T) if k == 1 else []
     out = []
     for iv in dec.intervals:
-        inner = sorted([t for t in cuts if iv.lo < t < iv.hi])
+        inner = [t for t in cuts if iv.lo < t < iv.hi]
         knots = [iv.lo] + inner + [iv.hi]
         for lo, hi in zip(knots, knots[1:]):
             if hi > lo:

@@ -91,21 +91,27 @@ def _normalize_field(field):
     """-> ('real', None) or ('padic', p).
 
     Accepts 'real' (or 'R', None), a prime p, ('padic', p), 'padic:p' and
-    {'padic': p}; PadicWindow checks that p is prime.
+    {'padic': p}.  p must be an int, or a string of digits inside the three
+    spelled-out forms; PadicWindow checks that p is prime.
     """
     if field in ("real", "R", None):
         return "real", None
+    p = None
     if isinstance(field, int):
-        return "padic", field
-    if isinstance(field, (tuple, list)) and len(field) == 2 and field[0] == "padic":
-        return "padic", int(field[1])
-    if isinstance(field, dict) and "padic" in field:
-        return "padic", int(field["padic"])
-    if isinstance(field, str) and field.startswith("padic"):
-        tail = field.replace("padic", "").strip(":- ")
-        if tail.isdigit():
-            return "padic", int(tail)
-    raise ValueError(f"field must be 'real', a prime p, ('padic', p) or {{'padic': p}}; got {field!r}")
+        p = field
+    elif isinstance(field, (tuple, list)) and len(field) == 2 and field[0] == "padic":
+        p = field[1]
+    elif isinstance(field, dict) and "padic" in field:
+        p = field["padic"]
+    elif isinstance(field, str) and field.startswith("padic"):
+        p = field.replace("padic", "").strip(":- ")
+    if isinstance(p, str) and p.isdigit():
+        p = int(p)
+    if isinstance(p, int) and not isinstance(p, bool):
+        return "padic", p
+    raise ValueError(
+        f"field must be 'real', a prime p, ('padic', p) or {{'padic': p}} with p an integer; got {field!r}"
+    )
 
 
 class _Budget:

@@ -110,6 +110,20 @@ def test_muhat_enforces_the_transform_guards():
         assert _run(["muhat", good, "--tol", "1e-6"])[0] == 0
 
 
+def test_real_only_commands_reject_a_padic_field():
+    padic = {"family": FAMILY, "window": [1, 2], "field": {"padic": 3}, "lambda": ["3", "0"]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_config(tmp, "p3.json", padic)
+        for command in ("muhat", "certify"):
+            code, _, payload = _run([command, path])
+            assert code == 1 and f"padic-{command}" in payload["detail"], payload
+        # a non-integer p is rejected, not run at int(p)
+        bad_p = _write_config(tmp, "p39.json", dict(padic, field={"padic": 3.9}))
+        for command in ("minimize", "padic-muhat"):
+            code, _, payload = _run([command, bad_p, "--budget", "3"])
+            assert code == 1 and "integer" in payload["detail"], payload
+
+
 def test_reports_are_byte_identical_for_same_config_and_seed():
     with tempfile.TemporaryDirectory() as tmp:
         path = _write_config(

@@ -211,6 +211,47 @@ def test_mu_hat_even_in_lam():
         assert abs(float(a) - float(b)) < 1e-12
 
 
+_TRANSFORM_FAMILIES = (
+    parse_curve_family([["0", "1"], ["0", "0", "1"]]),
+    parse_curve_family([["0", "1"], ["0", "0", "0", "1"]]),
+    parse_curve_family([["3", "1"], ["1/2", "0", "1"]]),
+)
+
+
+@st.composite
+def _padic_transform_cases(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    fam = draw(st.sampled_from(_TRANSFORM_FAMILIES))
+    a = max(ess_part(f, p) for f in fam.polys) + draw(st.integers(1, 2))
+    window = PadicWindow(a, a + draw(st.integers(1, 2)), p)
+    unit = st.integers(1, p**3).filter(lambda u: u % p)
+    component = st.builds(lambda u, s, v: s * u * Fraction(p) ** v, unit, st.sampled_from((-1, 1)), st.integers(-2, 1))
+    lam = [draw(component) for _ in range(fam.m)]
+    zero_at = draw(st.integers(-1, fam.m - 1))  # -1: no component is zero
+    if zero_at >= 0:
+        lam[zero_at] = Fraction(0)
+    return fam, window, tuple(lam)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_padic_transform_cases())
+def test_mu_hat_padic_is_even_normalized_and_bounded(case):
+    """Rational values are even exactly.  An irrational value is summed to a
+    float from the cyclotomic terms in dict order, which differs between
+    lambda and -lambda, so there evenness holds to rounding."""
+    fam, window, lam = case
+    zero = mu_hat_padic(fam, window, (0,) * fam.m)
+    assert isinstance(zero, Fraction) and zero == 1
+    plus = mu_hat_padic(fam, window, lam)
+    minus = mu_hat_padic(fam, window, tuple(-v for v in lam))
+    assert type(plus) is type(minus)
+    if isinstance(plus, Fraction):
+        assert plus == minus
+    else:
+        assert abs(plus - minus) <= 1e-12, (lam, plus, minus)
+    assert -1 <= plus <= 1
+
+
 def test_padic_vdc_check():
     rng = random.Random(23)
     for _ in range(40):

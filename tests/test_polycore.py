@@ -1,5 +1,5 @@
 """Exact polynomial plumbing: rational parsing, polynomial arithmetic, Sturm
-root isolation, exponential sums, curve families, and the certified
+root isolation, phase polynomials and their t-derivatives, curve families, and the certified
 interpolation / operator-norm constants."""
 
 import math
@@ -23,11 +23,9 @@ from oscillabound import polycore
 from oscillabound.polycore import (
     ISOLATION_WIDTH,
     CurveFamily,
-    ExpPoly,
     RationalPoly,
     check_independence,
     compute_a0_real,
-    exp_poly_derivative,
     high_freq_constants,
     isolate_positive_roots,
     parse_curve_family,
@@ -267,15 +265,18 @@ def test_min_eigenvalue_lower_matches_charpoly_oracle(mat):
     assert 0 < got <= min(gram[i][i] for i in range(n))
 
 
-def test_exp_poly_basics():
-    phi = ExpPoly({1: 1, 2: "1/2"})
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(_ENTRY, max_size=7), st.integers(1, 4))
+def test_t_derivative_is_euler_operator(coeffs, k):
+    """d/dt g(e^t) = e^t g'(e^t), so the k-th t-derivative is x times the
+    x-derivative of the (k-1)-th, exactly."""
+    g = RationalPoly(coeffs)
+    x = RationalPoly([0, 1])
+    assert g.t_derivative(0) == g
+    assert g.t_derivative(k) == x * g.t_derivative(k - 1).derivative()
     t = 0.37
-    assert abs(phi(t) - (math.exp(t) + 0.5 * math.exp(2 * t))) < 1e-14
-    assert phi.eval_exact(Fraction(3)) == Fraction(3) + Fraction(9, 2)
-    assert phi.as_x_poly() == RationalPoly([0, 1, Fraction(1, 2)])
-    assert ExpPoly({0: 4}).is_constant() and ExpPoly({0: 4}).constant_term() == 4
-    assert exp_poly_derivative(ExpPoly({2: 1}), 2).terms == {2: Fraction(4)}
-    assert exp_poly_derivative(ExpPoly({0: 5, 1: 1})).terms == {1: Fraction(1)}
+    want = sum(float(c) * j**k * math.exp(j * t) for j, c in enumerate(g.coeffs))
+    assert abs(g.t_derivative(k)(math.exp(t)) - want) <= 1e-12 * (1 + abs(want))
 
 
 def test_curve_family_shape():
@@ -311,9 +312,11 @@ def test_check_independence():
 def test_phi_from_frequency():
     fam = parse_curve_family([["0", "1"], ["0", "0", "1"]])
     phi = phi_from_frequency(fam, (Fraction(2), Fraction(3)))
-    assert phi.terms == {1: Fraction(2), 2: Fraction(3)}
+    assert phi == RationalPoly([0, 2, 3])
     zero = phi_from_frequency(fam, (0, 0))
-    assert zero.is_constant()
+    assert zero.is_zero()
+    shifted = parse_curve_family([["3", "1"], ["1/2", "0", "1"]])
+    assert phi_from_frequency(shifted, (2, "-1/2")) == RationalPoly([Fraction(23, 4), 2, Fraction(-1, 2)])
 
 
 def test_vandermonde_examples():

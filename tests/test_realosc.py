@@ -19,7 +19,7 @@ from oracles import adaptive_cc_dfs, simpson_mu_hat
 
 from oscillabound import realosc
 from oscillabound.cli import _write_csv
-from oscillabound.polycore import ExpPoly, parse_curve_family, phi_from_frequency
+from oscillabound.polycore import RationalPoly, parse_curve_family
 from oscillabound.realosc import (
     HIGH,
     LOW,
@@ -38,11 +38,12 @@ from oscillabound.realosc import (
 
 FAM_XX2 = parse_curve_family([["0", "1"], ["0", "0", "1"]])
 FAM_XX3 = parse_curve_family([["0", "1"], ["0", "0", "0", "1"]])
+FAM_SHIFTED = parse_curve_family([["3", "1"], ["1/2", "0", "1"]])  # (x + 3, x^2 + 1/2)
 
 
 def _complex_simpson(phi, a, T, n=1 << 15):
     ts = np.linspace(a, T, n + 1)
-    ys = np.exp(2j * np.pi * np.array([phi(float(t)) for t in ts]))
+    ys = np.exp(2j * np.pi * np.array([phi(math.exp(t)) for t in ts]))
     h = (T - a) / n
     return (ys[0] + ys[-1] + 4 * ys[1:-1:2].sum() + 2 * ys[2:-2:2].sum()) * h / 3
 
@@ -91,6 +92,31 @@ def test_mu_hat_zero_frequency():
     for fam in (FAM_XX2, FAM_XX3):
         assert mu_hat_real(fam, Window(1, 2), (0, 0)) == 1.0
         assert mu_hat_real_with_error(fam, Window(1, 5), (0, 0)) == (1.0, 0.0)
+
+
+@st.composite
+def _real_transform_cases(draw):
+    fam = draw(st.sampled_from((FAM_XX2, FAM_XX3, FAM_SHIFTED)))
+    a = draw(st.sampled_from((0.5, 1.0, 1.5)))
+    window = Window(a, a + draw(st.sampled_from((0.25, 0.5, 1.0))))
+    component = st.builds(Fraction, st.integers(-10**4, 10**4), st.sampled_from((1, 10, 100, 1000, 10**4)))
+    lam = [draw(component) for _ in range(fam.m)]
+    zero_at = draw(st.integers(-1, fam.m - 1))  # -1: no component is zero
+    if zero_at >= 0:
+        lam[zero_at] = Fraction(0)
+    return fam, window, tuple(lam)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_real_transform_cases())
+def test_mu_hat_real_is_even_normalized_and_bounded(case):
+    fam, window, lam = case
+    tol = 1e-6
+    assert mu_hat_real_with_error(fam, window, (0,) * fam.m) == (1.0, 0.0)
+    plus = mu_hat_real(fam, window, lam, tol=tol)
+    minus = mu_hat_real(fam, window, tuple(-v for v in lam), tol=tol)
+    assert -1.0 <= plus <= 1.0 and -1.0 <= minus <= 1.0
+    assert abs(plus - minus) <= 2 * tol, (lam, plus, minus)
 
 
 def test_mu_hat_frozen_simpson_value():
@@ -145,7 +171,7 @@ def test_mu_hat_validation_guards():
 
 
 def test_osc_integral_constant_phase():
-    phi = ExpPoly({0: Fraction(1, 3)})
+    phi = RationalPoly([Fraction(1, 3)])
     val, err = osc_integral(phi, 0.0, 2.0, 1e-12)
     want = 2.0 * complex(math.cos(math.tau / 3), math.sin(math.tau / 3))
     assert abs(val - want) < 1e-12 and err == 0.0
@@ -154,8 +180,8 @@ def test_osc_integral_constant_phase():
 def test_osc_integral_vs_complex_simpson():
     rng = random.Random(47)
     for _ in range(6):
-        phi = ExpPoly({1: Fraction(rng.randint(-30, 30), 7), 2: Fraction(rng.randint(-30, 30), 9)})
-        if phi.is_constant():
+        phi = RationalPoly([0, Fraction(rng.randint(-30, 30), 7), Fraction(rng.randint(-30, 30), 9)])
+        if phi.degree <= 0:
             continue
         val, err = osc_integral(phi, 0.0, 1.5, 1e-10)
         want = _complex_simpson(phi, 0.0, 1.5)
@@ -305,10 +331,15 @@ def test_phase_beyond_float_range_fails_as_quadrature_error():
         pass
     else:
         raise AssertionError("an unreachable tolerance was reported as reached")
+    # the table keeps only the nonzero term of x^5, so past the float range
+    # the phase reads inf; a zero term would add 0 * inf = NaN
+    table = realosc._PhaseTable(RationalPoly([0, 0, 0, 0, 0, 1]))
+    assert table.phase(np.array([400.0]))[0] == math.inf
+    assert table.derivs(400.0, 1) == [math.inf]
 
 
 def test_superlevel_decompose_two_sided():
-    phi = ExpPoly({0: -5, 1: 1})  # e^t - 5
+    phi = RationalPoly([-5, 1])  # e^t - 5
     dec = superlevel_decompose(phi, Fraction(1, 2), Window(1, 2))
     assert len(dec) == 2
     (a1, b1), (a2, b2) = ((iv.lo, iv.hi) for iv in dec.intervals)
@@ -318,7 +349,7 @@ def test_superlevel_decompose_two_sided():
 
 
 def test_superlevel_decompose_curvature_cut():
-    phi = ExpPoly({1: 1, 2: Fraction(-1, 20)})  # second derivative flips at t = ln 5
+    phi = RationalPoly([0, 1, Fraction(-1, 20)])  # second derivative flips at t = ln 5
     dec = superlevel_decompose(phi, Fraction(1, 100), Window(1, 2))
     cut = math.log(5.0)
     assert any(abs(iv.hi - cut) < 1e-9 for iv in dec.intervals)
@@ -332,10 +363,10 @@ def test_superlevel_random_caps():
         n = rng.randint(1, 4)
         terms = {j: Fraction(rng.randint(-5, 5)) for j in range(n + 1)}
         terms[n] = Fraction(rng.choice([x for x in range(-5, 6) if x]))
-        phi = ExpPoly(terms)
+        phi = RationalPoly([terms[j] for j in range(n + 1)])
         level = Fraction(rng.randint(1, 12), 4)
         dec = superlevel_decompose(phi, level, Window(0.0, 2.0))
-        assert len(dec) <= 3 * max(phi.max_index, 1)
+        assert len(dec) <= 3 * max(phi.degree, 1)
         assert dec.spot_check(phi)
 
 
@@ -374,12 +405,12 @@ def test_witness_intervals_support_oscillation_bound():
     for _ in range(12):
         n = rng.randint(1, 3)
         terms = {j: Fraction(rng.randint(-4, 4)) for j in range(1, n + 1)}
-        phi = ExpPoly({j: c for j, c in terms.items() if c != 0})
-        if phi.is_constant() or not phi.terms:
+        phi = RationalPoly([0] + [terms[j] for j in range(1, n + 1)])
+        if phi.degree < 1:
             continue
-        for k in range(1, phi.max_index + 1):
+        for k in range(1, phi.degree + 1):
             der = lambda t: sum(
-                float(c) * j**k * math.exp(j * t) for j, c in phi.terms.items()
+                float(c) * j**k * math.exp(j * t) for j, c in enumerate(phi.coeffs) if c != 0
             )
             peak = max(abs(der(t)) for t in np.linspace(window.a, window.T, 64))
             if peak == 0:

@@ -150,3 +150,15 @@ def test_field_forms_and_non_prime_p():
             assert "not prime" in str(exc)
         else:
             raise AssertionError("non-prime p accepted")
+    # a p that is not an integer is an error, never rounded to a nearby prime
+    for field in ({"padic": 3.9}, ("padic", 5.5), ("padic", 5.0), {"padic": "3.9"}, "padic:3.9", 3.0, "3", True):
+        for call in (
+            lambda: minimize_mu_hat(FAM, (1, 2), field=field, budget=3),
+            lambda: independence_pipeline(FAM, (1, 2), field=field, budget=3),
+        ):
+            try:
+                call()
+            except ValueError as exc:
+                assert "integer" in str(exc), exc
+            else:
+                raise AssertionError(f"field {field!r} accepted")
