@@ -35,6 +35,7 @@ from .realosc import QuadratureError, Window, certified_constant_real, mu_hat_re
 from .spectral import (
     PipelineConsistencyError,
     _normalize_field,
+    _padic_window,
     independence_pipeline,
     minimize_mu_hat,
 )
@@ -76,10 +77,10 @@ def _family_of(cfg):
 def _window_of(cfg):
     """The Window or PadicWindow that the config's field asks for."""
     kind, p = _normalize_field(cfg.get("field", "real"))
-    a, T = cfg["window"]
     if kind == "real":
+        a, T = cfg["window"]
         return Window(float(parse_rational(a)), float(parse_rational(T)))
-    return PadicWindow(int(a), int(T), p)
+    return _padic_window(cfg["window"], p)
 
 
 def _real_only(cfg, command):

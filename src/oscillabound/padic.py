@@ -7,6 +7,12 @@ cyclotomic field Q(zeta_{p^k}) and are carried as rational combinations of
 roots of unity until the caller asks for a complex (or provably rational)
 answer.
 
+A transform is one accumulator, a dict from phase to rational coefficient:
+the stationary-phase descent adds weight * psi(x) into it at each leaf, and
+each ball p^R Z_p that the sphere decomposition needs is descended once,
+with the weights of both spheres it bounds.  A float is summed from the
+exact terms in ascending phase order, so it depends on those terms alone.
+
 Haar measure is normalized so that Z_p has mass 1; the ball p^{-r} Z_p then
 has mass p^r and the sphere |s| = p^r has mass p^r - p^{r-1}.
 """
@@ -58,33 +64,9 @@ class CycNum:
 
     __slots__ = ("p", "terms")
 
-    def __init__(self, p, terms=None):
+    def __init__(self, p, terms):
         self.p = p
-        self.terms = {}
-        for th, c in (terms or {}).items():
-            if c != 0:
-                self.terms[th] = self.terms.get(th, Fraction(0)) + c
-
-    @classmethod
-    def zero(cls, p):
-        return cls(p, {})
-
-    @classmethod
-    def from_phase(cls, p, theta, coeff=Fraction(1)):
-        return cls(p, {theta % 1: Fraction(coeff)})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for th, c in other.terms.items():
-            out[th] = out.get(th, Fraction(0)) + c
-        return CycNum(self.p, out)
-
-    def scale(self, q):
-        q = Fraction(q)
-        return CycNum(self.p, {th: c * q for th, c in self.terms.items()})
-
-    def conj(self):
-        return CycNum(self.p, {(-th) % 1: c for th, c in self.terms.items()})
+        self.terms = {th: c for th, c in terms.items() if c != 0}
 
     def reduced(self):
         """Rewrite in the basis 1, zeta, ..., zeta^{phi(N)-1} (N = p^max)."""
@@ -93,7 +75,7 @@ class CycNum:
         N = max(th.denominator for th in self.terms)
         if N == 1:
             total = sum(self.terms.values())
-            return CycNum(self.p, {Fraction(0): total} if total else {})
+            return CycNum(self.p, {Fraction(0): total})
         arr = {}
         for th, c in self.terms.items():
             e = int(th * N)
@@ -109,7 +91,7 @@ class CycNum:
                 tgt = base + k * step
                 arr[tgt] = arr.get(tgt, Fraction(0)) - c
             del arr[e]
-        return CycNum(self.p, {Fraction(e, N): c for e, c in arr.items() if c != 0})
+        return CycNum(self.p, {Fraction(e, N): c for e, c in arr.items()})
 
     def rational_value(self):
         """The exact Fraction if this number is rational, else None."""
@@ -121,18 +103,28 @@ class CycNum:
         return None
 
     def to_complex(self):
-        return sum((complex(c) * cmath.exp(2j * cmath.pi * float(th)) for th, c in self.terms.items()), complex(0))
+        """The value as a complex float, summed in ascending phase order so
+        that it depends on the exact terms alone."""
+        return sum(
+            (complex(c) * cmath.exp(2j * cmath.pi * float(th)) for th, c in sorted(self.terms.items())), complex(0)
+        )
 
     def __repr__(self):
         return f"CycNum(p={self.p}, {dict(self.terms)})"
 
 
-def _psi_cyc(p, x):
-    return CycNum.from_phase(p, padic_fractional_phase(x, p))
+def _add_phase(acc, x, p, weight, paired):
+    """acc += weight * psi(x), and weight * conj(psi(x)) too when paired."""
+    theta = padic_fractional_phase(x, p)
+    acc[theta] = acc.get(theta, 0) + weight
+    if paired:
+        theta = -theta % 1
+        acc[theta] = acc.get(theta, 0) + weight
 
 
-def _unit_average(p, poly, depth=0):
-    """Exact J(h) = int_{Z_p} psi(h(u)) du for h in Q[u], as a CycNum.
+def _unit_average(acc, poly, p, weight, paired, depth=0):
+    """Add weight * J(h) to acc (phase -> coefficient), where J(h) =
+    int_{Z_p} psi(h(u)) du for h in Q[u]; with paired, add its conjugate too.
 
     Stationary-phase descent: let m = -min_j>=1 v_p(h_j).  For m <= 0 the
     integrand is constant; for m = 1 it is constant on each of the p residue
@@ -144,59 +136,50 @@ def _unit_average(p, poly, depth=0):
     if depth > 400:
         raise RecursionError("p-adic descent failed to terminate")
     coeffs = poly.coeffs
-    nonconst = [(j, c) for j, c in enumerate(coeffs) if j >= 1 and c != 0]
-    const = coeffs[0] if coeffs else Fraction(0)
-    if not nonconst:
-        return _psi_cyc(p, const)
-    t = min(vp(c, p) for _, c in nonconst)
-    if t >= 0:
-        return _psi_cyc(p, const)
-    m = -t
+    m = -min((vp(c, p) for c in coeffs[1:] if c != 0), default=0)
+    if m <= 0:
+        _add_phase(acc, coeffs[0] if coeffs else 0, p, weight, paired)
+        return
+    weight = weight / p
     if m == 1:
-        acc = CycNum.zero(p)
         for c in range(p):
-            acc = acc + _psi_cyc(p, poly(Fraction(c)))
-        return acc.scale(Fraction(1, p))
+            _add_phase(acc, poly(Fraction(c)), p, weight, paired)
+        return
     pm = Fraction(p) ** m
-    deriv = poly.derivative()
     dbar = []
-    for c in deriv.coeffs:
+    for c in poly.derivative().coeffs:
         val = c * pm
         v = vp(val, p)
         if v < 0:
             raise ArithmeticError("descent invariant violated")  # cannot happen
         dbar.append(0 if v > 0 else val.numerator * pow(val.denominator, -1, p) % p)
-    acc = CycNum.zero(p)
     for c in range(p):
         s = 0
         for coef in reversed(dbar):
             s = (s * c + coef) % p
         if s == 0:
-            acc = acc + _unit_average(p, poly.compose_linear(c, p), depth + 1)
-    return acc.scale(Fraction(1, p))
+            _unit_average(acc, poly.compose_linear(c, p), p, weight, paired, depth + 1)
 
 
-def _ball_integral_cyc(phase_poly, p, R):
-    """Exact integral of psi(phase(s)) over the ball p^R Z_p, as a CycNum.
+def _add_ball(acc, phase, p, R, weight, paired=False):
+    """Add weight * int_{p^R Z_p} psi(phase(s)) ds to acc.
 
-    Substituting s = p^R u gives measure p^{-R} times the unit-ball average.
+    Substituting s = p^R u turns the ball integral into p^{-R} times the
+    unit-ball average J of phase(p^R u).
     """
-    scaled = RationalPoly([c * Fraction(p) ** (R * j) for j, c in enumerate(phase_poly.coeffs)])
-    return _unit_average(p, scaled).scale(Fraction(p) ** (-R))
-
-
-def _sphere_sum_cyc(phase_poly, p, r):
-    """Exact integral over the sphere |s| = p^r (ball difference)."""
-    return _ball_integral_cyc(phase_poly, p, -r) + _ball_integral_cyc(phase_poly, p, -(r - 1)).scale(-1)
+    scaled = RationalPoly([c * Fraction(p) ** (R * j) for j, c in enumerate(phase.coeffs)])
+    _unit_average(acc, scaled, p, weight * Fraction(p) ** (-R), paired)
 
 
 def sphere_character_sum(f, lam, r, p):
     """int_{C_r} psi(lam * f(s)) ds over the sphere C_r = {|s| = p^r}, exact
-    (cyclotomic stationary-phase descent)."""
-    lam = parse_rational(lam)
-    if lam == 0:
-        return complex(p**r - p ** (r - 1))
-    return _sphere_sum_cyc(f * lam, p, r).to_complex()
+    (cyclotomic stationary-phase descent): the ball p^{-r} Z_p minus the ball
+    p^{1-r} Z_p."""
+    phase = f * parse_rational(lam)
+    acc = {}
+    _add_ball(acc, phase, p, -r, 1)
+    _add_ball(acc, phase, p, 1 - r, -1)
+    return CycNum(p, acc).to_complex()
 
 
 def ess_part(f, p):
@@ -222,6 +205,8 @@ class PadicWindow:
     p: int
 
     def __post_init__(self):
+        if any(not isinstance(v, int) or isinstance(v, bool) for v in (self.a, self.T, self.p)):
+            raise ValueError(f"window a, T and p must be integers; got {self.a!r}, {self.T!r}, {self.p!r}")
         if self.T <= self.a:
             raise ValueError("window needs T > a")
         if self.p < 2 or any(self.p % d == 0 for d in range(2, math.isqrt(self.p) + 1)):
@@ -236,21 +221,26 @@ def mu_hat_padic(family, window, lam):
     """Normalized transform (1/L) sum_{r=a}^{T} p^{-r} * 2 Re int_{C_r} psi(phase).
 
     phase = sum_i lam_i f_i(s), the phase polynomial of phi_from_frequency.
-    Returns an exact Fraction whenever the cyclotomic value reduces to a
-    rational (lam = 0 gives exactly 1), else a float.  The conjugate-pair construction makes the value real and even in
-    lam by construction.
+    Each sphere integral is the ball p^{-r} Z_p minus the ball p^{1-r} Z_p,
+    so the sum is one over the balls p^R Z_p, R = -T .. 1-a, each evaluated
+    once with weight p^R [a <= -R] - p^{R-1} [1-R <= T], divided by L.
+    Every ball adds its value and its conjugate to one accumulator, which
+    therefore holds 2 Re directly.  Returns an exact Fraction whenever the
+    cyclotomic value reduces to a rational (lam = 0 gives exactly 1), else a
+    float.  lam and -lam give conjugate terms, whose sum is the same set of
+    phases and coefficients; as the float is summed in phase order, the
+    value is even in lam exactly, floats included.
     """
-    p = window.p
+    p, a, T = window.p, window.a, window.T
     a0 = max(ess_part(f, p) for f in family.polys)
-    if window.a <= a0:
-        raise ValueError(f"window start {window.a} must exceed the essential part {a0}")
+    if a <= a0:
+        raise ValueError(f"window start {a} must exceed the essential part {a0}")
     phase = phi_from_frequency(family, lam)
-    total = CycNum.zero(p)
-    for r in range(window.a, window.T + 1):
-        s = _sphere_sum_cyc(phase, p, r)
-        pair = s + s.conj()
-        total = total + pair.scale(Fraction(1, p**r))
-    total = total.scale(1 / window.L)
+    acc = {}
+    for R in range(-T, 2 - a):
+        weight = (Fraction(p) ** R if a <= -R else 0) - (Fraction(p) ** (R - 1) if 1 - R <= T else 0)
+        _add_ball(acc, phase, p, R, weight / window.L, paired=True)
+    total = CycNum(p, acc)
     rat = total.rational_value()
     if rat is not None:
         return rat
@@ -266,7 +256,9 @@ def padic_vdc_check(f, lam, r, p):
     n = f.degree
     if n < 1 or lam * f.coeffs[-1] == 0:
         raise ValueError("leading coefficient of the phase must be nonzero")
-    lhs = abs(_ball_integral_cyc(f * lam, p, r).to_complex())
+    acc = {}
+    _add_ball(acc, f * lam, p, r, 1)
+    lhs = abs(CycNum(p, acc).to_complex())
     v = vp(lam * f.coeffs[-1], p)
     rhs = 2.0 * p**n * float(p) ** (v / n)
     return lhs, rhs, lhs <= rhs + 1e-9

@@ -118,14 +118,6 @@ class RationalPoly:
             return a
         return a * (1 / a.coeffs[-1])  # monic
 
-    def squarefree(self):
-        if self.degree <= 0:
-            return self
-        g = self.gcd(self.derivative())
-        if g.degree <= 0:
-            return self
-        return self.divmod(g)[0]
-
     def t_derivative(self, k):
         """The k-th t-derivative of g(e^t), as a polynomial in x = e^t: the
         Euler operator (x d/dx)^k multiplies the coefficient of x^j by j^k."""
@@ -306,11 +298,6 @@ class CurveFamily:
         """Rows a_{i0..in}, one per component, zero-padded to the max degree."""
         n = self.n
         return [list(p.coeffs) + [Fraction(0)] * (n + 1 - len(p.coeffs)) for p in self.polys]
-
-    @property
-    def a0_unbounded_below(self):
-        """True when every component vanishes at 0 (window start may be any real)."""
-        return all(p.coeffs[0] == 0 for p in self.polys)
 
     def __repr__(self):
         return f"CurveFamily({list(self.polys)})"

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .padic import PadicWindow, certified_bound_padic, echelon_reduce, mu_hat_padic
+from .polycore import parse_rational
 from .realosc import QuadratureError, Window, _as_window, certified_constant_real, mu_hat_real
 
 _GRID_STAGE = 4096  # coarse-grid candidates before refinement starts
@@ -112,6 +113,20 @@ def _normalize_field(field):
     raise ValueError(
         f"field must be 'real', a prime p, ('padic', p) or {{'padic': p}} with p an integer; got {field!r}"
     )
+
+
+def _padic_window(window, p):
+    """The PadicWindow for field prime p: window itself, or one built from
+    (a, T).  Each bound must be integral once parsed ("1", 1.0 and
+    Fraction(1) all mean 1); 1.9 or True raises instead of being truncated."""
+    if not isinstance(window, PadicWindow):
+        bounds = [None if isinstance(v, bool) else parse_rational(v) for v in window]
+        if len(bounds) != 2 or any(b is None or b.denominator != 1 for b in bounds):
+            raise ValueError(f"p-adic window bounds must be integers; got {list(window)!r}")
+        window = PadicWindow(int(bounds[0]), int(bounds[1]), p)
+    if window.p != p:
+        raise ValueError(f"window prime {window.p} does not match field prime {p}")
+    return window
 
 
 class _Budget:
@@ -265,9 +280,7 @@ def minimize_mu_hat(family, window, field="real", budget=None, seed=0, tol=1e-6)
         except _BudgetExhausted:
             pass
     else:
-        w = window if isinstance(window, PadicWindow) else PadicWindow(int(window[0]), int(window[1]), p)
-        if w.p != p:
-            raise ValueError(f"window prime {w.p} does not match field prime {p}")
+        w = _padic_window(window, p)
         axis = _padic_axis_values(p)
         grid_spec = {
             "field": f"padic:{p}",
@@ -312,7 +325,7 @@ def independence_pipeline(family, window, field="real", budget=None, seed=0, tol
         length = w.length
         certified = certified_constant_real(family).C
     else:
-        w = window if isinstance(window, PadicWindow) else PadicWindow(int(window[0]), int(window[1]), p)
+        w = _padic_window(window, p)
         length = w.T - w.a
         _, reduced = echelon_reduce(family)
         bound_b = certified_bound_padic(reduced, w)

@@ -124,6 +124,18 @@ def test_real_only_commands_reject_a_padic_field():
             assert code == 1 and "integer" in payload["detail"], payload
 
 
+def test_padic_window_bounds_must_be_integers():
+    with tempfile.TemporaryDirectory() as tmp:
+        base = {"family": FAMILY, "field": {"padic": 3}, "lambda": ["3", "0"]}
+        for window in ([1.9, 4.7], [1, 4.7], ["1.9", "4"], [True, 4]):
+            path = _write_config(tmp, "w.json", dict(base, window=window))
+            for command in ("padic-muhat", "padic-certify", "minimize", "pipeline"):
+                code, _, payload = _run([command, path, "--budget", "3"])
+                assert code == 1 and payload["error"] == "ValueError", (window, command, payload)
+        path = _write_config(tmp, "w.json", dict(base, window=["1", 4.0]))
+        assert _run(["padic-certify", path])[2]["report"]["L"] == "16/3"  # the window [1, 4]
+
+
 def test_reports_are_byte_identical_for_same_config_and_seed():
     with tempfile.TemporaryDirectory() as tmp:
         path = _write_config(

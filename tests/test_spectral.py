@@ -162,3 +162,22 @@ def test_field_forms_and_non_prime_p():
                 assert "integer" in str(exc), exc
             else:
                 raise AssertionError(f"field {field!r} accepted")
+
+
+def test_padic_window_bounds_must_be_integers():
+    # a bound that is not an integer raises; it is never truncated
+    for window in ((1.9, 4.7), (1, 4.7), ("1.9", 4), (Fraction(3, 2), 4), (True, 4), (1, 2, 3)):
+        for call in (
+            lambda: minimize_mu_hat(FAM, window, field=3, budget=3),
+            lambda: independence_pipeline(FAM, window, field=3, budget=3),
+        ):
+            try:
+                call()
+            except ValueError:
+                pass
+            else:
+                raise AssertionError(f"window {window!r} accepted")
+    # bounds of integral value are exact, whatever their spelling
+    for window in ((1, 4), ("1", "4"), (1.0, 4.0), (Fraction(1), 4)):
+        rep = minimize_mu_hat(FAM, window, field=3, budget=3)
+        assert rep == minimize_mu_hat(FAM, PadicWindow(1, 4, 3), field=3, budget=3)
