@@ -28,6 +28,7 @@ This evaluates frequencies with |lambda| ~ 1e6 (phase counts ~ 1e60) at
 fixed cost.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -263,20 +264,31 @@ class _PhaseTable:
         """Phi at an array of points."""
         return self.rows(slice(0, 1), ts)[0]
 
-    def derivs(self, t, rows=5):
-        """Phi^(k)(t) for k < rows at one point, in plain floats: cheaper
+    def _powers(self, t):
+        """exp(j*t) for the table's j at one point, in plain floats: cheaper
         than numpy calls for a handful of terms."""
         try:
-            powers = [math.exp(j * t) for j in self._js]
+            return [math.exp(j * t) for j in self._js]
         except OverflowError:  # past the float range: inf, as on the array paths
             with np.errstate(over="ignore"):
-                powers = np.exp(self.js * t).tolist()
-        return [sum(c * x for c, x in zip(row, powers)) for row in self._coef[:rows]]
+                return np.exp(self.js * t).tolist()
+
+    def derivs(self, t):
+        """Phi^(k)(t) for k < 4 at one point."""
+        powers = self._powers(t)
+        return [sum(c * x for c, x in zip(row, powers)) for row in self._coef[:4]]
+
+    def slope(self, t):
+        """Phi'(t) alone, summed term by term as derivs sums it, so the
+        bits agree with derivs(t)[1]."""
+        return sum(c * x for c, x in zip(self._coef[1], self._powers(t)))
 
 
+@functools.lru_cache(maxsize=64)
 def _x_window(a, T):
     """Rational x-range [e^a, e^T], padded by a relative 1e-15 on each side so
-    that float rounding of exp cannot drop a root at the window's edge."""
+    that float rounding of exp cannot drop a root at the window's edge.
+    Cached: it is pure, and every transform on a window needs it twice."""
     return (
         Fraction(math.exp(a)) * (1 - Fraction(1, 10**15)),
         Fraction(math.exp(T)) * (1 + Fraction(1, 10**15)),
@@ -312,7 +324,7 @@ def _ibp_boundary(table, t):
 
     Evaluated via q = 1/psi' and the ratios psi^(k)/psi', which stay modest
     even when psi' itself would overflow raised to the fifth power."""
-    f, p1, p2, p3 = (math.tau * v for v in table.derivs(t, 4))
+    f, p1, p2, p3 = (math.tau * v for v in table.derivs(t))
     e = complex(math.cos(f), math.sin(f))
     q = 1.0 / p1
     u2, u3 = p2 * q, p3 * q
@@ -366,7 +378,7 @@ def _integrate_piece(table, c, d, tol_piece):
                 mid = 0.5 * (lo + hi)
                 if mid == lo or mid == hi:
                     break  # float resolution reached; t_star below is mid
-                if (abs(table.derivs(mid, 2)[1]) < omega) == slow_at_left:
+                if (abs(table.slope(mid)) < omega) == slow_at_left:
                     lo = mid
                 else:
                     hi = mid

@@ -176,6 +176,14 @@ def _grid_stream(axis_values, m, rng):
         yield tuple(axis_values[i] for i in cell)
 
 
+def _sign_canonical(lam):
+    """lam or -lam, whichever has its first nonzero component positive."""
+    for x in lam:
+        if x != 0:
+            return lam if x > 0 else tuple(-v for v in lam)
+    return lam
+
+
 def _compass_search(evaluate, lam, val, record):
     """Coordinate pattern search with shrinking steps; mutates nothing,
     returns the best (lambda, value) reached."""
@@ -223,6 +231,13 @@ def minimize_mu_hat(family, window, field="real", budget=None, seed=0, tol=1e-6)
     field, seed); the budget is a prefix length, so the reported best value
     is monotone non-increasing in the budget.  The result is an upper bound
     on the true infimum, never a certificate.
+
+    The transform is even, mu_hat(lam) = mu_hat(-lam) to the bit (the
+    tests assert it), so the real search caches each value under the
+    sign-canonical lam (first nonzero component positive) and reuses it for
+    -lam.  There `evaluations` and the budget count distinct sign-canonical
+    transforms; over the p-adic lattice they count lattice cells.  Raises
+    ValueError if every evaluated candidate failed.
     """
     kind, p = _normalize_field(field)
     if budget is None:
@@ -253,14 +268,15 @@ def minimize_mu_hat(family, window, field="real", budget=None, seed=0, tol=1e-6)
         }
 
         def evaluate(lam):
-            if lam in cache:
-                return cache[lam]
+            key = _sign_canonical(lam)
+            if key in cache:
+                return cache[key]
             counter.take()
             try:
                 v = mu_hat_real(family, w, lam, tol=tol)
             except (QuadratureError, ArithmeticError):
                 v = math.inf  # unusable candidate; keep searching elsewhere
-            cache[lam] = v
+            cache[key] = v
             return v
 
         partial = True
@@ -301,7 +317,7 @@ def minimize_mu_hat(family, window, field="real", budget=None, seed=0, tol=1e-6)
             pass
 
     if best_lam is None:
-        raise ValueError("budget produced no evaluations")
+        raise ValueError(f"all {counter.used} evaluated candidates failed with QuadratureError or ArithmeticError")
     return MinimizationReport(
         best_lambda=best_lam,
         best_value=best_val,

@@ -6,9 +6,10 @@ import math
 import random
 from fractions import Fraction
 
+from oscillabound import realosc, spectral
 from oscillabound.padic import PadicWindow
 from oscillabound.polycore import parse_curve_family
-from oscillabound.realosc import Window, certified_constant_real
+from oscillabound.realosc import QuadratureError, Window, certified_constant_real
 from oscillabound.spectral import (
     PipelineConsistencyError,
     hoffman_chromatic_bound,
@@ -104,6 +105,37 @@ def test_minimize_real_small_budget():
     # a tiny budget cannot beat the certified floor in any case
     floor = -certified_constant_real(FAM).C / 1.0
     assert rep.best_value >= floor
+
+
+def test_minimize_real_evaluates_each_sign_pair_once(monkeypatch):
+    calls = []
+
+    def recording(family, window, lam, tol):
+        calls.append(lam)
+        return realosc.mu_hat_real(family, window, lam, tol=tol)
+
+    monkeypatch.setattr(spectral, "mu_hat_real", recording)
+    rep = minimize_mu_hat(parse_curve_family([["0", "0", "1"]]), (1, 6), tol=1e-3, seed=0)
+    seen = set(calls)
+    assert len(seen) == len(calls)
+    assert not any(tuple(-v for v in lam) in seen for lam in calls if any(lam))
+    assert rep.evaluations == len(calls) == 373
+    # the same minimum as evaluating lambda and -lambda separately
+    assert rep.best_lambda == (Fraction(2206159, 65239690),)
+    assert rep.best_value == -0.047210002197041835
+
+
+def test_minimize_real_all_candidates_failed(monkeypatch):
+    def failing(family, window, lam, tol):
+        raise QuadratureError("requested tolerance not reached")
+
+    monkeypatch.setattr(spectral, "mu_hat_real", failing)
+    try:
+        minimize_mu_hat(FAM, (1, 2), budget=5)
+    except ValueError as exc:
+        assert "all 5 evaluated candidates failed" in str(exc), exc
+    else:
+        raise AssertionError("a search whose every candidate failed reported a minimum")
 
 
 def test_pipeline_padic_consistency():
