@@ -7,11 +7,21 @@ cyclotomic field Q(zeta_{p^k}) and are carried as rational combinations of
 roots of unity until the caller asks for a complex (or provably rational)
 answer.
 
-A transform is one accumulator, a dict from phase to rational coefficient:
-the stationary-phase descent adds weight * psi(x) into it at each leaf, and
-each ball p^R Z_p that the sphere decomposition needs is descended once,
-with the weights of both spheres it bounds.  A float is summed from the
-exact terms in ascending phase order, so it depends on those terms alone.
+A transform is one accumulator, a dict from phase to rational coefficient.
+Each ball p^R Z_p that the sphere decomposition needs is visited once, with
+the weights of both spheres it bounds, and adds weight * J(h) for the
+unit-ball average J(h) = int_{Z_p} psi(h(u)) du of its scaled phase.  A
+float is summed from the exact terms in ascending phase order, so it
+depends on those terms alone.
+
+J(h) depends only on h modulo Z_p[u], because psi is trivial on Z_p.  The
+stationary-phase descent that evaluates J therefore works on the p-adic
+fractional parts of the coefficients: the constant term becomes a phase
+shift, and J(h - h(0)) is memoized as a phase -> coefficient map keyed by
+the reduced non-constant coefficients.  Weights, and the conjugate of a
+paired ball, apply only when a memo entry is added into the accumulator.
+The memo belongs to the caller: a transform makes a fresh one per call
+unless it is handed one, as the lattice minimizer does for each run.
 
 Haar measure is normalized so that Z_p has mass 1; the ball p^{-r} Z_p then
 has mass p^r and the sphere |s| = p^r has mass p^r - p^{r-1}.
@@ -25,8 +35,18 @@ from fractions import Fraction
 from .polycore import CurveFamily, RationalPoly, parse_rational, phi_from_frequency
 
 
+def _require_prime(p):
+    """Raise ValueError unless p is an integer prime (bools are not integers)."""
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise ValueError(f"p must be an integer prime; got {p!r}")
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"p = {p} is not prime")
+
+
 def vp(x, p):
-    """p-adic valuation of a rational (math.inf for 0)."""
+    """p-adic valuation of a rational (math.inf for 0); p >= 2."""
+    if p < 2:
+        raise ValueError(f"p = {p} must be at least 2")
     x = parse_rational(x)
     if x == 0:
         return math.inf
@@ -41,17 +61,27 @@ def vp(x, p):
     return v
 
 
+_ZERO = Fraction(0)
+
+
 def padic_fractional_phase(x, p):
-    """{x}_p as a Fraction r/p^n in [0,1); 0 for p-integral x."""
+    """{x}_p as a Fraction r/p^n in [0,1); 0 for p-integral x; p >= 2.
+
+    x is p-integral exactly when p does not divide its denominator; else
+    the denominator is p^n * d with d prime to p, and r = num * d^-1 mod p^n.
+    """
+    if p < 2:
+        raise ValueError(f"p = {p} must be at least 2")
     x = parse_rational(x)
-    v = vp(x, p)
-    if v >= 0:
-        return Fraction(0)
-    n = -v
-    pn = p**n
-    scaled = x * pn  # now p-integral with denominator coprime to p
-    r = scaled.numerator * pow(scaled.denominator, -1, pn) % pn
-    return Fraction(r, pn)
+    den = x.denominator
+    if den % p:
+        return _ZERO
+    pn = p
+    den //= p
+    while den % p == 0:
+        den //= p
+        pn *= p
+    return Fraction(x.numerator * pow(den, -1, pn) % pn, pn)
 
 
 class CycNum:
@@ -113,77 +143,102 @@ class CycNum:
         return f"CycNum(p={self.p}, {dict(self.terms)})"
 
 
-def _add_phase(acc, x, p, weight, paired):
-    """acc += weight * psi(x), and weight * conj(psi(x)) too when paired."""
-    theta = padic_fractional_phase(x, p)
-    acc[theta] = acc.get(theta, 0) + weight
-    if paired:
-        theta = -theta % 1
-        acc[theta] = acc.get(theta, 0) + weight
+def _reduce(coeffs, p):
+    """The p-adic fractional parts of coeffs, trailing zeros dropped: the
+    canonical representative of a polynomial modulo Z_p[u]."""
+    out = [padic_fractional_phase(c, p) for c in coeffs]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
-def _unit_average(acc, poly, p, weight, paired, depth=0):
-    """Add weight * J(h) to acc (phase -> coefficient), where J(h) =
-    int_{Z_p} psi(h(u)) du for h in Q[u]; with paired, add its conjugate too.
+def _descend(key, p, memo, depth=0):
+    """J(h) = int_{Z_p} psi(h(u)) du as a dict phase -> coefficient, for the
+    h with h(0) = 0 whose other coefficients are key (fractional parts, as
+    _reduce gives them); memo maps keys to values already descended, and
+    J(c + h) = psi(c) J(h) lets every node reuse them whatever its constant.
 
-    Stationary-phase descent: let m = -min_j>=1 v_p(h_j).  For m <= 0 the
-    integrand is constant; for m = 1 it is constant on each of the p residue
-    classes; for m >= 2 the classes where p^m h'(c) is a unit mod p integrate
-    to zero exactly (the linear term of the phase dominates and averages a
-    full set of p-th roots of unity), and each surviving class recurses with
-    m dropped by at least 2.
+    Stationary-phase descent: let m = -min_j>=1 v_p(h_j).  For m <= 0 (an
+    empty key) J = 1; for m = 1 the integrand is constant on each of the p
+    residue classes; for m >= 2 the classes where p^m h'(c) is a unit mod p
+    integrate to zero exactly (the linear term of the phase dominates and
+    averages a full set of p-th roots of unity), and each surviving class c
+    contributes psi(h(c)) J(h(c + p u) - h(c)) / p.
     """
+    got = memo.get(key)
+    if got is not None:
+        return got
     if depth > 400:
         raise RecursionError("p-adic descent failed to terminate")
-    coeffs = poly.coeffs
-    m = -min((vp(c, p) for c in coeffs[1:] if c != 0), default=0)
-    if m <= 0:
-        _add_phase(acc, coeffs[0] if coeffs else 0, p, weight, paired)
-        return
-    weight = weight / p
-    if m == 1:
-        for c in range(p):
-            _add_phase(acc, poly(Fraction(c)), p, weight, paired)
-        return
-    pm = Fraction(p) ** m
-    dbar = []
-    for c in poly.derivative().coeffs:
-        val = c * pm
-        v = vp(val, p)
-        if v < 0:
-            raise ArithmeticError("descent invariant violated")  # cannot happen
-        dbar.append(0 if v > 0 else val.numerator * pow(val.denominator, -1, p) % p)
-    for c in range(p):
-        s = 0
-        for coef in reversed(dbar):
-            s = (s * c + coef) % p
-        if s == 0:
-            _unit_average(acc, poly.compose_linear(c, p), p, weight, paired, depth + 1)
+    out = {}
+    if not key:
+        out[_ZERO] = Fraction(1)
+    else:
+        h = RationalPoly((0,) + key)
+        # every coefficient is r/p^k in lowest terms, so p^m is the largest denominator
+        pm = max(c.denominator for c in key)
+        if pm == p:
+            for c in range(p):
+                theta = padic_fractional_phase(h(c), p)
+                out[theta] = out.get(theta, 0) + Fraction(1, p)
+        else:
+            dbar = [j * c.numerator * (pm // c.denominator) % p for j, c in enumerate(key, 1)]
+            for c in range(p):
+                s = 0
+                for coef in reversed(dbar):
+                    s = (s * c + coef) % p
+                if s:
+                    continue
+                shifted = h.compose_linear(c, p).coeffs
+                shift = padic_fractional_phase(shifted[0], p)
+                for theta, coef in _descend(_reduce(shifted[1:], p), p, memo, depth + 1).items():
+                    theta += shift
+                    if theta >= 1:
+                        theta -= 1
+                    out[theta] = out.get(theta, 0) + coef / p
+    memo[key] = out
+    return out
 
 
-def _add_ball(acc, phase, p, R, weight, paired=False):
-    """Add weight * int_{p^R Z_p} psi(phase(s)) ds to acc.
+def _add_ball(acc, phase, p, R, weight, memo, paired=False):
+    """Add weight * int_{p^R Z_p} psi(phase(s)) ds to acc (phase ->
+    coefficient), and its conjugate too when paired.
 
     Substituting s = p^R u turns the ball integral into p^{-R} times the
-    unit-ball average J of phase(p^R u).
+    unit-ball average J of phase(p^R u), which _descend evaluates modulo
+    Z_p[u] with memo; the constant term shifts its phases, and the weight
+    applies only here.
     """
-    scaled = RationalPoly([c * Fraction(p) ** (R * j) for j, c in enumerate(phase.coeffs)])
-    _unit_average(acc, scaled, p, weight * Fraction(p) ** (-R), paired)
+    pr = Fraction(p) ** R
+    scaled = [c * pr**j for j, c in enumerate(phase.coeffs)] or [_ZERO]
+    shift = padic_fractional_phase(scaled[0], p)
+    weight = weight / pr
+    for theta, coef in _descend(_reduce(scaled[1:], p), p, memo).items():
+        theta += shift
+        if theta >= 1:
+            theta -= 1
+        coef *= weight
+        acc[theta] = acc.get(theta, 0) + coef
+        if paired:
+            theta = 1 - theta if theta else theta
+            acc[theta] = acc.get(theta, 0) + coef
 
 
 def sphere_character_sum(f, lam, r, p):
     """int_{C_r} psi(lam * f(s)) ds over the sphere C_r = {|s| = p^r}, exact
     (cyclotomic stationary-phase descent): the ball p^{-r} Z_p minus the ball
     p^{1-r} Z_p."""
+    _require_prime(p)
     phase = f * parse_rational(lam)
-    acc = {}
-    _add_ball(acc, phase, p, -r, 1)
-    _add_ball(acc, phase, p, 1 - r, -1)
+    acc, memo = {}, {}
+    _add_ball(acc, phase, p, -r, 1, memo)
+    _add_ball(acc, phase, p, 1 - r, -1, memo)
     return CycNum(p, acc).to_complex()
 
 
 def ess_part(f, p):
     """Essential part: max{0, max_i<n log_p(|a_i| / |a_n|)} over nonzero a_i."""
+    _require_prime(p)
     if f.degree < 1:
         raise ValueError("essential part needs degree >= 1")
     an = f.coeffs[-1]
@@ -209,15 +264,14 @@ class PadicWindow:
             raise ValueError(f"window a, T and p must be integers; got {self.a!r}, {self.T!r}, {self.p!r}")
         if self.T <= self.a:
             raise ValueError("window needs T > a")
-        if self.p < 2 or any(self.p % d == 0 for d in range(2, math.isqrt(self.p) + 1)):
-            raise ValueError(f"p = {self.p} is not prime")
+        _require_prime(self.p)
 
     @property
     def L(self):
         return 2 * (self.T - self.a + 1) * (1 - Fraction(1, self.p))
 
 
-def mu_hat_padic(family, window, lam):
+def mu_hat_padic(family, window, lam, memo=None):
     """Normalized transform (1/L) sum_{r=a}^{T} p^{-r} * 2 Re int_{C_r} psi(phase).
 
     phase = sum_i lam_i f_i(s), the phase polynomial of phi_from_frequency.
@@ -230,6 +284,15 @@ def mu_hat_padic(family, window, lam):
     float.  lam and -lam give conjugate terms, whose sum is the same set of
     phases and coefficients; as the float is summed in phase order, the
     value is even in lam exactly, floats included.
+
+    memo holds the unit-ball averages already descended, keyed by reduced
+    polynomials modulo Z_p[u] (see _descend).  By default it is a fresh dict
+    that lives for this call and is shared by its balls.  A caller that
+    evaluates many frequencies, such as the lattice minimizer, may pass one
+    dict to all of them and owns it: it is only ever filled, every entry is
+    exact, and it stays valid across families, windows and primes (a
+    nonzero fractional part has a p-power denominator, so a key names its
+    prime).  The value returned does not depend on what memo holds.
     """
     p, a, T = window.p, window.a, window.T
     a0 = max(ess_part(f, p) for f in family.polys)
@@ -237,9 +300,10 @@ def mu_hat_padic(family, window, lam):
         raise ValueError(f"window start {a} must exceed the essential part {a0}")
     phase = phi_from_frequency(family, lam)
     acc = {}
+    memo = {} if memo is None else memo
     for R in range(-T, 2 - a):
         weight = (Fraction(p) ** R if a <= -R else 0) - (Fraction(p) ** (R - 1) if 1 - R <= T else 0)
-        _add_ball(acc, phase, p, R, weight / window.L, paired=True)
+        _add_ball(acc, phase, p, R, weight / window.L, memo, paired=True)
     total = CycNum(p, acc)
     rat = total.rational_value()
     if rat is not None:
@@ -252,12 +316,13 @@ def mu_hat_padic(family, window, lam):
 
 def padic_vdc_check(f, lam, r, p):
     """Oscillation bound check on a ball: |int_{p^r Z_p} psi(lam f)| vs 2 p^n |lam a_n|^{-1/n}."""
+    _require_prime(p)
     lam = parse_rational(lam)
     n = f.degree
     if n < 1 or lam * f.coeffs[-1] == 0:
         raise ValueError("leading coefficient of the phase must be nonzero")
     acc = {}
-    _add_ball(acc, f * lam, p, r, 1)
+    _add_ball(acc, f * lam, p, r, 1, {})
     lhs = abs(CycNum(p, acc).to_complex())
     v = vp(lam * f.coeffs[-1], p)
     rhs = 2.0 * p**n * float(p) ** (v / n)

@@ -10,6 +10,7 @@ bound for the true infimum; rigorous statements always go through the
 certified constants instead.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -144,15 +145,17 @@ class _BudgetExhausted(Exception):
     pass
 
 
+@functools.cache
 def _real_axis_values():
-    """0 and +-10^(lo + k/17) as small-denominator exact rationals."""
+    """0 and +-10^(lo + k/17) as small-denominator exact rationals, built
+    once per process."""
     vals = [Fraction(0)]
     steps = (_MAG_HI - _MAG_LO) * _POINTS_PER_DECADE
     for k in range(steps + 1):
         mag = Fraction(10.0 ** (_MAG_LO + k / _POINTS_PER_DECADE)).limit_denominator(10**9)
         vals.append(mag)
         vals.append(-mag)
-    return vals
+    return tuple(vals)
 
 
 def _grid_stream(axis_values, m, rng):
@@ -238,10 +241,23 @@ def minimize_mu_hat(family, window, field="real", budget=None, seed=0, tol=1e-6)
     -lam.  There `evaluations` and the budget count distinct sign-canonical
     transforms; over the p-adic lattice they count lattice cells.  Raises
     ValueError if every evaluated candidate failed.
+
+    The lattice holds no cell together with its mirror, so the p-adic
+    search caches no values; it shares the descent instead.  Its cells
+    reduce, modulo Z_p[u], to far fewer unit-ball averages than they visit,
+    so one memo (see padic.mu_hat_padic) is created per call, passed to
+    every cell's transform and dropped on return.  Each cell is still one
+    transform call, and its value is exactly what a call with its own memo
+    gives.
     """
     kind, p = _normalize_field(field)
+    if kind == "real":
+        w, axis = _as_window(window), _real_axis_values()
+    else:
+        w = _padic_window(window, p)
+        axis = _padic_axis_values(p)
     if budget is None:
-        budget = 10_000 if kind == "real" else len(_padic_axis_values(p)) ** family.m
+        budget = 10_000 if kind == "real" else len(axis) ** family.m
     if budget < 1:
         raise ValueError("budget must allow at least one evaluation")
 
@@ -257,7 +273,6 @@ def minimize_mu_hat(family, window, field="real", budget=None, seed=0, tol=1e-6)
             trace.append((stage, lam, val))
 
     if kind == "real":
-        w = _as_window(window)
         grid_spec = {
             "field": "real",
             "axes": family.m,
@@ -284,7 +299,7 @@ def minimize_mu_hat(family, window, field="real", budget=None, seed=0, tol=1e-6)
         try:
             rng = random.Random(seed)
             scored = []
-            for lam in itertools.islice(_grid_stream(_real_axis_values(), family.m, rng), _GRID_STAGE):
+            for lam in itertools.islice(_grid_stream(axis, family.m, rng), _GRID_STAGE):
                 v = evaluate(lam)
                 record(lam, v)
                 scored.append((v, lam))
@@ -296,8 +311,7 @@ def minimize_mu_hat(family, window, field="real", budget=None, seed=0, tol=1e-6)
         except _BudgetExhausted:
             pass
     else:
-        w = _padic_window(window, p)
-        axis = _padic_axis_values(p)
+        descents = {}  # unit-ball averages shared by every cell of this run
         grid_spec = {
             "field": f"padic:{p}",
             "axes": family.m,
@@ -310,7 +324,7 @@ def minimize_mu_hat(family, window, field="real", budget=None, seed=0, tol=1e-6)
         try:
             for cell in itertools.product(axis, repeat=family.m):
                 counter.take()
-                v = float(mu_hat_padic(family, w, cell))
+                v = float(mu_hat_padic(family, w, cell, memo=descents))
                 record(cell, v)
             partial = False
         except _BudgetExhausted:

@@ -3,7 +3,10 @@ sphere integrals vs. brute-force residue enumeration, the normalized
 transform, and the certified lower-bound constant."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -11,7 +14,10 @@ from hypothesis import strategies as st
 
 from oracles import brute_force_sphere_sum, residue_sphere_sum
 
+import oscillabound
+from oscillabound import padic, spectral
 from oscillabound.padic import (
+    CycNum,
     PadicWindow,
     certified_bound_padic,
     echelon_reduce,
@@ -153,6 +159,49 @@ def test_non_prime_p_is_rejected():
             raise AssertionError(f"PadicWindow accepted p = {p}")
 
 
+def test_non_prime_p_is_rejected_by_every_entry_point():
+    f = X2
+    calls = (
+        lambda p: sphere_character_sum(f, "1/16", 2, p),
+        lambda p: padic_vdc_check(f, "1/16", -2, p),
+        lambda p: ess_part(f, p),
+    )
+    for call in calls:
+        for p in (4, 9, 1, 0, -3):
+            try:
+                call(p)
+            except ValueError as exc:
+                assert "not prime" in str(exc), exc
+            else:
+                raise AssertionError(f"p = {p} accepted")
+        for p in (3.0, True, "3"):
+            try:
+                call(p)
+            except ValueError as exc:
+                assert "integer prime" in str(exc), exc
+            else:
+                raise AssertionError(f"p = {p!r} accepted")
+
+
+def test_valuation_base_below_two_is_rejected():
+    """vp and padic_fractional_phase divide by p until it stops dividing, so
+    p = 1 would never return: run them in a child process under a timeout."""
+    code = (
+        "from oscillabound.padic import vp, padic_fractional_phase\n"
+        "for fn in (vp, padic_fractional_phase):\n"
+        "    for p in (1, 0, -2):\n"
+        "        try:\n"
+        "            fn(3, p)\n"
+        "        except ValueError:\n"
+        "            print('rejected', fn.__name__, p)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(oscillabound.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n").count("rejected vp 1") == 1
+    assert len(out.stdout.split()) == 3 * 6, out.stdout
+
+
 def test_mu_hat_worked_value():
     fam = parse_curve_family([["0", "1"], ["0", "0", "1"]])
     val = mu_hat_padic(fam, PadicWindow(1, 2, 3), (Fraction(3), Fraction(0)))
@@ -253,6 +302,64 @@ def test_mu_hat_padic_is_even_normalized_and_bounded(case):
     assert type(plus) is type(minus)
     assert plus == minus, (lam, plus, minus)
     assert -1 <= plus <= 1
+
+
+@st.composite
+def _integral_shift_cases(draw):
+    """A random h, a polynomial q with p-integral coefficients, a ball
+    p^R Z_p with R >= 0 (so q(s) lies in Z_p on it) and a weight."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    den = st.builds(lambda k, d: p**k * d, st.integers(0, 4), st.sampled_from((1, 2, 3, 7)))
+    coeff = st.builds(Fraction, st.integers(-(p**5), p**5), den)
+    h = RationalPoly(draw(st.lists(coeff, min_size=2, max_size=5)))
+    integral = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 30).filter(lambda d: d % p))
+    q = RationalPoly(draw(st.lists(integral, min_size=1, max_size=6)))
+    R = draw(st.integers(0, 2))
+    weight = draw(st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9)))
+    return p, h, q, R, weight, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_integral_shift_cases())
+def test_ball_terms_are_invariant_under_integral_shifts(case):
+    """int_{p^R Z_p} psi(h) ds depends on h only modulo Z_p[s] -- the lemma
+    the descent's memo keys rest on -- and the exact terms show it."""
+    p, h, q, R, weight, paired = case
+    plain, shifted = {}, {}
+    padic._add_ball(plain, h, p, R, weight, {}, paired)
+    padic._add_ball(shifted, h + q, p, R, weight, {}, paired)
+    assert CycNum(p, plain).terms == CycNum(p, shifted).terms
+
+
+_MEMO_FAMILIES = (
+    parse_curve_family([["0", "1"], ["0", "0", "1"]]),
+    parse_curve_family([["3", "1"], ["1/2", "0", "1"]]),
+)
+
+
+def test_shared_memo_gives_fresh_values():
+    """One memo filled by other cells, other families and other primes
+    leaves every value exactly as a call with its own memo gives it:
+    the same Fraction, or a float with the same bits."""
+    rng = random.Random(37)
+    memo = {}
+    for p in (2, 3, 5):
+        axis = spectral._padic_axis_values(p)
+        for fam in _MEMO_FAMILIES:
+            a = max(ess_part(f, p) for f in fam.polys) + 1
+            w = PadicWindow(a, a + 2, p)
+            cells = [tuple(rng.choice(axis) for _ in range(fam.m)) for _ in range(60)]
+            for cell in cells[:30]:  # fill the memo first
+                mu_hat_padic(fam, w, cell, memo=memo)
+            for cell in cells[30:]:
+                shared = mu_hat_padic(fam, w, cell, memo=memo)
+                fresh = mu_hat_padic(fam, w, cell)
+                assert type(shared) is type(fresh), (p, cell)
+                if isinstance(fresh, float):
+                    assert shared.hex() == fresh.hex(), (p, cell, shared, fresh)
+                else:
+                    assert shared == fresh, (p, cell, shared, fresh)
+    assert memo
 
 
 def test_padic_vdc_check():

@@ -82,6 +82,21 @@ def test_minimize_padic_exhaustive():
     assert vals[-1] == rep.best_value
 
 
+def test_minimize_padic_budget_400_pinned():
+    """The budget-400 prefix of the 3-adic lattice, as the descent without
+    a memo reported it: the shared memo changes nothing in the report."""
+    rep = minimize_mu_hat(FAM, PadicWindow(1, 4, 3), field=("padic", 3), budget=400, seed=0)
+    assert rep.best_lambda == (Fraction(0), Fraction(3))
+    assert rep.best_value == -0.125
+    assert rep.evaluations == 400 and rep.partial
+    zero = Fraction(0)
+    assert rep.trace == (
+        ("lattice", (zero, zero), 1.0),
+        ("lattice", (zero, Fraction(1, 729)), 0.0),
+        ("lattice", (zero, Fraction(3)), -0.125),
+    )
+
+
 def test_minimize_deterministic_and_budget_monotone():
     w = PadicWindow(1, 4, 3)
     full = minimize_mu_hat(FAM, w, field=("padic", 3), seed=5)
