@@ -257,6 +257,8 @@ def config_search(family, window, box_set, step):
     if step <= 0:
         raise ValueError("step must be positive")
     a, T = float(window[0]), float(window[1])
+    if not a < T:
+        raise ValueError(f"window needs a < T; got {window!r}")
     s_lo = Fraction(math.exp(a))
     s_hi = Fraction(math.exp(T))
     cands = _candidate_points(box_set)

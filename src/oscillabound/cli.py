@@ -32,13 +32,7 @@ from .cayleylab import (
 from .padic import PadicWindow, certified_bound_padic, echelon_reduce, mu_hat_padic
 from .polycore import check_independence, parse_curve_family, parse_rational
 from .realosc import QuadratureError, Window, certified_constant_real, mu_hat_real_with_error
-from .spectral import (
-    PipelineConsistencyError,
-    _normalize_field,
-    _padic_window,
-    independence_pipeline,
-    minimize_mu_hat,
-)
+from .spectral import PipelineConsistencyError, independence_pipeline, minimize_mu_hat
 
 _COMMANDS = {}
 
@@ -74,19 +68,49 @@ def _family_of(cfg):
     return fam
 
 
+def _field_prime(cfg):
+    """None for the real field, else the p that the config's field names.
+
+    Accepts 'real' (or 'R', None, or no field), a prime p, ('padic', p),
+    'padic:p' and {'padic': p}.  p must be an int, or a string of digits
+    inside the three spelled-out forms; PadicWindow checks that p is prime.
+    """
+    field = cfg.get("field", "real")
+    if field in ("real", "R", None):
+        return None
+    p = None
+    if isinstance(field, int):
+        p = field
+    elif isinstance(field, (tuple, list)) and len(field) == 2 and field[0] == "padic":
+        p = field[1]
+    elif isinstance(field, dict) and "padic" in field:
+        p = field["padic"]
+    elif isinstance(field, str) and field.startswith("padic"):
+        p = field.replace("padic", "").strip(":- ")
+    if isinstance(p, str) and p.isdigit():
+        p = int(p)
+    if isinstance(p, int) and not isinstance(p, bool):
+        return p
+    raise ValueError(
+        f"field must be 'real', a prime p, ('padic', p) or {{'padic': p}} with p an integer; got {field!r}"
+    )
+
+
 def _window_of(cfg):
-    """The Window or PadicWindow that the config's field asks for."""
-    kind, p = _normalize_field(cfg.get("field", "real"))
-    if kind == "real":
+    """The Window, or for a p-adic field the PadicWindow, of the config.
+
+    A p-adic bound must be integral once parsed ("1", 1.0 and Fraction(1)
+    all mean 1); 1.9 or True raises instead of being truncated.
+    """
+    p = _field_prime(cfg)
+    if p is None:
         a, T = cfg["window"]
         return Window(float(parse_rational(a)), float(parse_rational(T)))
-    return _padic_window(cfg["window"], p)
-
-
-def _real_only(cfg, command):
-    """Reject a p-adic field for a command that evaluates over R only."""
-    if _normalize_field(cfg.get("field", "real"))[0] != "real":
-        raise ValueError(f"{command} is real-only; use padic-{command} for field = {{'padic': p}}")
+    window = cfg["window"]
+    bounds = [None if isinstance(v, bool) else parse_rational(v) for v in window]
+    if len(bounds) != 2 or any(b is None or b.denominator != 1 for b in bounds):
+        raise ValueError(f"p-adic window bounds must be integers; got {list(window)!r}")
+    return PadicWindow(int(bounds[0]), int(bounds[1]), p)
 
 
 def _lambdas_of(cfg, m):
@@ -115,7 +139,8 @@ def _write_csv(path, m, rows):
 
 @_command("muhat")
 def _cmd_muhat(cfg, flags):
-    _real_only(cfg, "muhat")
+    if _field_prime(cfg) is not None:
+        raise ValueError("muhat is real-only; use padic-muhat for field = {'padic': p}")
     fam = _family_of(cfg)
     w = _window_of(cfg)
     tol = flags.tol if flags.tol is not None else float(cfg.get("tol", 1e-9))
@@ -158,7 +183,8 @@ def _cmd_padic_muhat(cfg, flags):
 
 @_command("certify")
 def _cmd_certify(cfg, flags):
-    _real_only(cfg, "certify")
+    if _field_prime(cfg) is not None:
+        raise ValueError("certify is real-only; use padic-certify for field = {'padic': p}")
     fam = _family_of(cfg)
     bound = certified_constant_real(fam)
     report = {
@@ -193,30 +219,29 @@ def _cmd_padic_certify(cfg, flags):
     }
 
 
-@_command("minimize")
-def _cmd_minimize(cfg, flags):
+def _search(cfg, flags, search):
+    """Run minimize_mu_hat or independence_pipeline on the config.  A flag
+    beats the config, tol defaults to 1e-6, and --csv writes the trace."""
     w = _window_of(cfg)
     fam = _family_of(cfg)
     seed = flags.seed if flags.seed is not None else int(cfg.get("seed", 0))
     budget = flags.budget if flags.budget is not None else cfg.get("budget")
     tol = flags.tol if flags.tol is not None else float(cfg.get("tol", 1e-6))
-    rep = minimize_mu_hat(fam, w, field=cfg.get("field", "real"), budget=budget, seed=seed, tol=tol)
+    res = search(fam, w, budget=budget, seed=seed, tol=tol)
     if flags.csv:
-        _write_csv(flags.csv, fam.m, [(lam, val, tol) for _, lam, val in rep.trace])
-    return _jsonable(rep)
+        trace = getattr(res, "report", res).trace  # a PipelineResult holds its MinimizationReport
+        _write_csv(flags.csv, fam.m, [(lam, val, tol) for _, lam, val in trace])
+    return _jsonable(res)
+
+
+@_command("minimize")
+def _cmd_minimize(cfg, flags):
+    return _search(cfg, flags, minimize_mu_hat)
 
 
 @_command("pipeline")
 def _cmd_pipeline(cfg, flags):
-    w = _window_of(cfg)
-    fam = _family_of(cfg)
-    seed = flags.seed if flags.seed is not None else int(cfg.get("seed", 0))
-    budget = flags.budget if flags.budget is not None else cfg.get("budget")
-    tol = flags.tol if flags.tol is not None else float(cfg.get("tol", 1e-6))
-    res = independence_pipeline(fam, w, field=cfg.get("field", "real"), budget=budget, seed=seed, tol=tol)
-    if flags.csv:
-        _write_csv(flags.csv, fam.m, [(lam, val, tol) for _, lam, val in res.report.trace])
-    return _jsonable(res)
+    return _search(cfg, flags, independence_pipeline)
 
 
 @_command("config-search")

@@ -71,6 +71,8 @@ class Window:
     T: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.a) and math.isfinite(self.T)):
+            raise ValueError(f"window bounds must be finite; got {self.a!r}, {self.T!r}")
         if not self.T > self.a:
             raise ValueError("window needs T > a")
 

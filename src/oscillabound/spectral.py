@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .padic import PadicWindow, certified_bound_padic, echelon_reduce, mu_hat_padic
-from .polycore import parse_rational
-from .realosc import QuadratureError, Window, _as_window, certified_constant_real, mu_hat_real
+from .realosc import QuadratureError, _as_window, certified_constant_real, mu_hat_real
 
 _GRID_STAGE = 4096  # coarse-grid candidates before refinement starts
 _N_STARTS = 5  # compass searches, seeded from the best grid cells
@@ -87,47 +86,6 @@ class PipelineConsistencyError(RuntimeError):
     def __init__(self, message, diagnostics):
         super().__init__(message + " | " + repr(diagnostics))
         self.diagnostics = diagnostics
-
-
-def _normalize_field(field):
-    """-> ('real', None) or ('padic', p).
-
-    Accepts 'real' (or 'R', None), a prime p, ('padic', p), 'padic:p' and
-    {'padic': p}.  p must be an int, or a string of digits inside the three
-    spelled-out forms; PadicWindow checks that p is prime.
-    """
-    if field in ("real", "R", None):
-        return "real", None
-    p = None
-    if isinstance(field, int):
-        p = field
-    elif isinstance(field, (tuple, list)) and len(field) == 2 and field[0] == "padic":
-        p = field[1]
-    elif isinstance(field, dict) and "padic" in field:
-        p = field["padic"]
-    elif isinstance(field, str) and field.startswith("padic"):
-        p = field.replace("padic", "").strip(":- ")
-    if isinstance(p, str) and p.isdigit():
-        p = int(p)
-    if isinstance(p, int) and not isinstance(p, bool):
-        return "padic", p
-    raise ValueError(
-        f"field must be 'real', a prime p, ('padic', p) or {{'padic': p}} with p an integer; got {field!r}"
-    )
-
-
-def _padic_window(window, p):
-    """The PadicWindow for field prime p: window itself, or one built from
-    (a, T).  Each bound must be integral once parsed ("1", 1.0 and
-    Fraction(1) all mean 1); 1.9 or True raises instead of being truncated."""
-    if not isinstance(window, PadicWindow):
-        bounds = [None if isinstance(v, bool) else parse_rational(v) for v in window]
-        if len(bounds) != 2 or any(b is None or b.denominator != 1 for b in bounds):
-            raise ValueError(f"p-adic window bounds must be integers; got {list(window)!r}")
-        window = PadicWindow(int(bounds[0]), int(bounds[1]), p)
-    if window.p != p:
-        raise ValueError(f"window prime {window.p} does not match field prime {p}")
-    return window
 
 
 class _Budget:
@@ -222,17 +180,19 @@ def _padic_axis_values(p):
     return vals
 
 
-def minimize_mu_hat(family, window, field="real", budget=None, seed=0, tol=1e-6):
+def minimize_mu_hat(family, window, budget=None, seed=0, tol=1e-6):
     """Smallest transform value over a documented frequency collection.
 
-    Real field: a shuffled log-magnitude grid (17 points per decade, both
-    signs, zero included) followed by compass pattern searches from the five
-    best cells.  p-adic field: exhaustive enumeration of the lattice
-    {0} U {u p^v : u unit mod p^2, -6 <= v <= 2} per axis.
+    The window names the field.  A Window or (a, T) means R: a shuffled
+    log-magnitude grid (17 points per decade, both signs, zero included)
+    followed by compass pattern searches from the five best cells.  A
+    PadicWindow means Q_p at window.p: exhaustive enumeration of the lattice
+    {0} U {u p^v : u unit mod p^2, -6 <= v <= 2} per axis.  Either way tol
+    must lie in (0, 1e-3], else ValueError.
 
     The candidate stream is a fixed sequence for a given (family, window,
-    field, seed); the budget is a prefix length, so the reported best value
-    is monotone non-increasing in the budget.  The result is an upper bound
+    seed); the budget is a prefix length, so the reported best value is
+    monotone non-increasing in the budget.  The result is an upper bound
     on the true infimum, never a certificate.
 
     The transform is even, mu_hat(lam) = mu_hat(-lam) to the bit (the
@@ -250,14 +210,15 @@ def minimize_mu_hat(family, window, field="real", budget=None, seed=0, tol=1e-6)
     transform call, and its value is exactly what a call with its own memo
     gives.
     """
-    kind, p = _normalize_field(field)
-    if kind == "real":
-        w, axis = _as_window(window), _real_axis_values()
+    if not 0 < tol <= 1e-3:
+        raise ValueError("tol must lie in (0, 1e-3]")
+    padic = isinstance(window, PadicWindow)
+    if padic:
+        w, axis = window, _padic_axis_values(window.p)
     else:
-        w = _padic_window(window, p)
-        axis = _padic_axis_values(p)
+        w, axis = _as_window(window), _real_axis_values()
     if budget is None:
-        budget = 10_000 if kind == "real" else len(axis) ** family.m
+        budget = len(axis) ** family.m if padic else 10_000
     if budget < 1:
         raise ValueError("budget must allow at least one evaluation")
 
@@ -272,7 +233,7 @@ def minimize_mu_hat(family, window, field="real", budget=None, seed=0, tol=1e-6)
             best_lam, best_val = lam, val
             trace.append((stage, lam, val))
 
-    if kind == "real":
+    if not padic:
         grid_spec = {
             "field": "real",
             "axes": family.m,
@@ -313,10 +274,10 @@ def minimize_mu_hat(family, window, field="real", budget=None, seed=0, tol=1e-6)
     else:
         descents = {}  # unit-ball averages shared by every cell of this run
         grid_spec = {
-            "field": f"padic:{p}",
+            "field": f"padic:{w.p}",
             "axes": family.m,
             "valuation_range": [_VAL_LO, _VAL_HI],
-            "unit_modulus": p * p,
+            "unit_modulus": w.p * w.p,
             "includes_zero": True,
         }
         partial = True
@@ -342,26 +303,28 @@ def minimize_mu_hat(family, window, field="real", budget=None, seed=0, tol=1e-6)
     )
 
 
-def independence_pipeline(family, window, field="real", budget=None, seed=0, tol=1e-6):
+def independence_pipeline(family, window, budget=None, seed=0, tol=1e-6):
     """Certified C and ratio/chromatic bounds next to the empirical minimum.
 
-    Raises PipelineConsistencyError when the empirical minimum dips below the
-    certified floor -C/(T-a) - tol; that can only happen if the certificate
-    or the quadrature is wrong, so the full diagnostics ride on the error.
+    As in minimize_mu_hat, a Window or (a, T) means R, with C from
+    certified_constant_real, and a PadicWindow means Q_p at window.p, with
+    C scaled so that C/(T-a) = B/L.  Raises PipelineConsistencyError when
+    the empirical minimum dips below the certified floor -C/(T-a) - tol;
+    that can only happen if the certificate or the quadrature is wrong, so
+    the full diagnostics ride on the error.
     """
-    kind, p = _normalize_field(field)
-    if kind == "real":
-        w = _as_window(window)
-        length = w.length
-        certified = certified_constant_real(family).C
-    else:
-        w = _padic_window(window, p)
+    if isinstance(window, PadicWindow):
+        w = window
         length = w.T - w.a
         _, reduced = echelon_reduce(family)
         bound_b = certified_bound_padic(reduced, w)
         certified = bound_b * length / float(w.L)  # so that C/(T-a) = B/L
+    else:
+        w = _as_window(window)
+        length = w.length
+        certified = certified_constant_real(family).C
 
-    report = minimize_mu_hat(family, w, field=field, budget=budget, seed=seed, tol=tol)
+    report = minimize_mu_hat(family, w, budget=budget, seed=seed, tol=tol)
     m_hat = report.best_value
     floor = -certified / length
     if m_hat < floor - tol:
@@ -370,7 +333,7 @@ def independence_pipeline(family, window, field="real", budget=None, seed=0, tol
             {
                 "family": [[str(c) for c in f.coeffs] for f in family.polys],
                 "window": (w.a, w.T),
-                "field": kind if p is None else f"padic:{p}",
+                "field": report.grid_spec["field"],
                 "empirical_min": m_hat,
                 "at_lambda": report.best_lambda,
                 "certified_C": certified,

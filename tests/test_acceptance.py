@@ -129,7 +129,7 @@ def test_criterion_03_worked_padic_value():
 
 def test_criterion_04_certified_padic_floor():
     t0 = time.monotonic()
-    rep = minimize_mu_hat(FAM_XX2, PadicWindow(1, 4, 3), field=("padic", 3), seed=0)
+    rep = minimize_mu_hat(FAM_XX2, PadicWindow(1, 4, 3), seed=0)
     assert not rep.partial  # the whole valuation/unit lattice was enumerated
     assert rep.best_value >= -36.0
     _finish(
@@ -283,17 +283,17 @@ def test_criterion_10_pipeline_consistency():
     try:
         runs.append(
             independence_pipeline(
-                FAM_XX2, PadicWindow(1, 4, 3), field=("padic", 3), seed=0
+                FAM_XX2, PadicWindow(1, 4, 3), seed=0
             )
         )
         runs.append(
             independence_pipeline(
-                FAM_XX2, Window(1, 6), field="real", budget=1200, seed=0, tol=1e-3
+                FAM_XX2, Window(1, 6), budget=1200, seed=0, tol=1e-3
             )
         )
         runs.append(
             independence_pipeline(
-                FAM_XX3, Window(1, 2), field="real", budget=600, seed=1, tol=1e-3
+                FAM_XX3, Window(1, 2), budget=600, seed=1, tol=1e-3
             )
         )
     except PipelineConsistencyError as exc:

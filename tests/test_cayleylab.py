@@ -114,6 +114,15 @@ def test_config_search_validation():
         pass
     else:
         raise AssertionError("zero step accepted")
+    # an empty scan would report NotFound, as if the set had been searched
+    big = BoxSet([[("-100", "100"), ("-100", "100")]])
+    for window in ((2.0, 1.0), (1.5, 1.5), (math.nan, 2.0)):
+        try:
+            config_search(PARABOLA, window, big, "1/4")
+        except ValueError as exc:
+            assert "a < T" in str(exc), exc
+        else:
+            raise AssertionError(f"window {window!r} accepted")
 
 
 def test_multivariate_reduce_examples():

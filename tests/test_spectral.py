@@ -6,7 +6,7 @@ import math
 import random
 from fractions import Fraction
 
-from oscillabound import realosc, spectral
+from oscillabound import cli, realosc, spectral
 from oscillabound.padic import PadicWindow
 from oscillabound.polycore import parse_curve_family
 from oscillabound.realosc import QuadratureError, Window, certified_constant_real
@@ -70,7 +70,7 @@ def test_ratio_bounds_agree_on_random_inputs():
 
 def test_minimize_padic_exhaustive():
     w = PadicWindow(1, 4, 3)
-    rep = minimize_mu_hat(FAM, w, field=("padic", 3), seed=0)
+    rep = minimize_mu_hat(FAM, w, seed=0)
     assert not rep.partial  # default budget covers the whole lattice
     assert rep.best_value <= -0.2
     assert rep.grid_spec["field"] == "padic:3"
@@ -85,7 +85,7 @@ def test_minimize_padic_exhaustive():
 def test_minimize_padic_budget_400_pinned():
     """The budget-400 prefix of the 3-adic lattice, as the descent without
     a memo reported it: the shared memo changes nothing in the report."""
-    rep = minimize_mu_hat(FAM, PadicWindow(1, 4, 3), field=("padic", 3), budget=400, seed=0)
+    rep = minimize_mu_hat(FAM, PadicWindow(1, 4, 3), budget=400, seed=0)
     assert rep.best_lambda == (Fraction(0), Fraction(3))
     assert rep.best_value == -0.125
     assert rep.evaluations == 400 and rep.partial
@@ -99,12 +99,12 @@ def test_minimize_padic_budget_400_pinned():
 
 def test_minimize_deterministic_and_budget_monotone():
     w = PadicWindow(1, 4, 3)
-    full = minimize_mu_hat(FAM, w, field=("padic", 3), seed=5)
-    again = minimize_mu_hat(FAM, w, field=("padic", 3), seed=5)
+    full = minimize_mu_hat(FAM, w, seed=5)
+    again = minimize_mu_hat(FAM, w, seed=5)
     assert full == again  # identical seed and budget: identical report
     prev_best = math.inf
     for budget in (50, 200, 800):
-        rep = minimize_mu_hat(FAM, w, field=("padic", 3), budget=budget, seed=5)
+        rep = minimize_mu_hat(FAM, w, budget=budget, seed=5)
         assert rep.evaluations <= budget
         assert rep.best_value <= prev_best + 1e-15  # larger budget never worse
         prev_best = rep.best_value
@@ -112,7 +112,7 @@ def test_minimize_deterministic_and_budget_monotone():
 
 
 def test_minimize_real_small_budget():
-    rep = minimize_mu_hat(FAM, Window(1, 2), field="real", budget=60, seed=1, tol=1e-4)
+    rep = minimize_mu_hat(FAM, Window(1, 2), budget=60, seed=1, tol=1e-4)
     assert rep.partial and rep.evaluations <= 60
     assert rep.best_value <= 1.0
     assert len(rep.best_lambda) == 2
@@ -154,7 +154,7 @@ def test_minimize_real_all_candidates_failed(monkeypatch):
 
 
 def test_pipeline_padic_consistency():
-    res = independence_pipeline(FAM, PadicWindow(1, 4, 3), field=("padic", 3), seed=0)
+    res = independence_pipeline(FAM, PadicWindow(1, 4, 3), seed=0)
     assert res.certified_ratio_bound == 36.0  # B/L = 192/(16/3) scaled by window
     assert res.empirical_min >= -res.certified_ratio_bound
     assert 0 < res.empirical_ratio_bound < 1
@@ -166,7 +166,7 @@ def test_pipeline_padic_consistency():
 
 
 def test_pipeline_real_budgeted():
-    res = independence_pipeline(FAM, Window(1, 2), field="real", budget=40, seed=2, tol=1e-4)
+    res = independence_pipeline(FAM, Window(1, 2), budget=40, seed=2, tol=1e-4)
     assert res.certified_C > 0
     assert res.empirical_min >= -res.certified_ratio_bound - 1e-6
     assert res.report.evaluations <= 40
@@ -183,48 +183,68 @@ def test_pipeline_consistency_error_payload():
 
 
 def test_field_forms_and_non_prime_p():
+    # the CLI reads a config's field; the library takes the window it builds
     for field in (3, ("padic", 3), "padic:3", {"padic": 3}):
-        rep = minimize_mu_hat(FAM, (1, 2), field=field, budget=3)
+        window = cli._window_of({"window": (1, 2), "field": field})
+        rep = minimize_mu_hat(FAM, window, budget=3)
         assert rep.grid_spec["field"] == "padic:3"
-    calls = (
-        lambda: minimize_mu_hat(FAM, (1, 3), field=4),
-        lambda: independence_pipeline(FAM, (1, 3), field="padic:4"),
-    )
-    for call in calls:
+    for field in (4, "padic:4"):
         try:
-            call()
+            cli._window_of({"window": (1, 3), "field": field})
         except ValueError as exc:
             assert "not prime" in str(exc)
         else:
             raise AssertionError("non-prime p accepted")
     # a p that is not an integer is an error, never rounded to a nearby prime
     for field in ({"padic": 3.9}, ("padic", 5.5), ("padic", 5.0), {"padic": "3.9"}, "padic:3.9", 3.0, "3", True):
-        for call in (
-            lambda: minimize_mu_hat(FAM, (1, 2), field=field, budget=3),
-            lambda: independence_pipeline(FAM, (1, 2), field=field, budget=3),
-        ):
-            try:
-                call()
-            except ValueError as exc:
-                assert "integer" in str(exc), exc
-            else:
-                raise AssertionError(f"field {field!r} accepted")
+        try:
+            cli._window_of({"window": (1, 2), "field": field})
+        except ValueError as exc:
+            assert "integer" in str(exc), exc
+        else:
+            raise AssertionError(f"field {field!r} accepted")
 
 
 def test_padic_window_bounds_must_be_integers():
     # a bound that is not an integer raises; it is never truncated
     for window in ((1.9, 4.7), (1, 4.7), ("1.9", 4), (Fraction(3, 2), 4), (True, 4), (1, 2, 3)):
+        try:
+            cli._window_of({"window": window, "field": 3})
+        except ValueError:
+            pass
+        else:
+            raise AssertionError(f"window {window!r} accepted")
+    # bounds of integral value are exact, whatever their spelling
+    for window in ((1, 4), ("1", "4"), (1.0, 4.0), (Fraction(1), 4)):
+        assert cli._window_of({"window": window, "field": 3}) == PadicWindow(1, 4, 3)
+
+
+def test_padic_window_selects_the_padic_field():
+    rep = minimize_mu_hat(FAM, PadicWindow(1, 4, 3), budget=3)
+    assert rep.grid_spec["field"] == "padic:3" and rep.trace[0][0] == "lattice"
+    assert rep.evaluations == 3
+
+
+def test_tol_is_checked_for_both_fields(monkeypatch):
+    w = PadicWindow(1, 4, 3)
+    for tol in (math.nan, 5.0, 0.0, -1.0):
         for call in (
-            lambda: minimize_mu_hat(FAM, window, field=3, budget=3),
-            lambda: independence_pipeline(FAM, window, field=3, budget=3),
+            lambda: minimize_mu_hat(FAM, w, budget=3, tol=tol),
+            lambda: independence_pipeline(FAM, w, budget=3, tol=tol),
+            lambda: minimize_mu_hat(FAM, (1, 2), budget=3, tol=tol),
         ):
             try:
                 call()
-            except ValueError:
-                pass
+            except ValueError as exc:
+                assert "tol must lie in (0, 1e-3]" in str(exc), exc
             else:
-                raise AssertionError(f"window {window!r} accepted")
-    # bounds of integral value are exact, whatever their spelling
-    for window in ((1, 4), ("1", "4"), (1.0, 4.0), (Fraction(1), 4)):
-        rep = minimize_mu_hat(FAM, window, field=3, budget=3)
-        assert rep == minimize_mu_hat(FAM, PadicWindow(1, 4, 3), field=3, budget=3)
+                raise AssertionError(f"tol {tol!r} accepted")
+    # a transform far below the certified floor sets off the alarm
+    monkeypatch.setattr(spectral, "mu_hat_padic", lambda family, window, lam, memo: -1000.0)
+    try:
+        independence_pipeline(FAM, w, budget=3, tol=1e-6)
+    except PipelineConsistencyError as exc:
+        assert exc.diagnostics["field"] == "padic:3"
+        assert exc.diagnostics["empirical_min"] == -1000.0
+    else:
+        raise AssertionError("an empirical minimum of -1000 passed the floor")
