@@ -99,18 +99,21 @@ def _field_prime(cfg):
 def _window_of(cfg):
     """The Window, or for a p-adic field the PadicWindow, of the config.
 
-    A p-adic bound must be integral once parsed ("1", 1.0 and Fraction(1)
-    all mean 1); 1.9 or True raises instead of being truncated.
+    The window must be a list of exactly two bounds [a, T], neither a bool;
+    a string such as "16" is not unpacked into its characters.  A p-adic
+    bound must be integral once parsed ("1", 1.0 and Fraction(1) all mean
+    1); 1.9 raises instead of being truncated.
     """
     p = _field_prime(cfg)
-    if p is None:
-        a, T = cfg["window"]
-        return Window(float(parse_rational(a)), float(parse_rational(T)))
     window = cfg["window"]
-    bounds = [None if isinstance(v, bool) else parse_rational(v) for v in window]
-    if len(bounds) != 2 or any(b is None or b.denominator != 1 for b in bounds):
+    if not isinstance(window, (list, tuple)) or len(window) != 2 or any(isinstance(v, bool) for v in window):
+        raise ValueError(f"window must be a list of two bounds [a, T]; got {window!r}")
+    a, T = (parse_rational(v) for v in window)
+    if p is None:
+        return Window(float(a), float(T))
+    if a.denominator != 1 or T.denominator != 1:
         raise ValueError(f"p-adic window bounds must be integers; got {list(window)!r}")
-    return PadicWindow(int(bounds[0]), int(bounds[1]), p)
+    return PadicWindow(int(a), int(T), p)
 
 
 def _lambdas_of(cfg, m):

@@ -99,28 +99,30 @@ class CycNum:
         self.terms = {th: c for th, c in terms.items() if c != 0}
 
     def reduced(self):
-        """Rewrite in the basis 1, zeta, ..., zeta^{phi(N)-1} (N = p^max)."""
+        """Rewrite in the basis 1, zeta, ..., zeta^{phi(N)-1} (N = p^max).
+
+        With step = N/p, zeta^e for e >= phi(N) = N - step equals minus the
+        sum of zeta^{e - phi(N) + k step} over k < p - 1, and every such
+        target lies below phi(N).  So only the exponents the number holds at
+        or above phi(N) are rewritten, each once, and no rewrite adds to
+        another's source, so their order does not matter.  The cost is
+        O(terms * p), whatever N is.
+        """
         if not self.terms:
             return self
         N = max(th.denominator for th in self.terms)
         if N == 1:
             total = sum(self.terms.values())
             return CycNum(self.p, {Fraction(0): total})
-        arr = {}
-        for th, c in self.terms.items():
-            e = int(th * N)
-            arr[e] = arr.get(e, Fraction(0)) + c
+        arr = {th.numerator * (N // th.denominator): c for th, c in self.terms.items()}
         step = N // self.p
         phi_n = N - step
-        for e in range(N - 1, phi_n - 1, -1):
-            c = arr.get(e)
-            if not c:
-                continue
+        for e in [e for e in arr if e >= phi_n]:
+            c = arr.pop(e)
             base = e - phi_n
             for k in range(self.p - 1):
                 tgt = base + k * step
-                arr[tgt] = arr.get(tgt, Fraction(0)) - c
-            del arr[e]
+                arr[tgt] = arr.get(tgt, _ZERO) - c
         return CycNum(self.p, {Fraction(e, N): c for e, c in arr.items()})
 
     def rational_value(self):

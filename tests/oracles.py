@@ -499,6 +499,36 @@ def residue_sphere_sum(phase_coeffs, p, r):
     return (p**r) * avg_r - p ** (r - 1) * avg_r1
 
 
+def cyc_reduced_dense(p, terms):
+    """sum c e^{2 pi i theta} over terms (phase -> coefficient) rewritten in
+    the basis 1, zeta, ..., zeta^{phi(N)-1} (N = p^max), as a dict phase ->
+    nonzero coefficient.  The dense loop: every exponent from N - 1 down to
+    phi(N) is looked up, whatever the number holds, so it costs N/p steps."""
+    terms = {th: c for th, c in terms.items() if c != 0}
+    if not terms:
+        return {}
+    N = max(th.denominator for th in terms)
+    if N == 1:
+        total = sum(terms.values())
+        return {Fraction(0): total} if total else {}
+    arr = {}
+    for th, c in terms.items():
+        e = int(th * N)
+        arr[e] = arr.get(e, Fraction(0)) + c
+    step = N // p
+    phi_n = N - step
+    for e in range(N - 1, phi_n - 1, -1):
+        c = arr.get(e)
+        if not c:
+            continue
+        base = e - phi_n
+        for k in range(p - 1):
+            tgt = base + k * step
+            arr[tgt] = arr.get(tgt, Fraction(0)) - c
+        del arr[e]
+    return {Fraction(e, N): c for e, c in arr.items() if c != 0}
+
+
 if __name__ == "__main__":
     # Freeze run: numbers printed here get copied into the test files.
     val = simpson_mu_hat({1: Fraction(1, 100)}, 1.0, 2.0)

@@ -136,6 +136,20 @@ def test_padic_window_bounds_must_be_integers():
         assert _run(["padic-certify", path])[2]["report"]["L"] == "16/3"  # the window [1, 4]
 
 
+def test_window_must_be_a_list_of_two_bounds():
+    # "16" is never unpacked into [1, 6], and a bool is never a bound
+    real = {"family": FAMILY, "lambda": ["1", "1"]}
+    padic = dict(real, field={"padic": 3})
+    runs = (("muhat", real), ("pipeline", real), ("padic-muhat", padic), ("pipeline", padic))
+    with tempfile.TemporaryDirectory() as tmp:
+        for window in ("16", [1, 2, 3], [1], {"a": 1, "T": 6}, [True, 2]):
+            for command, base in runs:
+                path = _write_config(tmp, "w.json", dict(base, window=window))
+                code, _, payload = _run([command, path, "--budget", "3", "--tol", "1e-3"])
+                assert code == 1 and payload["error"] == "ValueError", (window, command, payload)
+                assert "two bounds" in payload["detail"] and repr(window) in payload["detail"], payload
+
+
 def test_reports_are_byte_identical_for_same_config_and_seed():
     with tempfile.TemporaryDirectory() as tmp:
         path = _write_config(

@@ -12,7 +12,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_sphere_sum, residue_sphere_sum
+from oracles import brute_force_sphere_sum, cyc_reduced_dense, residue_sphere_sum
 
 import oscillabound
 from oscillabound import padic, spectral
@@ -329,6 +329,67 @@ def test_ball_terms_are_invariant_under_integral_shifts(case):
     padic._add_ball(plain, h, p, R, weight, {}, paired)
     padic._add_ball(shifted, h + q, p, R, weight, {}, paired)
     assert CycNum(p, plain).terms == CycNum(p, shifted).terms
+
+
+@st.composite
+def _cyclotomic_numbers(draw):
+    """p and a phase -> coefficient map at N = p^k, k <= 4: phases e/N,
+    summed where they repeat, with zero coefficients among them."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    N = p ** draw(st.integers(0, 4))
+    phase = st.builds(Fraction, st.integers(0, N - 1), st.just(N))
+    coeff = st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6)))
+    terms = {}
+    for th, c in draw(st.lists(st.tuples(phase, coeff), max_size=12)):
+        terms[th] = terms.get(th, 0) + c
+    return p, terms
+
+
+def _rational_of(terms):
+    if not terms:
+        return Fraction(0)
+    return terms[Fraction(0)] if set(terms) == {Fraction(0)} else None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_cyclotomic_numbers())
+def test_reduced_matches_the_dense_oracle(case):
+    p, terms = case
+    num = CycNum(p, terms)
+    red = num.reduced()
+    dense = cyc_reduced_dense(p, terms)
+    assert red.terms == dense, (p, terms)
+    assert num.rational_value() == _rational_of(dense)
+    scale = 1 + sum(abs(c) for c in terms.values())
+    assert abs(red.to_complex() - num.to_complex()) <= 1e-12 * scale
+
+
+def test_reduced_identities():
+    # 1 + zeta_p + ... + zeta_p^{p-1} = 0, and zeta_3 + zeta_3^{-1} = -1
+    for p in (2, 3, 5, 7):
+        num = CycNum(p, {Fraction(k, p): Fraction(1) for k in range(p)})
+        assert num.reduced().terms == {}
+        assert num.rational_value() == 0
+    assert CycNum(3, {Fraction(1, 3): Fraction(1), Fraction(2, 3): Fraction(1)}).rational_value() == Fraction(-1)
+
+
+def test_reduced_cost_follows_the_terms():
+    """zeta + zeta^{-1} at N = 5^14: a reduction that walks every exponent
+    down to phi(N) makes about 1.2e9 lookups, so run it in a child process
+    under a timeout."""
+    N, step = 5**14, 5**13
+    code = (
+        "from fractions import Fraction\n"
+        "from oscillabound.padic import CycNum\n"
+        f"num = CycNum(5, {{Fraction(1, {N}): Fraction(1), Fraction({N - 1}, {N}): Fraction(1)}})\n"
+        "print(sorted((str(th), str(c)) for th, c in num.reduced().terms.items()))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(oscillabound.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
+    assert out.returncode == 0, out.stderr
+    # zeta^{N-1} = -(zeta^{step-1} + zeta^{2 step-1} + zeta^{3 step-1} + zeta^{4 step-1})
+    want = {Fraction(1, N): Fraction(1)} | {Fraction(k * step - 1, N): Fraction(-1) for k in range(1, 5)}
+    assert out.stdout.strip() == repr(sorted((str(th), str(c)) for th, c in want.items()))
 
 
 _MEMO_FAMILIES = (
