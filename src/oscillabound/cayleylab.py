@@ -375,30 +375,6 @@ def multivariate_reduce(polys, ell=None):
 # --- cliques ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BezoutCliqueData:
-    product_bound: int  # (d_1 ... d_n)^2, intersection bound for the pair
-    clique_degree: int  # product_bound + 3
-    ramsey_symbol: str  # R(d, d) -- reported, never evaluated
-
-
-def bezout_clique_data(degrees):
-    """Clique numbers implied by the degree product; the Ramsey threshold is
-    astronomically large and stays symbolic."""
-    degs = [int(d) for d in degrees]
-    if not degs or any(d < 1 for d in degs):
-        raise ValueError("degrees must be integers >= 1")
-    prod = 1
-    for d in degs:
-        prod *= d
-    bound = prod * prod
-    return BezoutCliqueData(
-        product_bound=bound,
-        clique_degree=bound + 3,
-        ramsey_symbol=f"R({bound + 3},{bound + 3})",
-    )
-
-
 def curve_difference_oracle(family, tol=_MEMBERSHIP_TOL):
     """Membership test for +-V with V = {(f_1(s), ..., f_m(s))}: solve the
     first coordinate for s (closed form when linear, numpy roots otherwise)
@@ -482,11 +458,6 @@ def clique_search(instance, max_size=None):
 
 
 # --- periodic coloring --------------------------------------------------------
-
-
-def color_point(x, y, n):
-    """Two-level color (floor(nx) mod n, floor(ny) mod n^2)."""
-    return (math.floor(n * x) % n, math.floor(n * y) % (n * n))
 
 
 def _sample_f(f, ts):

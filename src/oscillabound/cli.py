@@ -1,6 +1,7 @@
 """Command-line front door: one subcommand per library capability, JSON
 config in, a single deterministic JSON report on stdout, optional CSV
-sidecar of transform samples.
+sidecar of transform samples.  A command that works over both fields
+(muhat, certify, minimize, pipeline) reads the field from the config.
 
 Exit codes: 0 success, 1 validation or configuration error, 2 internal
 consistency failure (the empirical minimum broke a certified floor -- the
@@ -108,12 +109,20 @@ def _window_of(cfg):
     window = cfg["window"]
     if not isinstance(window, (list, tuple)) or len(window) != 2 or any(isinstance(v, bool) for v in window):
         raise ValueError(f"window must be a list of two bounds [a, T]; got {window!r}")
-    a, T = (parse_rational(v) for v in window)
     if p is None:
+        a, T = (parse_rational(v) for v in window)
         return Window(float(a), float(T))
-    if a.denominator != 1 or T.denominator != 1:
-        raise ValueError(f"p-adic window bounds must be integers; got {list(window)!r}")
-    return PadicWindow(int(a), int(T), p)
+    a, T = (_integer(v, "a p-adic window bound") for v in window)
+    return PadicWindow(a, T, p)
+
+
+def _integer(value, name):
+    """value as an int if it parses to an integer ("7", 7.0 and Fraction(7)
+    all mean 7); 7.9 or a bool raises instead of being truncated."""
+    q = None if isinstance(value, bool) else parse_rational(value)
+    if q is None or q.denominator != 1:
+        raise ValueError(f"{name} must be an integer; got {value!r}")
+    return int(q)
 
 
 def _lambdas_of(cfg, m):
@@ -142,52 +151,44 @@ def _write_csv(path, m, rows):
 
 @_command("muhat")
 def _cmd_muhat(cfg, flags):
-    if _field_prime(cfg) is not None:
-        raise ValueError("muhat is real-only; use padic-muhat for field = {'padic': p}")
-    fam = _family_of(cfg)
     w = _window_of(cfg)
-    tol = flags.tol if flags.tol is not None else float(cfg.get("tol", 1e-9))
-    rows = []
-    for lam in _lambdas_of(cfg, fam.m):
-        value, error = mu_hat_real_with_error(fam, w, lam, tol=tol)
-        rows.append((lam, value, error))
+    fam = _family_of(cfg)
+    lams = _lambdas_of(cfg, fam.m)
+    if isinstance(w, PadicWindow):
+        rows = [(lam, mu_hat_padic(fam, w, lam), 0.0) for lam in lams]
+        # the exact value when it is rational, and always its float
+        samples = [
+            {"value_float": float(v), **({"value": str(v)} if isinstance(v, Fraction) else {})}
+            for _, v, _ in rows
+        ]
+    else:
+        tol = flags.tol if flags.tol is not None else float(cfg.get("tol", 1e-9))
+        rows = [(lam, *mu_hat_real_with_error(fam, w, lam, tol=tol)) for lam in lams]
+        samples = [{"value": value, "error": error} for _, value, error in rows]
     if flags.csv:
         _write_csv(flags.csv, fam.m, rows)
-    report = {
-        "samples": [
-            {"lambda": [str(v) for v in lam], "value": value, "error": error}
-            for lam, value, error in rows
-        ]
-    }
+    report = {"samples": [{"lambda": [str(v) for v in lam], **s} for (lam, _, _), s in zip(rows, samples)]}
     if len(rows) == 1:
-        report["value"] = rows[0][1]
-        report["error"] = rows[0][2]
-    return report
-
-
-@_command("padic-muhat")
-def _cmd_padic_muhat(cfg, flags):
-    w = _window_of(cfg)
-    if not isinstance(w, PadicWindow):
-        raise ValueError("padic-muhat needs field = {'padic': p}")
-    fam = _family_of(cfg)
-    out = []
-    for lam in _lambdas_of(cfg, fam.m):
-        v = mu_hat_padic(fam, w, lam)
-        entry = {"lambda": [str(x) for x in lam], "value_float": float(v)}
-        if isinstance(v, Fraction):
-            entry["value"] = str(v)
-        out.append(entry)
-    report = {"samples": out}
-    if len(out) == 1:
-        report.update(out[0])
+        # one p-adic sample is repeated whole, one real sample without its lambda
+        report.update(report["samples"][0] if isinstance(w, PadicWindow) else samples[0])
     return report
 
 
 @_command("certify")
 def _cmd_certify(cfg, flags):
     if _field_prime(cfg) is not None:
-        raise ValueError("certify is real-only; use padic-certify for field = {'padic': p}")
+        w = _window_of(cfg)
+        transform, reduced = echelon_reduce(_family_of(cfg))
+        bound_b = certified_bound_padic(reduced, w)
+        floor = Fraction(-bound_b) / w.L
+        return {
+            "B": bound_b,
+            "L": str(w.L),
+            "floor": str(floor),
+            "floor_float": float(floor),
+            "reduced_degrees": [f.degree for f in reduced.polys],
+            "row_transform": [[str(c) for c in row] for row in transform],
+        }
     fam = _family_of(cfg)
     bound = certified_constant_real(fam)
     report = {
@@ -201,25 +202,6 @@ def _cmd_certify(cfg, flags):
         report["ratio_bound"] = bound.C / w.length
         report["floor"] = -bound.C / w.length
     return report
-
-
-@_command("padic-certify")
-def _cmd_padic_certify(cfg, flags):
-    w = _window_of(cfg)
-    if not isinstance(w, PadicWindow):
-        raise ValueError("padic-certify needs field = {'padic': p}")
-    fam = _family_of(cfg)
-    transform, reduced = echelon_reduce(fam)
-    bound_b = certified_bound_padic(reduced, w)
-    floor = Fraction(-bound_b) / w.L
-    return {
-        "B": bound_b,
-        "L": str(w.L),
-        "floor": str(floor),
-        "floor_float": float(floor),
-        "reduced_degrees": [f.degree for f in reduced.polys],
-        "row_transform": [[str(c) for c in row] for row in transform],
-    }
 
 
 def _search(cfg, flags, search):
@@ -249,6 +231,9 @@ def _cmd_pipeline(cfg, flags):
 
 @_command("config-search")
 def _cmd_config_search(cfg, flags):
+    if _field_prime(cfg) is not None:
+        raise ValueError("config-search needs a real window; got a p-adic field")
+    w = _window_of(cfg)
     fam = _family_of(cfg)
     if "boxset_path" in cfg:
         with open(cfg["boxset_path"]) as fh:
@@ -256,7 +241,7 @@ def _cmd_config_search(cfg, flags):
     else:
         box_cfg = cfg["boxset"]
     boxes = BoxSet.from_json(box_cfg)
-    res = config_search(fam, tuple(cfg["window"]), boxes, cfg["step"])
+    res = config_search(fam, (w.a, w.T), boxes, cfg["step"])
     report = {"found": res.found}
     if res.found:
         report.update(
@@ -305,8 +290,8 @@ def _cmd_color_check(cfg, flags):
     f = _series_function(cfg["function"])
     seed = flags.seed if flags.seed is not None else int(cfg.get("seed", 0))
     n_min, M, eps, delta = coloring_threshold(f)
-    n = int(cfg.get("n", n_min))
-    edges = int(cfg.get("edges", 100_000))
+    n = _integer(cfg.get("n", n_min), "n")
+    edges = _integer(cfg.get("edges", 100_000), "edges")
     violations = periodic_coloring_verify(f, n, edges, seed=seed)
     return {
         "n": n,

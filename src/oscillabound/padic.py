@@ -316,21 +316,6 @@ def mu_hat_padic(family, window, lam, memo=None):
     return min(1.0, max(-1.0, z.real))
 
 
-def padic_vdc_check(f, lam, r, p):
-    """Oscillation bound check on a ball: |int_{p^r Z_p} psi(lam f)| vs 2 p^n |lam a_n|^{-1/n}."""
-    _require_prime(p)
-    lam = parse_rational(lam)
-    n = f.degree
-    if n < 1 or lam * f.coeffs[-1] == 0:
-        raise ValueError("leading coefficient of the phase must be nonzero")
-    acc = {}
-    _add_ball(acc, f * lam, p, r, 1, {})
-    lhs = abs(CycNum(p, acc).to_complex())
-    v = vp(lam * f.coeffs[-1], p)
-    rhs = 2.0 * p**n * float(p) ** (v / n)
-    return lhs, rhs, lhs <= rhs + 1e-9
-
-
 def echelon_reduce(family):
     """Rewrite the family as B.f with strictly decreasing degrees >= 1.
 

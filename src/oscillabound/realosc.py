@@ -133,13 +133,6 @@ def vdc_bound(k, eta):
     return 12.0 * k / eta ** (1.0 / k)
 
 
-def classify_frequency(family, lam):
-    """LOW iff |g(0)| <= 1/8 for the phase polynomial g (exact rational test)."""
-    if all(parse_rational(v) == 0 for v in lam):
-        raise ValueError("lambda = 0 has no frequency class")
-    return LOW if abs(phi_from_frequency(family, lam)(0)) <= Fraction(1, 8) else HIGH
-
-
 # --- Clenshaw-Curtis panel rule --------------------------------------------
 
 

@@ -499,6 +499,22 @@ def residue_sphere_sum(phase_coeffs, p, r):
     return (p**r) * avg_r - p ** (r - 1) * avg_r1
 
 
+def padic_vdc_check(coeffs, lam, r, p):
+    """Van der Corput on a ball: |int_{p^r Z_p} psi(lam f(s)) ds| against
+    2 p^n |lam a_n|_p^{-1/n}, for f with ascending coeffs, degree n and
+    leading coefficient a_n.  Returns (lhs, rhs, lhs <= rhs + 1e-9); lhs is
+    p^{-r} times the residue average of psi(lam f(p^r u)) at the level
+    where it is constant."""
+    phase = [Fraction(lam) * Fraction(c) for c in coeffs]
+    n = len(phase) - 1
+    if n < 1 or phase[-1] == 0:
+        raise ValueError("leading coefficient of the phase must be nonzero")
+    avg = _ball_average_residue(phase, p, r, _constancy_level(phase, p, r))
+    lhs = abs(avg) * float(p) ** -r
+    rhs = 2.0 * p**n * float(p) ** (_vp(phase[-1], p) / n)
+    return lhs, rhs, lhs <= rhs + 1e-9
+
+
 def cyc_reduced_dense(p, terms):
     """sum c e^{2 pi i theta} over terms (phase -> coefficient) rewritten in
     the basis 1, zeta, ..., zeta^{phi(N)-1} (N = p^max), as a dict phase ->

@@ -11,9 +11,7 @@ import numpy as np
 from oscillabound.cayleylab import (
     BoxSet,
     CliqueInstance,
-    bezout_clique_data,
     clique_search,
-    color_point,
     coloring_threshold,
     config_search,
     curve_difference_oracle,
@@ -175,21 +173,6 @@ def test_multivariate_reduce_random_independence():
         raise AssertionError("dependent input accepted")
 
 
-def test_bezout_clique_data():
-    one = bezout_clique_data((2,))
-    assert (one.product_bound, one.clique_degree) == (4, 7)
-    assert one.ramsey_symbol == "R(7,7)"
-    assert bezout_clique_data((1,)).clique_degree == 4
-    two = bezout_clique_data((2, 3))
-    assert (two.product_bound, two.clique_degree) == (36, 39)
-    try:
-        bezout_clique_data((0, 2))
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("degree 0 accepted")
-
-
 def test_curve_oracle_and_demo_clique():
     oracle = curve_difference_oracle(PARABOLA)
     assert oracle((1.0, 1.0)) and oracle((-1.0, -1.0))  # +-V both
@@ -225,12 +208,6 @@ def test_parabola_triangle_free_sample():
         found = clique_search(CliqueInstance(pts, oracle), max_size=3)
         # (s+r)^2 = s^2 + r^2 forces sr = 0: no triangles off the degenerate case
         assert len(found) <= 2, (found,)
-
-
-def test_color_point_examples():
-    assert color_point(0.0, 0.0, 7) == (0, 0)
-    assert color_point(-0.1, 0.0, 5)[0] == 4  # floor(-0.5) mod 5
-    assert color_point(0.3, 0.9, 3) == (0, 2)  # floor(2.7) mod 9
 
 
 def test_coloring_threshold_demo():

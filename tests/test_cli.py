@@ -8,13 +8,57 @@ import io
 import json
 import os
 import tempfile
+from fractions import Fraction
 
 from oscillabound import cli
 from oscillabound.polycore import parse_curve_family, parse_rational
-from oscillabound.realosc import Window, mu_hat_real_with_error
+from oscillabound.realosc import Window, certified_constant_real, mu_hat_real_with_error
 from oscillabound.spectral import PipelineConsistencyError
 
 FAMILY = [["0", "1"], ["0", "0", "1"]]
+
+# (command, config, report) as the former padic-muhat and padic-certify
+# commands printed them: p = 3 and 5, one lambda and several
+PADIC_REPORTS = (
+    (
+        "muhat",
+        {"family": FAMILY, "window": [1, 4], "field": {"padic": 3}, "lambda": ["1/9", "1/3"]},
+        '{"lambda":["1/9","1/3"],"samples":[{"lambda":["1/9","1/3"],"value_float":0.07204668548901452}],'
+        '"value_float":0.07204668548901452}',
+    ),
+    (
+        "muhat",
+        {"family": FAMILY, "window": [1, 4], "field": 3, "lambdas": [["3", "0"], ["1/27", "2/9"], ["0", "0"], ["-1/3", "5"]]},
+        '{"samples":[{"lambda":["3","0"],"value":"1/8","value_float":0.125},'
+        '{"lambda":["1/27","2/9"],"value_float":0.029747072273245787},'
+        '{"lambda":["0","0"],"value":"1","value_float":1.0},'
+        '{"lambda":["-1/3","5"],"value_float":-0.11746157759823855}]}',
+    ),
+    (
+        "muhat",
+        {"family": FAMILY, "window": [1, 3], "field": "padic:5", "lambda": ["1/5", "2"]},
+        '{"lambda":["1/5","2"],"samples":[{"lambda":["1/5","2"],"value_float":0.060747385618450944}],'
+        '"value_float":0.060747385618450944}',
+    ),
+    (
+        "muhat",
+        {"family": FAMILY, "window": [1, 3], "field": ["padic", 5], "lambdas": [["25", "0"], ["1/5", "2"], ["3", "1"]]},
+        '{"samples":[{"lambda":["25","0"],"value":"7/12","value_float":0.5833333333333334},'
+        '{"lambda":["1/5","2"],"value_float":0.060747385618450944},'
+        '{"lambda":["3","1"],"value":"0","value_float":0.0}]}',
+    ),
+    (
+        "certify",
+        {"family": FAMILY, "window": [1, 4], "field": {"padic": 3}},
+        '{"B":192,"L":"16/3","floor":"-36","floor_float":-36.0,"reduced_degrees":[2,1],"row_transform":[["0","1"],["1","0"]]}',
+    ),
+    (
+        "certify",
+        {"family": [["0", "0", "1"], ["0", "0", "0", "1"]], "window": [1, 3], "field": "padic:5"},
+        '{"B":2400,"L":"24/5","floor":"-500","floor_float":-500.0,"reduced_degrees":[3,2],'
+        '"row_transform":[["0","1"],["1","0"]]}',
+    ),
+)
 
 
 def _run(argv):
@@ -65,7 +109,7 @@ def test_padic_muhat_worked_value():
                 "lambda": ["3", "0"],
             },
         )
-        code, _, payload = _run(["padic-muhat", path])
+        code, _, payload = _run(["muhat", path])
     assert code == 0
     assert payload["report"]["value"] == "1/4"
     assert payload["report"]["value_float"] == 0.25
@@ -87,7 +131,7 @@ def test_validation_errors_exit_1():
         assert _run(["muhat", os.path.join(tmp, "missing.json")])[0] == 1
         assert _run(["muhat", bad_json])[0] == 1
         assert _run(["muhat", not_obj])[0] == 1
-        code, _, payload = _run(["padic-muhat", nonprime])
+        code, _, payload = _run(["muhat", nonprime])
         assert code == 1 and "not prime" in payload["detail"]
         # muhat without any lambda entry
         assert _run(["muhat", good])[0] == 1
@@ -110,16 +154,12 @@ def test_muhat_enforces_the_transform_guards():
         assert _run(["muhat", good, "--tol", "1e-6"])[0] == 0
 
 
-def test_real_only_commands_reject_a_padic_field():
-    padic = {"family": FAMILY, "window": [1, 2], "field": {"padic": 3}, "lambda": ["3", "0"]}
+def test_non_integer_p_is_rejected():
+    # a non-integer p is rejected, not run at int(p)
+    padic = {"family": FAMILY, "window": [1, 2], "field": {"padic": 3.9}, "lambda": ["3", "0"]}
     with tempfile.TemporaryDirectory() as tmp:
-        path = _write_config(tmp, "p3.json", padic)
-        for command in ("muhat", "certify"):
-            code, _, payload = _run([command, path])
-            assert code == 1 and f"padic-{command}" in payload["detail"], payload
-        # a non-integer p is rejected, not run at int(p)
-        bad_p = _write_config(tmp, "p39.json", dict(padic, field={"padic": 3.9}))
-        for command in ("minimize", "padic-muhat"):
+        bad_p = _write_config(tmp, "p39.json", padic)
+        for command in ("minimize", "muhat", "certify"):
             code, _, payload = _run([command, bad_p, "--budget", "3"])
             assert code == 1 and "integer" in payload["detail"], payload
 
@@ -129,18 +169,18 @@ def test_padic_window_bounds_must_be_integers():
         base = {"family": FAMILY, "field": {"padic": 3}, "lambda": ["3", "0"]}
         for window in ([1.9, 4.7], [1, 4.7], ["1.9", "4"], [True, 4]):
             path = _write_config(tmp, "w.json", dict(base, window=window))
-            for command in ("padic-muhat", "padic-certify", "minimize", "pipeline"):
+            for command in ("muhat", "certify", "minimize", "pipeline"):
                 code, _, payload = _run([command, path, "--budget", "3"])
                 assert code == 1 and payload["error"] == "ValueError", (window, command, payload)
         path = _write_config(tmp, "w.json", dict(base, window=["1", 4.0]))
-        assert _run(["padic-certify", path])[2]["report"]["L"] == "16/3"  # the window [1, 4]
+        assert _run(["certify", path])[2]["report"]["L"] == "16/3"  # the window [1, 4]
 
 
 def test_window_must_be_a_list_of_two_bounds():
     # "16" is never unpacked into [1, 6], and a bool is never a bound
     real = {"family": FAMILY, "lambda": ["1", "1"]}
     padic = dict(real, field={"padic": 3})
-    runs = (("muhat", real), ("pipeline", real), ("padic-muhat", padic), ("pipeline", padic))
+    runs = (("muhat", real), ("pipeline", real), ("muhat", padic), ("pipeline", padic))
     with tempfile.TemporaryDirectory() as tmp:
         for window in ("16", [1, 2, 3], [1], {"a": 1, "T": 6}, [True, 2]):
             for command, base in runs:
@@ -163,6 +203,58 @@ def test_reports_are_byte_identical_for_same_config_and_seed():
     assert other_seed[1] != first[1]  # seed is part of the resolved identity
     resolved = first[2]["config"]["_resolved"]
     assert resolved["seed"] == 9 and resolved["budget"] == 150
+
+
+def test_muhat_and_certify_dispatch_on_the_field():
+    with tempfile.TemporaryDirectory() as tmp:
+        for command, cfg, report in PADIC_REPORTS:
+            code, raw, _ = _run([command, _write_config(tmp, "c.json", cfg)])
+            assert code == 0 and raw.endswith('"report":' + report + "}\n"), (command, cfg, raw)
+        # a real config keeps its report: value and error, or C and the window's floor
+        path = _write_config(tmp, "r.json", {"family": FAMILY, "window": [1, 2], "lambda": ["1/3", "-1/2"]})
+        value, error = mu_hat_real_with_error(parse_curve_family(FAMILY), Window(1, 2), (Fraction(1, 3), Fraction(-1, 2)), tol=1e-9)
+        sample = {"lambda": ["1/3", "-1/2"], "value": value, "error": error}
+        assert _run(["muhat", path])[2]["report"] == {"samples": [sample], "value": value, "error": error}
+        report = _run(["certify", path])[2]["report"]
+        C = certified_constant_real(parse_curve_family(FAMILY)).C
+        assert sorted(report) == ["C", "breakdown", "constants", "floor", "ratio_bound", "window"]
+        assert (report["C"], report["window"], report["floor"]) == (C, [1.0, 2.0], -C)
+
+
+def test_padic_commands_are_gone():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_config(tmp, "c.json", PADIC_REPORTS[0][1])
+        for command in ("padic-muhat", "padic-certify"):
+            code, _, payload = _run([command, path])
+            assert code == 1 and payload["error"] == "usage", payload
+
+
+def test_write_csv_roundtrip():
+    fam = parse_curve_family(FAMILY)
+    lams = [(0, 0), (Fraction(1, 100), 0), (Fraction(-1, 2), Fraction(1, 3))]
+    profile = [(lam, *mu_hat_real_with_error(fam, Window(1, 2), lam, tol=1e-8)) for lam in lams]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "profile.csv")
+        cli._write_csv(path, fam.m, profile)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        # a p-adic muhat writes its samples through the same writer, with error 0
+        out = os.path.join(tmp, "padic.csv")
+        code, _, payload = _run(["muhat", _write_config(tmp, "c.json", PADIC_REPORTS[1][1]), "--csv", out])
+        assert code == 0
+        with open(out, newline="") as fh:
+            padic_rows = list(csv.reader(fh))
+    assert rows[0] == padic_rows[0] == ["lambda_1", "lambda_2", "value", "error"]
+    assert len(rows) == 1 + len(lams)
+    for row, (lam, want, err) in zip(rows[1:], profile):
+        assert [float(row[0]), float(row[1])] == [float(lam[0]), float(lam[1])]
+        assert (float(row[2]), float(row[3])) == (want, err)
+        assert float(row[3]) >= 0.0
+    samples = payload["report"]["samples"]
+    assert len(padic_rows) == 1 + len(samples)
+    for row, sample in zip(padic_rows[1:], samples):
+        assert [float(cell) for cell in row[:2]] == [float(parse_rational(v)) for v in sample["lambda"]]
+        assert (float(row[2]), row[3]) == (sample["value_float"], "0.0")
 
 
 def test_csv_sidecar_schema():
@@ -233,7 +325,7 @@ def test_padic_certify_command():
         path = _write_config(
             tmp, "c.json", {"family": FAMILY, "window": [1, 4], "field": {"padic": 3}}
         )
-        code, _, payload = _run(["padic-certify", path])
+        code, _, payload = _run(["certify", path])
     assert code == 0
     rep = payload["report"]
     assert rep["B"] == 192 and rep["L"] == "16/3" and rep["floor"] == "-36"
@@ -241,25 +333,24 @@ def test_padic_certify_command():
 
 
 def test_config_search_command():
+    base = {
+        "family": FAMILY,
+        "window": [1, 2],
+        "step": "1/4",
+        "boxset": {"boxes": [[["0", "3"], ["-1", "1"]]], "period": ["9", "9"]},
+    }
     with tempfile.TemporaryDirectory() as tmp:
-        path = _write_config(
-            tmp,
-            "c.json",
-            {
-                "family": FAMILY,
-                "window": [1, 2],
-                "step": "1/4",
-                "boxset": {
-                    "boxes": [[["0", "3"], ["-1", "1"]]],
-                    "period": ["9", "9"],
-                },
-            },
-        )
-        code, _, payload = _run(["config-search", path])
-    assert code == 0
-    rep = payload["report"]
-    assert rep["found"] and rep["s"] == "3" and rep["residual"] == 0.0
-    assert rep["x1"] == ["3", "9"] and rep["x2"] == ["0", "0"]
+        code, _, payload = _run(["config-search", _write_config(tmp, "c.json", base)])
+        assert code == 0
+        rep = payload["report"]
+        assert rep["found"] and rep["s"] == "3" and rep["residual"] == 0.0
+        assert rep["x1"] == ["3", "9"] and rep["x2"] == ["0", "0"]
+        # the window is read as every command reads it: "16" is not [1, 6], nor [true, 2] [1, 2]
+        for window in ("16", [True, 2], [1]):
+            code, _, payload = _run(["config-search", _write_config(tmp, "c.json", dict(base, window=window))])
+            assert code == 1 and "two bounds" in payload["detail"], (window, payload)
+        code, _, payload = _run(["config-search", _write_config(tmp, "c.json", dict(base, field={"padic": 3}))])
+        assert code == 1 and "real window" in payload["detail"], payload
 
 
 def test_clique_command():
@@ -276,24 +367,21 @@ def test_clique_command():
 
 
 def test_color_check_command():
+    base = {"function": {"constant": 2, "cos": [[1, 1.0]]}, "n": 7, "edges": 5000}
     with tempfile.TemporaryDirectory() as tmp:
-        path = _write_config(
-            tmp,
-            "c.json",
-            {"function": {"constant": 2, "cos": [[1, 1.0]]}, "n": 7, "edges": 5000},
-        )
-        code, _, payload = _run(["color-check", path, "--seed", "3"])
-    assert code == 0
-    rep = payload["report"]
-    assert rep["violations"] == 0 and rep["n_min"] == 6 and rep["n"] == 7
-    # a sub-threshold n is a validation error
-    with tempfile.TemporaryDirectory() as tmp:
-        path = _write_config(
-            tmp,
-            "c.json",
-            {"function": {"constant": 2, "cos": [[1, 1.0]]}, "n": 4, "edges": 100},
-        )
-        assert _run(["color-check", path])[0] == 1
+        code, _, payload = _run(["color-check", _write_config(tmp, "c.json", base), "--seed", "3"])
+        assert code == 0
+        rep = payload["report"]
+        assert rep["violations"] == 0 and rep["n_min"] == 6 and rep["n"] == 7
+        # a sub-threshold n is a validation error
+        assert _run(["color-check", _write_config(tmp, "c.json", dict(base, n=4, edges=100))])[0] == 1
+        # n and edges are integers: 7.9 is not run at n = 7, nor 500.6 with 500 edges
+        for key, value in (("n", 7.9), ("edges", 500.6), ("n", True), ("edges", "5e2")):
+            code, _, payload = _run(["color-check", _write_config(tmp, "c.json", dict(base, **{key: value}))])
+            assert code == 1 and payload["error"] == "ValueError", (key, value, payload)
+        for n, edges in ((7.0, "500"), ("7", 500.0)):
+            code, _, payload = _run(["color-check", _write_config(tmp, "c.json", dict(base, n=n, edges=edges))])
+            assert code == 0 and (payload["report"]["n"], payload["report"]["edges"]) == (7, 500), payload
 
 
 def test_reduce_command():

@@ -12,7 +12,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_sphere_sum, cyc_reduced_dense, residue_sphere_sum
+from oracles import brute_force_sphere_sum, cyc_reduced_dense, padic_vdc_check, residue_sphere_sum
 
 import oscillabound
 from oscillabound import padic, spectral
@@ -24,7 +24,6 @@ from oscillabound.padic import (
     ess_part,
     mu_hat_padic,
     padic_fractional_phase,
-    padic_vdc_check,
     sphere_character_sum,
     vp,
 )
@@ -163,7 +162,6 @@ def test_non_prime_p_is_rejected_by_every_entry_point():
     f = X2
     calls = (
         lambda p: sphere_character_sum(f, "1/16", 2, p),
-        lambda p: padic_vdc_check(f, "1/16", -2, p),
         lambda p: ess_part(f, p),
     )
     for call in calls:
@@ -433,8 +431,13 @@ def test_padic_vdc_check():
         ]
         f = RationalPoly(coeffs)
         lam = _random_rational_with_valuation(rng, p, -2, 2)
-        lhs, rhs, ok = padic_vdc_check(f, lam, rng.randint(-1, 2), p)
+        r = rng.randint(-1, 2)
+        lhs, rhs, ok = padic_vdc_check(f.coeffs, lam, r, p)
         assert ok, (p, coeffs, lam, lhs, rhs)
+        # the exact descent integrates the same ball
+        acc = {}
+        padic._add_ball(acc, f * lam, p, r, 1, {})
+        assert abs(abs(CycNum(p, acc).to_complex()) - lhs) < 1e-9, (p, coeffs, lam, r)
 
 
 def test_echelon_reduce():

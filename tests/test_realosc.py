@@ -3,11 +3,8 @@ independent Simpson oracle, oscillation bounds on certified witness
 intervals, superlevel decompositions with their hard caps, and the uniform
 certified constant."""
 
-import csv
 import math
-import os
 import random
-import tempfile
 from fractions import Fraction
 from unittest import mock
 
@@ -18,7 +15,6 @@ from hypothesis import strategies as st
 from oracles import adaptive_cc_dfs, simpson_mu_hat
 
 from oscillabound import realosc
-from oscillabound.cli import _write_csv
 from oscillabound.polycore import RationalPoly, parse_curve_family
 from oscillabound.realosc import (
     HIGH,
@@ -26,7 +22,6 @@ from oscillabound.realosc import (
     QuadratureError,
     Window,
     certified_constant_real,
-    classify_frequency,
     merge_intervals,
     mu_hat_real,
     mu_hat_real_with_error,
@@ -73,19 +68,6 @@ def test_vdc_bound():
             pass
         else:
             raise AssertionError(f"vdc_bound accepted ({k}, {eta})")
-
-
-def test_classify_frequency():
-    fam = parse_curve_family([["0", "1"], ["1", "0", "1"]])  # (x, x^2 + 1)
-    assert classify_frequency(fam, (1, Fraction(1, 16))) == LOW
-    assert classify_frequency(fam, (5, 1)) == HIGH
-    assert classify_frequency(fam, (Fraction(1, 8), Fraction(0))) == LOW
-    try:
-        classify_frequency(fam, (0, 0))
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("lambda = 0 classified")
 
 
 def test_mu_hat_zero_frequency():
@@ -456,19 +438,3 @@ def test_certified_floor_spot_sample():
             )
             val = mu_hat_real(FAM_XX2, window, lam, tol=1e-6)
             assert val >= floor
-
-
-def test_write_profile_csv_roundtrip():
-    lams = [(0, 0), (Fraction(1, 100), 0), (Fraction(-1, 2), Fraction(1, 3))]
-    profile = [(lam, *mu_hat_real_with_error(FAM_XX2, Window(1, 2), lam, tol=1e-8)) for lam in lams]
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "profile.csv")
-        _write_csv(path, FAM_XX2.m, profile)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    assert rows[0] == ["lambda_1", "lambda_2", "value", "error"]
-    assert len(rows) == 1 + len(lams)
-    for row, (lam, want, err) in zip(rows[1:], profile):
-        assert [float(row[0]), float(row[1])] == [float(lam[0]), float(lam[1])]
-        assert (float(row[2]), float(row[3])) == (want, err)
-        assert float(row[3]) >= 0.0
