@@ -378,17 +378,28 @@ def multivariate_reduce(polys, ell=None):
 def curve_difference_oracle(family, tol=_MEMBERSHIP_TOL):
     """Membership test for +-V with V = {(f_1(s), ..., f_m(s))}: solve the
     first coordinate for s (closed form when linear, numpy roots otherwise)
-    and verify the remaining coordinates to the tolerance."""
+    and verify the remaining coordinates to the tolerance.
+
+    The coefficients are converted to floats once, here.  The remaining
+    coordinates are evaluated by Horner's rule in the order of the float
+    path of RationalPoly.__call__, so every answer keeps its bits."""
     f1 = family.polys[0]
     desc = [float(c) for c in reversed(f1.coeffs)]  # np.roots wants descending
+    rest = [[float(c) for c in reversed(f.coeffs)] for f in family.polys[1:]]
 
     def roots_of_first(target):
         if f1.degree == 1:
-            return [(target - float(f1.coeffs[0])) / float(f1.coeffs[1])]
+            return [(target - desc[1]) / desc[0]]
         shifted = list(desc)
         shifted[-1] -= target
         rr = np.roots(shifted)
         return [float(z.real) for z in rr if abs(z.imag) <= 1e-9 * (1 + abs(z))]
+
+    def horner(cs, s):
+        acc = 0.0
+        for c in cs:
+            acc = acc * s + c
+        return acc
 
     def oracle(w):
         if len(w) != family.m:
@@ -398,7 +409,7 @@ def curve_difference_oracle(family, tol=_MEMBERSHIP_TOL):
         for sign in (1.0, -1.0):
             ww = [sign * float(v) for v in w]
             for s in roots_of_first(ww[0]):
-                if all(abs(f(s) - t) <= tol for f, t in zip(family.polys[1:], ww[1:])):
+                if all(abs(horner(cs, s) - t) <= tol for cs, t in zip(rest, ww[1:])):
                     return True
         return False
 

@@ -206,11 +206,14 @@ def _cmd_certify(cfg, flags):
 
 def _search(cfg, flags, search):
     """Run minimize_mu_hat or independence_pipeline on the config.  A flag
-    beats the config, tol defaults to 1e-6, and --csv writes the trace."""
+    beats the config, seed and budget must be integers (a missing budget
+    means the default), tol defaults to 1e-6, and --csv writes the trace."""
     w = _window_of(cfg)
     fam = _family_of(cfg)
-    seed = flags.seed if flags.seed is not None else int(cfg.get("seed", 0))
-    budget = flags.budget if flags.budget is not None else cfg.get("budget")
+    seed = flags.seed if flags.seed is not None else _integer(cfg.get("seed", 0), "seed")
+    budget = flags.budget
+    if budget is None and cfg.get("budget") is not None:
+        budget = _integer(cfg["budget"], "budget")
     tol = flags.tol if flags.tol is not None else float(cfg.get("tol", 1e-6))
     res = search(fam, w, budget=budget, seed=seed, tol=tol)
     if flags.csv:
@@ -288,7 +291,7 @@ def _series_function(spec):
 @_command("color-check")
 def _cmd_color_check(cfg, flags):
     f = _series_function(cfg["function"])
-    seed = flags.seed if flags.seed is not None else int(cfg.get("seed", 0))
+    seed = flags.seed if flags.seed is not None else _integer(cfg.get("seed", 0), "seed")
     n_min, M, eps, delta = coloring_threshold(f)
     n = _integer(cfg.get("n", n_min), "n")
     edges = _integer(cfg.get("edges", 100_000), "edges")

@@ -8,6 +8,7 @@ downstream certificate valid.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -176,10 +177,10 @@ def _sturm_chain(p):
     return chain
 
 
-def _squarefree_chain(poly):
-    """Integer Sturm chain of the squarefree part of a nonconstant poly."""
-    den = math.lcm(*(c.denominator for c in poly.coeffs))
-    p = _primitive([c.numerator * (den // c.denominator) for c in poly.coeffs])
+def _squarefree_chain(p):
+    """Integer Sturm chain of the squarefree part of a nonconstant integer
+    polynomial p."""
+    p = _primitive(p)
     chain = _sturm_chain(p)
     if len(chain[-1]) > 1:  # repeated roots: divide out gcd(p, p') and rebuild
         chain = _sturm_chain(_primitive(_pseudo_divmod(p, chain[-1])[0]))
@@ -208,41 +209,75 @@ def _variations(chain, n, d):
     return count
 
 
+def _refine(p, sa, na, nb, d):
+    """Narrow (na/d, nb/d), which holds exactly one root of p and no other
+    root of p, to width ISOLATION_WIDTH by bisection on the sign of p; sa is
+    the sign of p just right of na/d.  A midpoint that is a root comes back
+    as the degenerate pair (r, r)."""
+    w_num, w_den = ISOLATION_WIDTH.numerator, ISOLATION_WIDTH.denominator
+    while (nb - na) * w_den > w_num * d:
+        m = na + nb
+        na, nb, d = 2 * na, 2 * nb, 2 * d
+        s = _sign_at(p, m, d)
+        if s == 0:
+            return Fraction(m, d), Fraction(m, d)
+        if s == sa:
+            na = m
+        else:
+            nb = m
+    return Fraction(na, d), Fraction(nb, d)
+
+
 def isolate_positive_roots(poly, lo, hi):
     """Isolating intervals for the distinct real roots of poly in (lo, hi).
 
+    poly is a RationalPoly, or a list of integer coefficients, ascending.
     Returns a sorted list of (left, right) Fraction pairs with right - left
     <= 1e-12, each containing exactly one root; an exact rational root shows
     up as a degenerate pair (r, r).  Endpoint roots are excluded (open
     interval).  Exact integer arithmetic throughout: endpoints are integer
-    numerators over one shared denominator d0 * 2^k, Sturm counts split the
-    interval until each piece holds one root, and bisection on the sign of
-    poly alone then narrows it, at the same midpoints the counts would use.
+    numerators over one shared denominator d0 * 2^k, and bisection on the
+    sign of poly narrows each root, at the same midpoints a Sturm count
+    would use.
+
+    Descartes' rule of signs decides two cases without a Sturm chain: the
+    number of positive roots, counted with multiplicity, is the number v of
+    sign changes in the coefficients minus an even number.
+      * v = 0 and lo >= 0: no positive root, so none in (lo, hi).
+      * v = 1 and lo > 0: exactly one positive root, and it is simple.  It
+        lies in (lo, hi) iff poly(lo) and poly(hi) have opposite nonzero
+        signs; a zero sign puts it on an endpoint.  No chain is needed
+        because poly changes sign nowhere else on (0, inf): it differs from
+        its squarefree part by a factor with no positive root, so its sign
+        steers the bisection exactly as the chain's first member would, and
+        the Sturm route would reach the same bisection of the same (lo, hi)
+        with a count of 1.
+      * anything else: Sturm counts of the squarefree part split the
+        interval until each piece holds one root, which is then narrowed.
     """
     lo, hi = parse_rational(lo), parse_rational(hi)
-    if lo >= hi or poly.degree <= 0:
+    if isinstance(poly, RationalPoly):
+        den = math.lcm(*(c.denominator for c in poly.coeffs))
+        p = [c.numerator * (den // c.denominator) for c in poly.coeffs]
+    else:
+        p = list(poly)
+        while p and not p[-1]:
+            p.pop()
+    signs = [c > 0 for c in p if c]
+    changes = sum(map(operator.ne, signs, signs[1:]))
+    if len(p) <= 1 or changes == 0 and lo.numerator >= 0:
         return []
-    chain = _squarefree_chain(poly)
-    p, dp = chain[0], chain[1]
-    w_num, w_den = ISOLATION_WIDTH.numerator, ISOLATION_WIDTH.denominator
-    out = []
+    d0 = math.lcm(lo.denominator, hi.denominator)
+    na, nb = lo.numerator * (d0 // lo.denominator), hi.numerator * (d0 // hi.denominator)
+    if na >= nb:
+        return []
+    if changes == 1 and na > 0:
+        sa = _sign_at(p, na, d0)
+        return [_refine(p, sa, na, nb, d0)] if sa * _sign_at(p, nb, d0) < 0 else []
 
-    def refine(na, nb, d):
-        # exactly one (simple) root in (na/d, nb/d); sa is the sign of p just
-        # right of na/d, read off p' when na/d is itself a root of p
-        sa = _sign_at(p, na, d) or _sign_at(dp, na, d)
-        while (nb - na) * w_den > w_num * d:
-            m = na + nb
-            na, nb, d = 2 * na, 2 * nb, 2 * d
-            s = _sign_at(p, m, d)
-            if s == 0:
-                out.append((Fraction(m, d), Fraction(m, d)))
-                return
-            if s == sa:
-                na = m
-            else:
-                nb = m
-        out.append((Fraction(na, d), Fraction(nb, d)))
+    chain = _squarefree_chain(p)
+    p, dp = chain[0], chain[1]
+    out = []
 
     def split(na, va, nb, d, count):
         # count = distinct roots in the open (na/d, nb/d); va = chain sign
@@ -250,7 +285,9 @@ def isolate_positive_roots(poly, lo, hi):
         if count == 0:
             return
         if count == 1:
-            refine(na, nb, d)
+            # the sign of p just right of na/d, read off p' when na/d is
+            # itself a root of p
+            out.append(_refine(p, _sign_at(p, na, d) or _sign_at(dp, na, d), na, nb, d))
             return
         m, d = na + nb, 2 * d
         vm = _variations(chain, m, d)
@@ -261,8 +298,6 @@ def isolate_positive_roots(poly, lo, hi):
             out.append((Fraction(m, d), Fraction(m, d)))
         split(m, vm, 2 * nb, d, count - hit - left)
 
-    d0 = math.lcm(lo.denominator, hi.denominator)
-    na, nb = lo.numerator * (d0 // lo.denominator), hi.numerator * (d0 // hi.denominator)
     va = _variations(chain, na, d0)
     # V(lo) - V(hi) counts (lo, hi]; the contract is the open interval
     split(na, va, nb, d0, va - _variations(chain, nb, d0) - (_sign_at(p, nb, d0) == 0))

@@ -26,6 +26,15 @@ where the remainder bound is an ordinary non-oscillatory integral charged to
 the error estimate, and Omega is grown until that charge fits the tolerance.
 This evaluates frequencies with |lambda| ~ 1e6 (phase counts ~ 1e60) at
 fixed cost.
+
+Phase data.  Every Phi^(k) comes from one integer vector: the denominators
+of g are cleared once per transform, scaled = den * g, and den * Phi^(k) has
+the coefficients j^k * scaled[j].  Root isolation takes the integer Phi' and
+Phi'' as they are; the float table holds the quotients j^k * scaled[j] / den,
+each correctly rounded from the exact rational.  Error state: osc_integral
+enters np.errstate(over="ignore") once per piece, and every read of the
+table happens inside that scope, since past the float range exp(j*t) reads
+inf; the quadrature loop keeps its own, wider scope.
 """
 
 import functools
@@ -233,26 +242,30 @@ def _adaptive_cc(values_at, lo, hi, tol_abs, phase_at=None, rel=0.0):
 class _PhaseTable:
     """Float coefficients of Phi, Phi', ..., Phi'''' for one transform.
 
-    Row k holds c_j * j^k for the nonzero coefficients c_j of g, ascending,
-    rounded once from the exact rational, and every evaluation shares one
-    table of exp(j*t) across the rows it reads.  Zero terms stay out: 0 * inf
-    from an overflowed exp would be NaN."""
+    The denominators of g are cleared once: scaled[j] = den * c_j is an
+    integer, so den * Phi^(k) has the integer coefficients j^k * scaled[j].
+    Row k holds j^k * scaled[j] / den for the nonzero terms, ascending, and
+    every evaluation shares one table of exp(j*t) across the rows it reads.
+    Zero terms stay out: 0 * inf from an overflowed exp would be NaN.  Past
+    the float range exp reads inf, and the caller's np.errstate scope (see
+    osc_integral) keeps numpy quiet about it."""
 
-    __slots__ = ("js", "coef", "_js", "_coef")
+    __slots__ = ("scaled", "js", "coef", "_js", "_coef")
 
     def __init__(self, phi):
-        terms = [(j, c) for j, c in enumerate(phi.coeffs) if c != 0]
+        den = math.lcm(*(c.denominator for c in phi.coeffs))
+        self.scaled = [c.numerator * (den // c.denominator) for c in phi.coeffs]
+        terms = [(j, n) for j, n in enumerate(self.scaled) if n]
         self._js = [float(j) for j, _ in terms]
-        # int / int is correctly rounded: the bits of float(c * j**k)
-        self._coef = [[(c.numerator * j**k) / c.denominator for j, c in terms] for k in range(5)]
+        # int / int is correctly rounded: the bits of float(c_j * j**k)
+        self._coef = [[(n * j**k) / den for j, n in terms] for k in range(5)]
         self.js = np.array(self._js)
         self.coef = np.array(self._coef)
 
     def rows(self, ks, ts):
         """Phi^(k) at ts for k in range(5)[ks], shape (rows,) + ts.shape."""
         ts = np.asarray(ts, dtype=float)
-        with np.errstate(over="ignore"):  # past the float range: inf, as in derivs
-            powers = np.exp(self.js[:, None] * ts.reshape(1, -1))
+        powers = np.exp(self.js[:, None] * ts.reshape(1, -1))
         return (self.coef[ks] @ powers).reshape((-1,) + ts.shape)
 
     def phase(self, ts):
@@ -265,8 +278,7 @@ class _PhaseTable:
         try:
             return [math.exp(j * t) for j in self._js]
         except OverflowError:  # past the float range: inf, as on the array paths
-            with np.errstate(over="ignore"):
-                return np.exp(self.js * t).tolist()
+            return np.exp(self.js * t).tolist()
 
     def derivs(self, t):
         """Phi^(k)(t) for k < 4 at one point."""
@@ -292,11 +304,7 @@ def _x_window(a, T):
 
 def _t_roots(poly, a, T):
     """t = ln x for the roots x of poly in (e^a, e^T), exactly isolated,
-    ascending."""
-    # cheap Descartes screen: no sign change -> no positive roots
-    signs = {c > 0 for c in poly.coeffs if c != 0}
-    if len(signs) < 2:
-        return []
+    ascending; poly is a RationalPoly or a list of integer coefficients."""
     ts = []
     for left, right in isolate_positive_roots(poly, *_x_window(a, T)):
         x = float(left + right) / 2.0
@@ -307,9 +315,12 @@ def _t_roots(poly, a, T):
     return ts
 
 
-def _breakpoints(phi, a, T):
-    """Interior roots of Phi' and Phi'' (t-coordinates), exactly isolated."""
-    return sorted(set(_t_roots(phi.t_derivative(1), a, T) + _t_roots(phi.t_derivative(2), a, T)))
+def _breakpoints(scaled, a, T):
+    """Interior roots of Phi' and Phi'' (t-coordinates), exactly isolated,
+    from the integer coefficients scaled of den * g (see _PhaseTable)."""
+    first = [j * n for j, n in enumerate(scaled)]
+    second = [j * n for j, n in enumerate(first)]
+    return sorted(set(_t_roots(first, a, T) + _t_roots(second, a, T)))
 
 
 def _ibp_boundary(table, t):
@@ -419,8 +430,8 @@ def osc_integral(phi, a, T, tol_abs):
     if phi.degree <= 0:
         c0 = float(phi(0))
         return complex(math.cos(math.tau * c0), math.sin(math.tau * c0)) * (T - a), 0.0
-    cuts = _breakpoints(phi, a, T)
     table = _PhaseTable(phi)
+    cuts = _breakpoints(table.scaled, a, T)
     knots = [a] + cuts + [T]
     total = 0.0 + 0.0j
     err = 0.0
@@ -429,7 +440,8 @@ def osc_integral(phi, a, T, tol_abs):
         if hi - lo <= 0:
             continue
         try:
-            val, e = _integrate_piece(table, lo, hi, tol_abs * (hi - lo) / width)
+            with np.errstate(over="ignore"):  # past the float range the phase reads inf
+                val, e = _integrate_piece(table, lo, hi, tol_abs * (hi - lo) / width)
         except QuadratureError:
             val, e = 0.0 + 0.0j, math.inf
         if e > hi - lo:

@@ -188,7 +188,8 @@ def minimize_mu_hat(family, window, budget=None, seed=0, tol=1e-6):
     followed by compass pattern searches from the five best cells.  A
     PadicWindow means Q_p at window.p: exhaustive enumeration of the lattice
     {0} U {u p^v : u unit mod p^2, -6 <= v <= 2} per axis.  Either way tol
-    must lie in (0, 1e-3], else ValueError.
+    must lie in (0, 1e-3] and budget must be a positive integer (7.0 is 7;
+    3.5 and True are not), else ValueError.
 
     The candidate stream is a fixed sequence for a given (family, window,
     seed); the budget is a prefix length, so the reported best value is
@@ -219,6 +220,8 @@ def minimize_mu_hat(family, window, budget=None, seed=0, tol=1e-6):
         w, axis = _as_window(window), _real_axis_values()
     if budget is None:
         budget = len(axis) ** family.m if padic else 10_000
+    if isinstance(budget, bool) or budget % 1 != 0:
+        raise ValueError(f"budget must be an integer; got {budget!r}")
     if budget < 1:
         raise ValueError("budget must allow at least one evaluation")
 

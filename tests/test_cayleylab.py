@@ -257,3 +257,48 @@ def test_coloring_random_periodic_functions():
 
         n_min = coloring_threshold(f)[0]
         assert periodic_coloring_verify(f, n_min, 5_000, seed=rng.randint(0, 99)) == 0
+
+
+def _membership_by_polys(family, tol):
+    """The membership test of curve_difference_oracle with every coordinate
+    evaluated by RationalPoly.__call__ on the float root."""
+    f1 = family.polys[0]
+
+    def oracle(w):
+        if all(abs(v) <= tol for v in w):
+            return False
+        for sign in (1.0, -1.0):
+            ww = [sign * v for v in w]
+            if f1.degree == 1:
+                roots = [(ww[0] - float(f1.coeffs[0])) / float(f1.coeffs[1])]
+            else:
+                desc = [float(c) for c in reversed(f1.coeffs)]
+                desc[-1] -= ww[0]
+                roots = [float(z.real) for z in np.roots(desc) if abs(z.imag) <= 1e-9 * (1 + abs(z))]
+            for s in roots:
+                if all(abs(f(s) - t) <= tol for f, t in zip(family.polys[1:], ww[1:])):
+                    return True
+        return False
+
+    return oracle
+
+
+def test_curve_oracle_matches_direct_evaluation():
+    rng = random.Random(97)
+    for rows in (
+        [["0", "1"], ["0", "0", "1"]],  # linear first component
+        [["1/3", "-2", "1"], ["0", "-1", "0", "1/7"], ["2", "0", "0", "0", "-3/5"]],
+    ):
+        family = parse_curve_family(rows)
+        oracle = curve_difference_oracle(family)
+        direct = _membership_by_polys(family, 1e-9)
+        answers = []
+        for _ in range(1500):
+            # a difference of two curve points, or a point of +-V
+            s, r, sign = rng.uniform(-6, 6), rng.uniform(-6, 6), rng.choice((1.0, -1.0))
+            w = [f(s) - f(r) for f in family.polys] if rng.random() < 0.3 else [sign * f(s) for f in family.polys]
+            # nudge each coordinate by about the tolerance, or by much more
+            w = tuple(v + rng.choice((0.0, 1e-9, -1e-9, 1e-3)) * rng.random() for v in w)
+            answers.append(oracle(w))
+            assert answers[-1] == direct(w), (rows, w)
+        assert 100 < sum(answers) < len(answers) - 100

@@ -384,6 +384,30 @@ def test_color_check_command():
             assert code == 0 and (payload["report"]["n"], payload["report"]["edges"]) == (7, 500), payload
 
 
+def test_seed_and_budget_must_be_integers():
+    padic = {"family": FAMILY, "window": [1, 4], "field": {"padic": 3}, "budget": 7}
+    color = {"function": {"constant": 2, "cos": [[1, 1.0]]}, "n": 7, "edges": 500}
+    cases = [("minimize", padic, "seed"), ("minimize", padic, "budget"), ("pipeline", padic, "seed"),
+             ("pipeline", padic, "budget"), ("color-check", color, "seed")]
+    with tempfile.TemporaryDirectory() as tmp:
+        for command, base, key in cases:
+            # 2.7 is not run as 2, nor 3.5 as 4 evaluations, nor true as 1
+            for value in (2.7, 3.5, True):
+                code, _, payload = _run([command, _write_config(tmp, "c.json", dict(base, **{key: value}))])
+                assert code == 1 and payload["error"] == "ValueError", (command, key, value, payload)
+                assert f"{key} must be an integer" in payload["detail"], payload
+            reports = set()
+            for value in (7, 7.0, "7"):
+                code, _, payload = _run([command, _write_config(tmp, "c.json", dict(base, **{key: value}))])
+                assert code == 0, (command, key, value, payload)
+                reports.add(json.dumps(payload["report"], sort_keys=True))
+            assert len(reports) == 1, (command, key)
+        # a missing budget still means the default: the whole 2-adic lattice
+        cfg = {"family": FAMILY, "window": [1, 4], "field": 2}
+        code, _, payload = _run(["minimize", _write_config(tmp, "c.json", cfg)])
+        assert code == 0 and payload["report"]["evaluations"] == 19**2, payload
+
+
 def test_reduce_command():
     with tempfile.TemporaryDirectory() as tmp:
         path = _write_config(

@@ -19,7 +19,7 @@ from oracles import (
     sturm_isolate,
 )
 
-from oscillabound import polycore
+from oscillabound import polycore, realosc
 from oscillabound.polycore import (
     ISOLATION_WIDTH,
     CurveFamily,
@@ -190,6 +190,71 @@ def test_isolation_matches_oracle_random_coefficients(coeffs, lo, span):
     got = isolate_positive_roots(RationalPoly(coeffs), lo, lo + span)
     assert got == sturm_isolate(coeffs, lo, lo + span)
     assert all(right - left <= ISOLATION_WIDTH for left, right in got)
+
+
+def _sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+@st.composite
+def _descartes_cases(draw):
+    """(coeffs, lo, hi, shape) over the three cases of isolate_positive_roots.
+
+    shape "none" multiplies factors x + s with s >= 0 (s = 0 puts a root on
+    lo = 0) and a quadratic with positive coefficients: no sign change.
+    "one" multiplies a simple x - r by factors x + s: a real-rooted factor
+    has log-concave coefficients, so exactly one sign change.  "many" has
+    two or more positive roots, counted with multiplicity.  The window
+    is (lo, hi) with lo = 0, lo > 0 or lo < 0, or a padded x-window of t in
+    [1, 6] or [1, 26].  A positive root is an endpoint, a bisection midpoint
+    (a degenerate pair), or another rational inside or outside the window."""
+    kind = draw(st.sampled_from(("zero", "positive", "negative", "x6", "x26")))
+    if kind == "zero":
+        lo, hi = Fraction(0), Fraction(draw(st.integers(1, 64)), draw(st.sampled_from((1, 2, 3, 8))))
+    elif kind in ("positive", "negative"):
+        lo = Fraction(draw(st.integers(1, 16)), draw(st.sampled_from((1, 2, 3, 4))))
+        lo = lo if kind == "positive" else -lo
+        hi = lo + Fraction(draw(st.integers(1, 64)), draw(st.sampled_from((1, 2, 4, 8))))
+    else:
+        lo, hi = realosc._x_window(1, 6 if kind == "x6" else 26)
+    midpoint = st.builds(
+        lambda k, j: lo + (hi - lo) * (2 * (j % 2**k) + 1) / 2 ** (k + 1), st.integers(0, 5), st.integers(0, 31)
+    )
+    rational = st.builds(lambda n, d: lo + (hi - lo) * Fraction(n, d), st.integers(-8, 24), st.integers(1, 16))
+    positive_root = st.one_of(st.sampled_from((lo, hi)), midpoint, rational).filter(lambda r: r > 0)
+    shape = draw(st.sampled_from(("none", "one", "many")))
+    roots = {
+        "none": [],
+        "one": [draw(positive_root)],
+        "many": draw(st.lists(positive_root, min_size=2, max_size=3)),
+    }[shape]
+    negative = st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(1, 40), st.integers(1, 5)))
+    negatives = draw(st.lists(negative, max_size=3))
+    lead = Fraction(draw(st.integers(1, 9)) * draw(st.sampled_from((1, -1))), draw(st.integers(1, 5)))
+    coeffs = [lead]
+    for r in roots:
+        for _ in range(draw(st.integers(1, 2)) if shape == "many" else 1):
+            coeffs = _times(coeffs, [-r, Fraction(1)])
+    for s in negatives:
+        for _ in range(draw(st.integers(1, 2))):
+            coeffs = _times(coeffs, [s, Fraction(1)])
+    if shape == "none" and (not negatives or draw(st.booleans())):
+        coeffs = _times(coeffs, [Fraction(draw(st.integers(1, 9))), Fraction(draw(st.integers(1, 9)), 4), 1])
+    return coeffs, lo, hi, shape
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_descartes_cases())
+def test_descartes_paths_match_the_sturm_oracle(case):
+    coeffs, lo, hi, shape = case
+    changes = _sign_changes(coeffs)
+    assert changes >= 2 if shape == "many" else changes == {"none": 0, "one": 1}[shape], (shape, coeffs)
+    got = isolate_positive_roots(RationalPoly(coeffs), lo, hi)
+    assert got == sturm_isolate(coeffs, lo, hi)
+    # the integer form that realosc passes gives the same intervals
+    den = math.lcm(*(c.denominator for c in coeffs))
+    assert isolate_positive_roots([int(c * den) for c in coeffs], lo, hi) == got
 
 
 def test_isolation_width_is_pinned():

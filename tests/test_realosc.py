@@ -314,11 +314,65 @@ def test_phase_beyond_float_range_fails_as_quadrature_error():
     else:
         raise AssertionError("an unreachable tolerance was reported as reached")
     # the table keeps only the nonzero term of x^5, so past the float range
-    # the phase reads inf; a zero term would add 0 * inf = NaN
+    # the phase reads inf; a zero term would add 0 * inf = NaN.  The table
+    # is read inside the error-state scope that osc_integral gives each piece
     table = realosc._PhaseTable(RationalPoly([0, 0, 0, 0, 0, 1]))
-    assert table.phase(np.array([400.0]))[0] == math.inf
-    assert table.derivs(400.0) == [math.inf] * 4
-    assert table.slope(400.0) == math.inf
+    with np.errstate(over="ignore"):
+        assert table.phase(np.array([400.0]))[0] == math.inf
+        assert table.derivs(400.0) == [math.inf] * 4
+        assert table.slope(400.0) == math.inf
+
+
+FAM_X235 = parse_curve_family([["0", "0", "1"], ["0", "0", "0", "1"], ["0", "0", "0", "0", "0", "1"]])
+
+# (family, window, lambda, value.hex(), error.hex()) of mu_hat_real_with_error
+# at tol 1e-3: the three criterion-6 families on [1, 2], [1, 6] and [1, 26],
+# breakpoints inside the window, |lambda| near 1e6, zero components, and
+# (x^2, x^3, x^5) phases whose Phi' or Phi'' has two sign changes
+BIT_PINS = (
+    (FAM_XX2, (1, 2), (0.37, -0.021), "0x1.d469cc4859a00p-7", "0x1.b9ae043d90919p-29"),
+    (FAM_XX2, (1, 2), (-3.5, 0.25), "0x1.b2aa76c025853p-4", "0x1.fe89e3d4998cap-29"),
+    (FAM_XX2, (1, 2), (Fraction(1, 3), Fraction(-2, 7)), "-0x1.4442873567cdep-5", "0x1.8e8eeff867207p-32"),
+    (FAM_XX2, (1, 6), (1, Fraction(-1, 100)), "0x1.de9d261a365a0p-6", "0x1.3bc317e3a098ep-14"),
+    (FAM_XX2, (1, 6), (0.0025, 7e-06), "0x1.0667a4b859c1ap-1", "0x1.f695de3318930p-26"),
+    (FAM_XX2, (1, 6), (-0.004, 1e-05), "0x1.a8fa1c2e5eb3ap-2", "0x1.9ffe208eb07bap-20"),
+    (FAM_XX2, (1, 6), (1000000.0, 0), "0x1.62912c9bafc73p-27", "0x1.a84679fc74cdep-53"),
+    (FAM_XX2, (1, 6), (999983, -1000003), "0x1.235f417d10228p-29", "0x1.7832845e1d691p-54"),
+    (FAM_XX2, (1, 26), (1e-09, -3e-12), "0x1.c4ffea63ac64ap-2", "0x1.e4e01e02e2cc6p-17"),
+    (FAM_XX2, (1, 26), (0, 1e-20), "0x1.aa5d153766f09p-1", "0x1.525beb3294e26p-16"),
+    (FAM_XX2, (1, 26), (4e-12, -1e-23), "0x1.d65f645144f63p-1", "0x1.b9852a4363894p-13"),
+    (FAM_XX3, (1, 2), (0.5, -0.01), "-0x1.205f939e3f16dp-4", "0x1.11868561ca159p-25"),
+    (FAM_XX3, (1, 2), (-2.0, 0.05), "-0x1.1dc6a14785c61p-5", "0x1.610cbb65deca4p-25"),
+    (FAM_XX3, (1, 6), (1, Fraction(-1, 3000)), "0x1.2227aa50b317cp-5", "0x1.173ecfaf85a40p-20"),
+    (FAM_XX3, (1, 6), (0, 2e-05), "0x1.70eec2d8840eep-2", "0x1.139315d4a7f17p-13"),
+    (FAM_XX3, (1, 6), (-123.0, 0.0004), "-0x1.7e70ff598d4f5p-12", "0x1.0077ac159c344p-22"),
+    (FAM_XX3, (1, 26), (7e-08, 0), "0x1.0b84df202ddf4p-1", "0x1.54be7d8a2469dp-12"),
+    (FAM_XX3, (1, 26), (-1e-06, 1e-30), "0x1.aa1d56017aed1p-2", "0x1.5939b980b3a18p-12"),
+    (FAM_XX3, (1, 26), (3e-11, -2e-34), "0x1.ab443189629c1p-1", "0x1.a4c056b610692p-26"),
+    (FAM_X235, (1, 2), (0.01, -0.002, 1e-05), "0x1.f499d43133df4p-1", "0x1.40d00e8a311f9p-29"),
+    (FAM_X235, (1, 2), (999983, -1000003, 1000033), "-0x1.ff78dd7ddadc5p-35", "0x1.a18a86f66d65cp-53"),
+    (FAM_X235, (1, 6), (1.25, -0.175, 0.0002), "0x1.92b0fb6adcf9ep-6", "0x1.f9cf0019a94cap-17"),
+    (FAM_X235, (1, 6), (1250, -175, Fraction(1, 5)), "0x1.581701c85c6bbp-11", "0x1.5ed03c3a5c826p-23"),
+    (FAM_X235, (1, 6), (0, -3e-05, 2e-09), "0x1.61f414e8ad398p-2", "0x1.572750febbbd3p-21"),
+    (FAM_X235, (1, 6), (-0.5, 0, 1e-10), "0x1.043152347eaadp-8", "0x1.0ec535f7ad896p-16"),
+    (FAM_X235, (1, 26), (2e-20, -1e-28, 3e-50), "0x1.94862675cff1bp-1", "0x1.3b9d742c57368p-15"),
+    (FAM_X235, (1, 26), (0, 0, 1e-55), "0x1.e853bd7551809p-1", "0x1.f0ffd78ae6741p-14"),
+    (
+        FAM_X235, (1, 26), (Fraction(1, 10**15), Fraction(-1, 10**17), Fraction(1, 10**35)),
+        "0x1.cc8545f1fb840p-2", "0x1.0f656d566be17p-15",
+    ),
+    (
+        FAM_X235, (1, 3), (Fraction(5, 2), Fraction(-7, 10), Fraction(1, 50)),
+        "-0x1.7fe7e63de432dp-8", "0x1.ffef1199b0a82p-17",
+    ),
+    (FAM_X235, (1, 3), (1000000.0, -0.5, 0.001), "-0x1.646ba716bab43p-28", "0x1.092bccb233925p-52"),
+)
+
+
+def test_transform_bits_are_pinned():
+    for family, window, lam, value, error in BIT_PINS:
+        got = mu_hat_real_with_error(family, window, lam, tol=1e-3)
+        assert (got[0].hex(), got[1].hex()) == (value, error), (window, lam)
 
 
 def test_superlevel_decompose_two_sided():

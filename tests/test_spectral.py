@@ -248,3 +248,17 @@ def test_tol_is_checked_for_both_fields(monkeypatch):
         assert exc.diagnostics["empirical_min"] == -1000.0
     else:
         raise AssertionError("an empirical minimum of -1000 passed the floor")
+
+
+def test_budget_must_be_an_integer():
+    w = PadicWindow(1, 4, 3)
+    for budget in (3.5, True, 2.7, math.nan, math.inf):
+        for window in (w, (1, 2)):
+            try:
+                minimize_mu_hat(FAM, window, budget=budget)
+            except ValueError as exc:
+                assert "budget must be an integer" in str(exc), exc
+            else:
+                raise AssertionError(f"budget {budget!r} accepted")
+    # an integral float means that integer
+    assert minimize_mu_hat(FAM, w, budget=3.0) == minimize_mu_hat(FAM, w, budget=3)
