@@ -30,9 +30,15 @@ from .cayleylab import (
     periodic_coloring_verify,
     upper_density_estimate,
 )
-from .padic import PadicWindow, certified_bound_padic, echelon_reduce, mu_hat_padic
+from .padic import PadicWindow, certified_bound_padic, check_window_padic, echelon_reduce, mu_hat_padic
 from .polycore import check_independence, parse_curve_family, parse_rational
-from .realosc import QuadratureError, Window, certified_constant_real, mu_hat_real_with_error
+from .realosc import (
+    QuadratureError,
+    Window,
+    certified_constant_real,
+    check_window_real,
+    mu_hat_real_with_error,
+)
 from .spectral import PipelineConsistencyError, independence_pipeline, minimize_mu_hat
 
 _COMMANDS = {}
@@ -100,15 +106,12 @@ def _field_prime(cfg):
 def _window_of(cfg):
     """The Window, or for a p-adic field the PadicWindow, of the config.
 
-    The window must be a list of exactly two bounds [a, T], neither a bool;
-    a string such as "16" is not unpacked into its characters.  A p-adic
-    bound must be integral once parsed ("1", 1.0 and Fraction(1) all mean
-    1); 1.9 raises instead of being truncated.
+    The window must be a list of exactly two bounds [a, T] (see _row_of).
+    A p-adic bound must be integral once parsed ("1", 1.0 and Fraction(1)
+    all mean 1); 1.9 raises instead of being truncated.
     """
     p = _field_prime(cfg)
-    window = cfg["window"]
-    if not isinstance(window, (list, tuple)) or len(window) != 2 or any(isinstance(v, bool) for v in window):
-        raise ValueError(f"window must be a list of two bounds [a, T]; got {window!r}")
+    window = _row_of(cfg["window"], 2, "window must be a list of two bounds [a, T]")
     if p is None:
         a, T = (parse_rational(v) for v in window)
         return Window(float(a), float(T))
@@ -125,6 +128,15 @@ def _integer(value, name):
     return int(q)
 
 
+def _row_of(value, size, message):
+    """value if it is a list of exactly size entries, none of them a bool,
+    else ValueError(message + the value's repr).  A string such as "16" is
+    never unpacked into its characters."""
+    if not isinstance(value, (list, tuple)) or len(value) != size or any(isinstance(v, bool) for v in value):
+        raise ValueError(f"{message}; got {value!r}")
+    return value
+
+
 def _lambdas_of(cfg, m):
     if "lambdas" in cfg:
         rows = cfg["lambdas"]
@@ -132,12 +144,8 @@ def _lambdas_of(cfg, m):
         rows = [cfg["lambda"]]
     else:
         raise ValueError("config needs 'lambda' (one tuple) or 'lambdas' (a list)")
-    out = []
-    for row in rows:
-        if len(row) != m:
-            raise ValueError(f"lambda tuple length {len(row)} != family size {m}")
-        out.append(tuple(parse_rational(v) for v in row))
-    return out
+    message = f"each lambda must be a list of {m} rationals, one per family component"
+    return [tuple(parse_rational(v) for v in _row_of(row, m, message)) for row in rows]
 
 
 def _write_csv(path, m, rows):
@@ -178,7 +186,9 @@ def _cmd_muhat(cfg, flags):
 def _cmd_certify(cfg, flags):
     if _field_prime(cfg) is not None:
         w = _window_of(cfg)
-        transform, reduced = echelon_reduce(_family_of(cfg))
+        fam = _family_of(cfg)
+        check_window_padic(fam, w)
+        transform, reduced = echelon_reduce(fam)
         bound_b = certified_bound_padic(reduced, w)
         floor = Fraction(-bound_b) / w.L
         return {
@@ -198,6 +208,7 @@ def _cmd_certify(cfg, flags):
     }
     if "window" in cfg:
         w = _window_of(cfg)
+        check_window_real(fam, w)
         report["window"] = [w.a, w.T]
         report["ratio_bound"] = bound.C / w.length
         report["floor"] = -bound.C / w.length

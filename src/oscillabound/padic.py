@@ -273,6 +273,14 @@ class PadicWindow:
         return 2 * (self.T - self.a + 1) * (1 - Fraction(1, self.p))
 
 
+def check_window_padic(family, window):
+    """Raise ValueError unless the PadicWindow starts above the essential
+    part of every component at window.p."""
+    a0 = max(ess_part(f, window.p) for f in family.polys)
+    if window.a <= a0:
+        raise ValueError(f"window start {window.a} must exceed the essential part {a0}")
+
+
 def mu_hat_padic(family, window, lam, memo=None):
     """Normalized transform (1/L) sum_{r=a}^{T} p^{-r} * 2 Re int_{C_r} psi(phase).
 
@@ -297,9 +305,7 @@ def mu_hat_padic(family, window, lam, memo=None):
     prime).  The value returned does not depend on what memo holds.
     """
     p, a, T = window.p, window.a, window.T
-    a0 = max(ess_part(f, p) for f in family.polys)
-    if a <= a0:
-        raise ValueError(f"window start {a} must exceed the essential part {a0}")
+    check_window_padic(family, window)
     phase = phi_from_frequency(family, lam)
     acc = {}
     memo = {} if memo is None else memo

@@ -1,10 +1,10 @@
 """Exact polynomial curves, frequency phases, and the constants they certify.
 
-Everything in this module is exact rational arithmetic (fractions.Fraction,
-or plain integers where root isolation only needs signs and elimination runs
-fraction-free); floats only appear
-on the way out, rounded in whichever direction keeps the
-downstream certificate valid.
+Everything in this module is exact rational arithmetic: fractions.Fraction,
+or plain integers once clear_denominators has scaled a row, which is how root
+isolation, the gcd behind a0 and elimination all run.  Floats only appear on
+the way out, rounded in whichever direction keeps the downstream certificate
+valid.
 """
 
 import math
@@ -18,9 +18,12 @@ _EIG_BITS = 80  # bisection depth for smallest-eigenvalue enclosures
 
 
 def parse_rational(x):
-    """Accept Fraction/int/float or a 'num/den' (or 'num') string."""
+    """Accept Fraction/int/float or a 'num/den' (or 'num') string; a bool
+    is not a number here (JSON true is not 1)."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, bool):
+        raise TypeError(f"cannot interpret the bool {x!r} as a rational")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
@@ -58,9 +61,6 @@ class RationalPoly:
             acc = acc * x + (float(c) if isinstance(x, float) else c)
         return acc
 
-    def derivative(self):
-        return RationalPoly([i * c for i, c in enumerate(self.coeffs)][1:] or [0])
-
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
         a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
@@ -93,32 +93,6 @@ class RationalPoly:
     def __repr__(self):
         return f"RationalPoly({[str(c) for c in self.coeffs]})"
 
-    def divmod(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 1)
-        d = other.coeffs
-        while len(rem) >= len(d) and any(rem):
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            k = len(rem) - len(d)
-            f = rem[-1] / d[-1]
-            q[k] = f
-            for i, c in enumerate(d):
-                rem[k + i] -= f * c
-            rem.pop()
-        return RationalPoly(q), RationalPoly(rem)
-
-    def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        if a.is_zero():
-            return a
-        return a * (1 / a.coeffs[-1])  # monic
-
     def t_derivative(self, k):
         """The k-th t-derivative of g(e^t), as a polynomial in x = e^t: the
         Euler operator (x d/dx)^k multiplies the coefficient of x^j by j^k."""
@@ -133,6 +107,13 @@ class RationalPoly:
         for a in reversed(self.coeffs):
             out = out * RationalPoly([c, d]) + RationalPoly([a])
         return out
+
+
+def clear_denominators(coeffs):
+    """(den, ints) with den the lcm of the denominators of coeffs (Fractions)
+    and ints[i] = den * coeffs[i], exact integers."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
 
 def _primitive(c):
@@ -257,8 +238,7 @@ def isolate_positive_roots(poly, lo, hi):
     """
     lo, hi = parse_rational(lo), parse_rational(hi)
     if isinstance(poly, RationalPoly):
-        den = math.lcm(*(c.denominator for c in poly.coeffs))
-        p = [c.numerator * (den // c.denominator) for c in poly.coeffs]
+        p = clear_denominators(poly.coeffs)[1]
     else:
         p = list(poly)
         while p and not p[-1]:
@@ -267,8 +247,7 @@ def isolate_positive_roots(poly, lo, hi):
     changes = sum(map(operator.ne, signs, signs[1:]))
     if len(p) <= 1 or changes == 0 and lo.numerator >= 0:
         return []
-    d0 = math.lcm(lo.denominator, hi.denominator)
-    na, nb = lo.numerator * (d0 // lo.denominator), hi.numerator * (d0 // hi.denominator)
+    d0, (na, nb) = clear_denominators((lo, hi))
     if na >= nb:
         return []
     if changes == 1 and na > 0:
@@ -355,10 +334,7 @@ def _bareiss(rows):
     pivot of a square matrix of full rank is its determinant up to the sign
     of order.
     """
-    a = []
-    for row in rows:
-        den = math.lcm(*(x.denominator for x in row))
-        a.append([x.numerator * (den // x.denominator) for x in row])
+    a = [clear_denominators(row)[1] for row in rows]
     order = list(range(len(a)))
     pivots = []
     prev = 1
@@ -420,12 +396,8 @@ def _solve(mat, rhs):
 
 
 def vandermonde_interpolation(values, n):
-    """Solve sum_{k=1}^{n} alpha_k * j^k = values_j for j = 1..n, exactly.
-
-    values may be a sequence of n rationals or the string "ones".
-    """
-    if values == "ones":
-        values = [Fraction(1)] * n
+    """Solve sum_{k=1}^{n} alpha_k * j^k = values_j for j = 1..n, exactly,
+    for a sequence of n rationals values."""
     values = [parse_rational(v) for v in values]
     if len(values) != n:
         raise ValueError("need exactly n target values")
@@ -447,22 +419,24 @@ def compute_a0_real(family):
 
 
 def _a0_real(polys):
-    g = polys[0]
-    for p in polys[1:]:
-        g = g.gcd(p)
-    if g.degree < 1:
+    # gcd(f_1, ..., f_m) by the primitive integer remainder sequence (Brown,
+    # J. ACM 18, 1971).  Over Q the gcd is unique up to a constant, so the
+    # primitive gcd with a positive leading coefficient is exactly den * (the
+    # monic gcd): the integer list a Fraction gcd would hand to isolation.
+    g = []
+    for p in polys:
+        a, b = _primitive(clear_denominators(p.coeffs)[1]), g
+        while b:
+            a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+        g = a
+    if len(g) < 2:
         return 0.0
-    if g(Fraction(1)) == 0:
-        best = Fraction(1)
-    else:
-        best = None
-    cauchy = Fraction(1) + max(abs(c) for c in g.coeffs[:-1]) / abs(g.coeffs[-1])
-    for left, right in isolate_positive_roots(g, Fraction(1), cauchy + 1):
-        if best is None or right > best:
-            best = right
-    if best is None or best < 1:
-        return 0.0
-    return math.log(float(best))
+    if g[-1] < 0:
+        g = [-c for c in g]
+    cauchy = 1 + Fraction(max(abs(c) for c in g[:-1]), g[-1])  # bounds every root
+    # a root at x = 1 itself, outside the open interval, would give ln 1 = 0.0
+    tops = [right for _, right in isolate_positive_roots(g, Fraction(1), cauchy + 1)]
+    return math.log(float(max(tops))) if tops else 0.0
 
 
 # --- operator norms of inverse submatrices, exactly bounded -----------------
@@ -478,8 +452,8 @@ def _min_eigenvalue_lower(gram):
     test eliminates the integer matrix den * 2^k * G - numerator(mu) * I.
     """
     n = len(gram)
-    den = math.lcm(*(g.denominator for row in gram for g in row))
-    g_int = [[g.numerator * (den // g.denominator) for g in row] for row in gram]
+    den, flat = clear_denominators([g for row in gram for g in row])
+    g_int = [flat[i : i + n] for i in range(0, n * n, n)]
     lo, hi = 0, sum(g_int[i][i] for i in range(n)) + den  # trace bounds every eigenvalue
     scale = 1
     # invariant: G - (lo / (den * scale)) I is positive definite or lo = 0,
@@ -536,12 +510,13 @@ def high_freq_constants(family):
     if not check_independence(family):
         raise ValueError("family is not independent together with constants")
     m, n = family.m, family.n
-    alpha = vandermonde_interpolation("ones", n)
-    H = _up(max(abs(a) for a in alpha))
     beta = []
     for ell in range(1, n + 1):
         target = [Fraction(1) if j == ell else Fraction(0) for j in range(1, n + 1)]
         beta.append(vandermonde_interpolation(target, n))
+    # V beta_l = e_l, so V (sum_l beta_l) = (1, ..., 1): alpha, exactly
+    alpha = tuple(sum(col) for col in zip(*beta))
+    H = _up(max(abs(a) for a in alpha))
     H_prime = _up(max(abs(b) for row in beta for b in row))
     rows = family.coefficient_matrix()
     aprime = [r[1:] for r in rows]  # drop the constant column

@@ -46,6 +46,7 @@ import numpy as np
 
 from .polycore import (
     RationalPoly,
+    clear_denominators,
     compute_a0_real,
     high_freq_constants,
     isolate_positive_roots,
@@ -103,7 +104,6 @@ class WitnessInterval:
     hi: float
     k: int  # |Phi^(k)| >= eta on [lo, hi]
     eta: float
-    dphi_monotone: bool
 
 
 @dataclass(frozen=True)
@@ -253,8 +253,7 @@ class _PhaseTable:
     __slots__ = ("scaled", "js", "coef", "_js", "_coef")
 
     def __init__(self, phi):
-        den = math.lcm(*(c.denominator for c in phi.coeffs))
-        self.scaled = [c.numerator * (den // c.denominator) for c in phi.coeffs]
+        den, self.scaled = clear_denominators(phi.coeffs)
         terms = [(j, n) for j, n in enumerate(self.scaled) if n]
         self._js = [float(j) for j, _ in terms]
         # int / int is correctly rounded: the bits of float(c_j * j**k)
@@ -454,6 +453,14 @@ def osc_integral(phi, a, T, tol_abs):
     return total, err
 
 
+def check_window_real(family, window):
+    """Raise ValueError unless the Window starts above the family's a0, the
+    top common zero of its components in t (see compute_a0_real)."""
+    a0 = compute_a0_real(family)
+    if not window.a > a0:
+        raise ValueError(f"window start {window.a} must exceed a0 = {a0}")
+
+
 def mu_hat_real_with_error(family, window, lam, tol=1e-9):
     """Normalized transform (1/(T-a)) int_a^T cos(2*pi*Phi) dt within tol,
     as (value, error_estimate).
@@ -466,9 +473,7 @@ def mu_hat_real_with_error(family, window, lam, tol=1e-9):
     window = _as_window(window)
     if not (0 < tol <= 1e-3):
         raise ValueError("tol must lie in (0, 1e-3]")
-    a0 = compute_a0_real(family)
-    if not window.a > a0:
-        raise ValueError(f"window start {window.a} must exceed a0 = {a0}")
+    check_window_real(family, window)
     phi = phi_from_frequency(family, lam)
     value, err = osc_integral(phi, window.a, window.T, tol * window.length)
     if err > tol * window.length * 1.5:
@@ -535,7 +540,7 @@ def superlevel_decompose(phi, M, window):
         lo_t = max(window.a, math.log(float(left))) if left > 0 else window.a
         hi_t = min(window.T, math.log(float(right)))
         if hi_t > lo_t:
-            intervals.append(WitnessInterval(lo_t, hi_t, 0, float(M), True))
+            intervals.append(WitnessInterval(lo_t, hi_t, 0, float(M)))
     if len(intervals) > 3 * max(n, 1):
         raise ArithmeticError("superlevel interval count exceeded the 3n cap")
     return IntervalDecomposition(tuple(intervals))
@@ -592,7 +597,7 @@ def witness_intervals(phi, k, eta, window):
         knots = [iv.lo] + inner + [iv.hi]
         for lo, hi in zip(knots, knots[1:]):
             if hi > lo:
-                out.append(WitnessInterval(lo, hi, k, float(eta), True))
+                out.append(WitnessInterval(lo, hi, k, float(eta)))
     return IntervalDecomposition(tuple(out))
 
 

@@ -88,17 +88,6 @@ class PipelineConsistencyError(RuntimeError):
         self.diagnostics = diagnostics
 
 
-class _Budget:
-    def __init__(self, limit):
-        self.limit = limit
-        self.used = 0
-
-    def take(self):
-        if self.used >= self.limit:
-            raise _BudgetExhausted
-        self.used += 1
-
-
 class _BudgetExhausted(Exception):
     pass
 
@@ -145,9 +134,9 @@ def _sign_canonical(lam):
     return lam
 
 
-def _compass_search(evaluate, lam, val, record):
-    """Coordinate pattern search with shrinking steps; mutates nothing,
-    returns the best (lambda, value) reached."""
+def _compass_search(evaluate, lam, val):
+    """Coordinate pattern search with shrinking steps from (lam, val);
+    yields each (lambda, value) it moves to, every one better than the last."""
     lam = [Fraction(x) for x in lam]
     step = [abs(x) * Fraction(3, 4) if x != 0 else Fraction(1, 10**6) for x in lam]
     for _ in range(_COMPASS_ITERS):
@@ -165,8 +154,22 @@ def _compass_search(evaluate, lam, val, record):
                 break
         else:
             lam, val = best_cand, best_val
-            record(tuple(lam), val)
-    return tuple(lam), val
+            yield tuple(lam), val
+
+
+def _real_candidates(evaluate, m, seed):
+    """The real search as a stream of (stage, lambda, value): every cell of
+    the shuffled grid's first _GRID_STAGE, then each move of the compass
+    searches started from the _N_STARTS best of them."""
+    scored = []
+    for lam in itertools.islice(_grid_stream(_real_axis_values(), m, random.Random(seed)), _GRID_STAGE):
+        v = evaluate(lam)
+        yield "grid", lam, v
+        scored.append((v, lam))
+    scored.sort(key=lambda t: t[0])
+    for v, lam in scored[:_N_STARTS]:
+        for moved, val in _compass_search(evaluate, lam, v):
+            yield "refine", moved, val
 
 
 def _padic_axis_values(p):
@@ -196,47 +199,51 @@ def minimize_mu_hat(family, window, budget=None, seed=0, tol=1e-6):
     monotone non-increasing in the budget.  The result is an upper bound
     on the true infimum, never a certificate.
 
-    The transform is even, mu_hat(lam) = mu_hat(-lam) to the bit (the
-    tests assert it), so the real search caches each value under the
-    sign-canonical lam (first nonzero component positive) and reuses it for
-    -lam.  There `evaluations` and the budget count distinct sign-canonical
-    transforms; over the p-adic lattice they count lattice cells.  Raises
-    ValueError if every evaluated candidate failed.
+    Both transforms are even, mu_hat(lam) = mu_hat(-lam) to the bit (the
+    tests assert it), so every value is cached under the sign-canonical lam
+    (first nonzero component positive) and reused for -lam; `evaluations`
+    and the budget count the cached, distinct sign-canonical transforms.
+    No lattice coordinate is negative, so every cell is its own key, the
+    p-adic cache never hits, and each cell counts once.  Only a real
+    candidate may fail: its QuadratureError or ArithmeticError is cached as
+    inf.  Raises ValueError if every evaluated candidate failed.
 
-    The lattice holds no cell together with its mirror, so the p-adic
-    search caches no values; it shares the descent instead.  Its cells
-    reduce, modulo Z_p[u], to far fewer unit-ball averages than they visit,
-    so one memo (see padic.mu_hat_padic) is created per call, passed to
-    every cell's transform and dropped on return.  Each cell is still one
-    transform call, and its value is exactly what a call with its own memo
-    gives.
+    The p-adic search shares the descent as well.  Its cells reduce, modulo
+    Z_p[u], to far fewer unit-ball averages than they visit, so one memo
+    (see padic.mu_hat_padic) is created per call, passed to every cell's
+    transform and dropped on return.  Each cell is still one transform
+    call, and its value is exactly what a call with its own memo gives.
     """
     if not 0 < tol <= 1e-3:
         raise ValueError("tol must lie in (0, 1e-3]")
-    padic = isinstance(window, PadicWindow)
-    if padic:
-        w, axis = window, _padic_axis_values(window.p)
-    else:
-        w, axis = _as_window(window), _real_axis_values()
-    if budget is None:
-        budget = len(axis) ** family.m if padic else 10_000
-    if isinstance(budget, bool) or budget % 1 != 0:
-        raise ValueError(f"budget must be an integer; got {budget!r}")
-    if budget < 1:
-        raise ValueError("budget must allow at least one evaluation")
-
-    best_lam, best_val = None, math.inf
-    trace = []
     cache = {}
-    counter = _Budget(budget)
 
-    def record(lam, val):
-        nonlocal best_lam, best_val
-        if val < best_val:
-            best_lam, best_val = lam, val
-            trace.append((stage, lam, val))
+    def evaluate(lam):
+        key = _sign_canonical(lam)
+        v = cache.get(key)
+        if v is None:
+            if len(cache) >= budget:
+                raise _BudgetExhausted
+            v = cache[key] = transform(lam)
+        return v
 
-    if not padic:
+    if isinstance(window, PadicWindow):
+        axis, descents = _padic_axis_values(window.p), {}  # descents: shared by every cell
+        grid_spec = {
+            "field": f"padic:{window.p}",
+            "axes": family.m,
+            "valuation_range": [_VAL_LO, _VAL_HI],
+            "unit_modulus": window.p * window.p,
+            "includes_zero": True,
+        }
+
+        def transform(lam):
+            return float(mu_hat_padic(family, window, lam, memo=descents))
+
+        stream = (("lattice", cell, evaluate(cell)) for cell in itertools.product(axis, repeat=family.m))
+        budget = len(axis) ** family.m if budget is None else budget
+    else:
+        w = _as_window(window)
         grid_spec = {
             "field": "real",
             "axes": family.m,
@@ -246,62 +253,36 @@ def minimize_mu_hat(family, window, budget=None, seed=0, tol=1e-6):
             "includes_zero": True,
         }
 
-        def evaluate(lam):
-            key = _sign_canonical(lam)
-            if key in cache:
-                return cache[key]
-            counter.take()
+        def transform(lam):
             try:
-                v = mu_hat_real(family, w, lam, tol=tol)
+                return mu_hat_real(family, w, lam, tol=tol)
             except (QuadratureError, ArithmeticError):
-                v = math.inf  # unusable candidate; keep searching elsewhere
-            cache[key] = v
-            return v
+                return math.inf  # unusable candidate; keep searching elsewhere
 
-        partial = True
-        stage = "grid"
-        try:
-            rng = random.Random(seed)
-            scored = []
-            for lam in itertools.islice(_grid_stream(axis, family.m, rng), _GRID_STAGE):
-                v = evaluate(lam)
-                record(lam, v)
-                scored.append((v, lam))
-            scored.sort(key=lambda t: t[0])
-            stage = "refine"
-            for v, lam in scored[:_N_STARTS]:
-                _compass_search(evaluate, lam, v, record)
-            partial = False
-        except _BudgetExhausted:
-            pass
-    else:
-        descents = {}  # unit-ball averages shared by every cell of this run
-        grid_spec = {
-            "field": f"padic:{w.p}",
-            "axes": family.m,
-            "valuation_range": [_VAL_LO, _VAL_HI],
-            "unit_modulus": w.p * w.p,
-            "includes_zero": True,
-        }
-        partial = True
-        stage = "lattice"
-        try:
-            for cell in itertools.product(axis, repeat=family.m):
-                counter.take()
-                v = float(mu_hat_padic(family, w, cell, memo=descents))
-                record(cell, v)
-            partial = False
-        except _BudgetExhausted:
-            pass
+        stream = _real_candidates(evaluate, family.m, seed)
+        budget = 10_000 if budget is None else budget
+    if isinstance(budget, bool) or budget % 1 != 0:
+        raise ValueError(f"budget must be an integer; got {budget!r}")
+    if budget < 1:
+        raise ValueError("budget must allow at least one evaluation")
 
+    best_lam, best_val, trace, partial = None, math.inf, [], True
+    try:
+        for stage, lam, val in stream:
+            if val < best_val:
+                best_lam, best_val = lam, val
+                trace.append((stage, lam, val))
+        partial = False
+    except _BudgetExhausted:
+        pass
     if best_lam is None:
-        raise ValueError(f"all {counter.used} evaluated candidates failed with QuadratureError or ArithmeticError")
+        raise ValueError(f"all {len(cache)} evaluated candidates failed with QuadratureError or ArithmeticError")
     return MinimizationReport(
         best_lambda=best_lam,
         best_value=best_val,
         grid_spec=grid_spec,
         trace=tuple(trace),
-        evaluations=counter.used,
+        evaluations=len(cache),
         partial=partial,
     )
 

@@ -155,14 +155,25 @@ def _poly_divmod(a, b):
     return q, rem
 
 
+def poly_gcd(a, b):
+    """A gcd of two coefficient lists over Q (ascending), by Euclid's
+    algorithm in Fractions; not normalized."""
+    a, b = _trim(a), _trim(b)
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return a
+
+
+def squarefree_part(p):
+    """p / gcd(p, p') for a nonconstant coefficient list p over Q."""
+    p = _trim(p)
+    g = poly_gcd(p, [i * c for i, c in enumerate(p)][1:])
+    return _poly_divmod(p, g)[0] if len(g) > 1 else p
+
+
 def _squarefree_sturm_chain(p):
     """Fraction Sturm chain of the squarefree part of a nonconstant p."""
-    deriv = [i * c for i, c in enumerate(p)][1:]
-    g, h = p, deriv
-    while h:
-        g, h = h, _poly_divmod(g, h)[1]
-    if len(g) > 1:
-        p = _poly_divmod(p, g)[0]
+    p = squarefree_part(p)
     chain = [p, [i * c for i, c in enumerate(p)][1:]]
     while len(chain[-1]) > 1:
         rem = _poly_divmod(chain[-2], chain[-1])[1]

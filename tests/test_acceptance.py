@@ -198,7 +198,7 @@ def test_criterion_06_certified_real_floor():
 def test_criterion_07_interpolation_identities():
     t0 = time.monotonic()
     for n in range(1, 13):
-        alpha = vandermonde_interpolation("ones", n)
+        alpha = vandermonde_interpolation([1] * n, n)
         for j in range(1, n + 1):
             assert sum(c * j**k for k, c in enumerate(alpha, start=1)) == 1
         for ell in range(1, n + 1):
@@ -219,7 +219,7 @@ def test_criterion_07_interpolation_identities():
             sum(float(c) * j**k * math.exp(j * t) for j, c in enumerate(lam, start=1))
             for k in range(1, n + 1)
         ]
-        alpha = vandermonde_interpolation("ones", n)
+        alpha = vandermonde_interpolation([1] * n, n)
         phi_t = sum(float(c) * math.exp(j * t) for j, c in enumerate(lam, start=1))
         rebuilt = sum(float(a) * d for a, d in zip(alpha, derivs))
         assert abs(rebuilt - phi_t) <= 1e-8

@@ -190,6 +190,44 @@ def test_window_must_be_a_list_of_two_bounds():
                 assert "two bounds" in payload["detail"] and repr(window) in payload["detail"], payload
 
 
+def test_lambda_must_be_a_list_of_m_rationals():
+    # "12" is never unpacked into the frequency (1, 2), nor into two samples
+    cases = (
+        {"family": FAMILY, "window": [1, 2], "lambda": "12"},
+        {"family": [["0", "1"]], "window": [1, 2], "lambdas": "12"},
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        for cfg in cases:
+            code, _, payload = _run(["muhat", _write_config(tmp, "l.json", cfg)])
+            assert code == 1 and payload["error"] == "ValueError", (cfg, payload)
+
+
+def test_json_booleans_are_not_rationals():
+    # [[false, true], [0, 0, true]] is not (x, x^2), nor [true, false] the frequency (1, 0)
+    cases = (
+        ("certify", {"family": [[False, True], [0, 0, True]], "window": [1, 2]}),
+        ("muhat", {"family": FAMILY, "window": [1, 2], "lambda": [True, False]}),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        for command, cfg in cases:
+            code, _, payload = _run([command, _write_config(tmp, "b.json", cfg)])
+            assert code == 1, (command, cfg, payload)
+
+
+def test_certify_enforces_the_window_start():
+    # (x-2, x^2-4) has a0 = ln 2; (x^2 + x/9) at p = 3 has essential part 2
+    cases = (
+        {"family": [["-2", "1"], ["-4", "0", "1"]], "window": [0.1, 3]},
+        {"family": [["0", "1/9", "1"]], "window": [1, 4], "field": {"padic": 3}},
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        for cfg in cases:
+            path = _write_config(tmp, "w.json", {**cfg, "lambda": ["1"] * len(cfg["family"])})
+            for command in ("certify", "muhat"):
+                code, _, payload = _run([command, path])
+                assert code == 1 and "must exceed" in payload["detail"], (command, cfg, payload)
+
+
 def test_reports_are_byte_identical_for_same_config_and_seed():
     with tempfile.TemporaryDirectory() as tmp:
         path = _write_config(

@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 from oracles import (
     det_fraction,
     min_eigenvalue_lower_charpoly,
+    poly_gcd,
     poly_real_roots,
     rank_fraction,
     solve_fraction,
+    squarefree_part,
     sturm_isolate,
 )
 
@@ -53,6 +55,13 @@ def test_parse_rational_forms():
             pass
         else:
             raise AssertionError(f"parse_rational accepted {bad!r}")
+    for flag in (True, False):  # JSON true is not 1
+        try:
+            parse_rational(flag)
+        except TypeError:
+            pass
+        else:
+            raise AssertionError(f"parse_rational accepted {flag!r}")
 
 
 def test_rational_poly_arithmetic():
@@ -62,22 +71,20 @@ def test_rational_poly_arithmetic():
     assert one_plus + one_minus == RationalPoly([2])
     assert (one_plus - one_plus).is_zero()
     cubic = RationalPoly([-1, 0, 0, 1])  # x^3 - 1
-    q, r = cubic.divmod(RationalPoly([-1, 1]))
-    assert q == RationalPoly([1, 1, 1]) and r.is_zero()
+    assert RationalPoly([-1, 1]) * RationalPoly([1, 1, 1]) == cubic
     assert cubic(Fraction(2)) == Fraction(7)
-    assert cubic.derivative() == RationalPoly([0, 0, 3])
+    assert cubic * Fraction(1, 2) == RationalPoly(["-1/2", 0, 0, "1/2"])
 
 
 def test_rational_poly_gcd_squarefree_compose():
+    # the common factor x - 2 of (x-2)(x^2+1) and (x-2)x puts a0 at ln 2
+    x_minus_2 = RationalPoly([-2, 1])
+    fam = CurveFamily([x_minus_2 * RationalPoly([1, 0, 1]), x_minus_2 * RationalPoly([0, 1])])
+    assert abs(compute_a0_real(fam) - math.log(2)) < 1e-11
     x_minus_1 = RationalPoly([-1, 1])
-    p = x_minus_1 * RationalPoly([1, 0, 1])  # (x-1)(x^2+1)
-    q = x_minus_1 * RationalPoly([0, 1])  # (x-1) x
-    g = p.gcd(q)
-    assert g == x_minus_1  # gcd is returned monic
-    doubled = x_minus_1 * x_minus_1 * RationalPoly([2, 1])
-    sf = doubled.divmod(doubled.gcd(doubled.derivative()))[0]  # the squarefree part
-    assert sf.degree == 2
-    assert sf(Fraction(1)) == 0 and sf(Fraction(-2)) == 0
+    doubled = x_minus_1 * x_minus_1 * RationalPoly([2, 1]) * Fraction(3, 5)
+    sf = polycore._squarefree_chain(polycore.clear_denominators(doubled.coeffs)[1])[0]
+    assert sf in ([-2, 1, 1], [2, -1, -1])  # (x-1)(x+2), primitive
     # p(c + d*x) agrees with direct evaluation
     rng = random.Random(7)
     for _ in range(20):
@@ -85,18 +92,6 @@ def test_rational_poly_gcd_squarefree_compose():
         poly = RationalPoly(coeffs)
         c, d, x = (_random_rational(rng) for _ in range(3))
         assert poly.compose_linear(c, d)(x) == poly(c + d * x)
-
-
-def test_divmod_random_reconstruction():
-    rng = random.Random(11)
-    for _ in range(40):
-        a = RationalPoly([_random_rational(rng) for _ in range(rng.randint(1, 7))])
-        b = RationalPoly([_random_rational(rng) for _ in range(rng.randint(1, 4))])
-        if b.is_zero():
-            continue
-        q, r = a.divmod(b)
-        assert q * b + r == a
-        assert r.is_zero() or r.degree < b.degree
 
 
 def test_isolate_positive_roots_examples():
@@ -117,8 +112,7 @@ def test_isolate_positive_roots_random():
         if poly.degree < 1:
             continue
         got = isolate_positive_roots(poly, Fraction(1, 100), 20)
-        squarefree = poly.divmod(poly.gcd(poly.derivative()))[0]
-        expected = poly_real_roots(squarefree.coeffs, 0.01, 20.0)
+        expected = poly_real_roots(squarefree_part(poly.coeffs), 0.01, 20.0)
         assert len(got) == len(expected), (coeffs, got, expected)
         for (lo, hi), root in zip(got, expected):
             assert float(lo) - 1e-9 <= root <= float(hi) + 1e-9
@@ -339,7 +333,8 @@ def test_t_derivative_is_euler_operator(coeffs, k):
     g = RationalPoly(coeffs)
     x = RationalPoly([0, 1])
     assert g.t_derivative(0) == g
-    assert g.t_derivative(k) == x * g.t_derivative(k - 1).derivative()
+    prev = g.t_derivative(k - 1).coeffs
+    assert g.t_derivative(k) == x * RationalPoly([j * c for j, c in enumerate(prev)][1:] or [0])
     t = 0.37
     want = sum(float(c) * j**k * math.exp(j * t) for j, c in enumerate(g.coeffs))
     assert abs(g.t_derivative(k)(math.exp(t)) - want) <= 1e-12 * (1 + abs(want))
@@ -386,15 +381,15 @@ def test_phi_from_frequency():
 
 
 def test_vandermonde_examples():
-    assert vandermonde_interpolation("ones", 1) == (Fraction(1),)
-    assert vandermonde_interpolation("ones", 2) == (Fraction(3, 2), Fraction(-1, 2))
+    assert vandermonde_interpolation([1], 1) == (Fraction(1),)
+    assert vandermonde_interpolation([1, 1], 2) == (Fraction(3, 2), Fraction(-1, 2))
     assert vandermonde_interpolation((0, 1), 2) == (Fraction(-1, 2), Fraction(1, 2))
 
 
 def test_vandermonde_exact_all_n():
     # all-ones and every Kronecker-delta target, n = 1..12, zero tolerance
     for n in range(1, 13):
-        alpha = vandermonde_interpolation("ones", n)
+        alpha = vandermonde_interpolation([1] * n, n)
         for j in range(1, n + 1):
             assert sum(c * j**k for k, c in enumerate(alpha, start=1)) == 1
         for ell in range(1, n + 1):
@@ -434,6 +429,57 @@ def test_compute_a0_real_once_per_family(monkeypatch):
     first = compute_a0_real(fam)
     assert abs(first - math.log(3)) < 1e-9 and len(calls) == 1
     assert compute_a0_real(fam) == first and len(calls) == 1
+
+
+def _a0_oracle(components):
+    """a0 from a Fraction gcd: the monic gcd of the components, then its top
+    root in [1, cauchy + 1) through the same isolate_positive_roots."""
+    g = components[0]
+    for c in components[1:]:
+        g = poly_gcd(g, c)
+    if len(g) < 2:
+        return 0.0
+    g = [c / g[-1] for c in g]
+    best = Fraction(1) if sum(g) == 0 else None
+    cauchy = 1 + max(abs(c) for c in g[:-1])
+    for _, right in isolate_positive_roots(RationalPoly(g), Fraction(1), cauchy + 1):
+        if best is None or right > best:
+            best = right
+    return 0.0 if best is None else math.log(float(best))
+
+
+@st.composite
+def _planted_components(draw):
+    """1-3 components sharing a planted factor: rational roots above, below
+    and at 1, each possibly repeated, and possibly x^2 - 3 (root sqrt 3);
+    each component is that factor times a random cofactor."""
+    common = [Fraction(draw(st.integers(1, 5)) * draw(st.sampled_from((1, -1))), draw(st.integers(1, 4)))]
+    root = st.one_of(st.just(Fraction(1)), st.builds(Fraction, st.integers(-20, 40), st.integers(1, 9)))
+    for r in draw(st.lists(root, max_size=3)):
+        for _ in range(draw(st.integers(1, 2))):
+            common = _times(common, [-r, Fraction(1)])
+    if draw(st.booleans()):
+        common = _times(common, [Fraction(-3), Fraction(0), Fraction(1)])
+    entry = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    lead = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+    components = []
+    for _ in range(draw(st.integers(1, 3))):
+        cofactor = draw(st.lists(entry, min_size=0 if len(common) > 1 else 1, max_size=3)) + [draw(lead)]
+        components.append(_times(common, cofactor))
+    return components
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_planted_components())
+def test_a0_matches_fraction_gcd_oracle(components):
+    fam = CurveFamily([RationalPoly(c) for c in components])
+    assert compute_a0_real(fam) == _a0_oracle(components)
+
+
+def test_alpha_is_the_sum_of_the_unit_solutions():
+    for n in range(1, 9):
+        fam = CurveFamily([RationalPoly([0] * n + [1])])
+        assert high_freq_constants(fam).alpha == vandermonde_interpolation([1] * n, n)
 
 
 def test_high_freq_constants_identity_family():
