@@ -140,6 +140,8 @@ def _row_of(value, size, message):
 def _lambdas_of(cfg, m):
     if "lambdas" in cfg:
         rows = cfg["lambdas"]
+        if not isinstance(rows, list) or not rows:
+            raise ValueError(f"'lambdas' must be a non-empty list of frequencies; got {rows!r}")
     elif "lambda" in cfg:
         rows = [cfg["lambda"]]
     else:

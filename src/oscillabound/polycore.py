@@ -285,7 +285,10 @@ def isolate_positive_roots(poly, lo, hi):
 
 class CurveFamily:
     """A tuple of nonconstant rational polynomials f_1..f_m defining the curve
-    t -> (f_1(e^t), ..., f_m(e^t))."""
+    t -> (f_1(e^t), ..., f_m(e^t)).
+
+    The denominators of every coefficient are cleared once, at construction,
+    into one common den and an integer matrix, read by phase_integers."""
 
     def __init__(self, polys):
         ps = []
@@ -299,6 +302,9 @@ class CurveFamily:
             raise ValueError("empty curve family")
         self.polys = tuple(ps)
         self._a0_real = None  # filled in by compute_a0_real
+        self._den, flat = clear_denominators([c for row in self.coefficient_matrix() for c in row])
+        # column j holds den * (coefficient of x^j) of every component
+        self._columns = [flat[j :: self.n + 1] for j in range(self.n + 1)]
 
     @property
     def m(self):
@@ -366,20 +372,27 @@ def check_independence(family):
     return len(_bareiss(aug)[2]) == family.m + 1
 
 
-def phi_from_frequency(family, lam):
-    """The phase polynomial g = sum_i lam_i f_i (exact).  Over R the phase is
-    Phi(t) = g(e^t); over Q_p it is g itself."""
+def phase_integers(family, lam):
+    """The phase polynomial g = sum_i lam_i f_i as (den, ints): den > 0 and
+    ints[j] = den * g_j, exact integers, for j = 0..n.
+
+    den = L * den_f, with L the lcm of the denominators of lam and den_f the
+    family's own (see CurveFamily), so ints[j] = sum_i (L lam_i) (den_f
+    f_ij) needs no Fraction.  den need not be minimal: ints is then a
+    positive multiple of the reduced integer vector, which gives the same
+    quotients ints[j] / den and the same signs."""
     lam = [parse_rational(v) for v in lam]
     if len(lam) != family.m:
         raise ValueError(f"frequency has {len(lam)} components, family has {family.m}")
-    coeffs = [Fraction(0)] * (family.n + 1)
-    for lv, p in zip(lam, family.polys):
-        if lv == 0:
-            continue
-        for j, c in enumerate(p.coeffs):
-            if c != 0:
-                coeffs[j] += lv * c
-    return RationalPoly(coeffs)
+    big_l, nums = clear_denominators(lam)
+    return big_l * family._den, [sum(map(operator.mul, nums, col)) for col in family._columns]
+
+
+def phi_from_frequency(family, lam):
+    """The phase polynomial g = sum_i lam_i f_i (exact), from phase_integers.
+    Over R the phase is Phi(t) = g(e^t); over Q_p it is g itself."""
+    den, ints = phase_integers(family, lam)
+    return RationalPoly(Fraction(n, den) for n in ints)
 
 
 def _solve(mat, rhs):

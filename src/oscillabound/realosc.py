@@ -27,14 +27,19 @@ the error estimate, and Omega is grown until that charge fits the tolerance.
 This evaluates frequencies with |lambda| ~ 1e6 (phase counts ~ 1e60) at
 fixed cost.
 
-Phase data.  Every Phi^(k) comes from one integer vector: the denominators
-of g are cleared once per transform, scaled = den * g, and den * Phi^(k) has
-the coefficients j^k * scaled[j].  Root isolation takes the integer Phi' and
-Phi'' as they are; the float table holds the quotients j^k * scaled[j] / den,
-each correctly rounded from the exact rational.  Error state: osc_integral
-enters np.errstate(over="ignore") once per piece, and every read of the
-table happens inside that scope, since past the float range exp(j*t) reads
-inf; the quadrature loop keeps its own, wider scope.
+Phase data.  Every Phi^(k) comes from one integer vector: the transform
+takes g as the pair (den, scaled) of polycore.phase_integers, with
+scaled = den * g built from the family's integer matrix without a Fraction,
+and den * Phi^(k) has the coefficients j^k * scaled[j].  Root isolation
+takes the integer Phi' and Phi'' as they are; the float table holds the
+quotients j^k * scaled[j] / den, each correctly rounded from the exact
+rational, so a den that is not minimal changes no bit.  The scalar reads
+(Phi' in the t_star bisection, Phi to Phi''' at an IBP boundary) add their
+terms left to right from int 0 in plain loops over rows built once per
+table.  Error state: osc_integral enters np.errstate(over="ignore") once
+per piece, and every read of the table happens inside that scope, since
+past the float range exp(j*t) reads inf; the quadrature loop keeps its own,
+wider scope.
 """
 
 import functools
@@ -51,7 +56,7 @@ from .polycore import (
     high_freq_constants,
     isolate_positive_roots,
     parse_rational,
-    phi_from_frequency,
+    phase_integers,
 )
 
 LOW = "low"
@@ -64,6 +69,7 @@ _CC_N = 16
 _BATCH = 32  # panels evaluated together by _adaptive_cc
 _EPS = 2.3e-16  # float64 phase-evaluation granularity
 _SPOT_POINTS = 32  # interior samples per interval in IntervalDecomposition.spot_check
+_exp = math.exp  # one global lookup per term in _PhaseTable.slope's loop
 
 
 class QuadratureError(RuntimeError):
@@ -239,25 +245,34 @@ def _adaptive_cc(values_at, lo, hi, tol_abs, phase_at=None, rel=0.0):
 # --- piecewise oscillatory integration --------------------------------------
 
 
+def _phase_pair(phase):
+    """(den, scaled) with scaled[j] = den * g_j, exact integers, for a phase
+    polynomial g given as a RationalPoly or already as that pair (see
+    polycore.phase_integers)."""
+    return clear_denominators(phase.coeffs) if isinstance(phase, RationalPoly) else phase
+
+
 class _PhaseTable:
     """Float coefficients of Phi, Phi', ..., Phi'''' for one transform.
 
-    The denominators of g are cleared once: scaled[j] = den * c_j is an
-    integer, so den * Phi^(k) has the integer coefficients j^k * scaled[j].
-    Row k holds j^k * scaled[j] / den for the nonzero terms, ascending, and
-    every evaluation shares one table of exp(j*t) across the rows it reads.
-    Zero terms stay out: 0 * inf from an overflowed exp would be NaN.  Past
-    the float range exp reads inf, and the caller's np.errstate scope (see
+    phase is a RationalPoly g or the pair (den, scaled) of
+    polycore.phase_integers: scaled[j] = den * g_j is an integer, so
+    den * Phi^(k) has the integer coefficients j^k * scaled[j].  Row k holds
+    j^k * scaled[j] / den for the nonzero terms, ascending, and every
+    evaluation shares one table of exp(j*t) across the rows it reads.  Zero
+    terms stay out: 0 * inf from an overflowed exp would be NaN.  Past the
+    float range exp reads inf, and the caller's np.errstate scope (see
     osc_integral) keeps numpy quiet about it."""
 
-    __slots__ = ("scaled", "js", "coef", "_js", "_coef")
+    __slots__ = ("scaled", "js", "coef", "_js", "_coef", "_slope")
 
-    def __init__(self, phi):
-        den, self.scaled = clear_denominators(phi.coeffs)
+    def __init__(self, phase):
+        den, self.scaled = _phase_pair(phase)
         terms = [(j, n) for j, n in enumerate(self.scaled) if n]
         self._js = [float(j) for j, _ in terms]
         # int / int is correctly rounded: the bits of float(c_j * j**k)
         self._coef = [[(n * j**k) / den for j, n in terms] for k in range(5)]
+        self._slope = tuple(zip(self._coef[1], self._js))
         self.js = np.array(self._js)
         self.coef = np.array(self._coef)
 
@@ -280,14 +295,27 @@ class _PhaseTable:
             return np.exp(self.js * t).tolist()
 
     def derivs(self, t):
-        """Phi^(k)(t) for k < 4 at one point."""
+        """Phi^(k)(t) for k < 4 at one point, each row's terms added left to
+        right from int 0."""
         powers = self._powers(t)
-        return [sum(c * x for c, x in zip(row, powers)) for row in self._coef[:4]]
+        out = []
+        for row in self._coef[:4]:
+            acc = 0
+            for c, x in zip(row, powers):
+                acc += c * x
+            out.append(acc)
+        return out
 
     def slope(self, t):
         """Phi'(t) alone, summed term by term as derivs sums it, so the
         bits agree with derivs(t)[1]."""
-        return sum(c * x for c, x in zip(self._coef[1], self._powers(t)))
+        acc = 0
+        try:
+            for c, j in self._slope:
+                acc += c * _exp(j * t)
+        except OverflowError:  # past the float range: derivs reads numpy's inf
+            return self.derivs(t)[1]
+        return acc
 
 
 @functools.lru_cache(maxsize=64)
@@ -424,12 +452,16 @@ def _integrate_piece(table, c, d, tol_piece):
     raise QuadratureError("IBP remainder failed to stabilize", partial=None, error=None)
 
 
-def osc_integral(phi, a, T, tol_abs):
-    """int_a^T exp(2*pi*i*Phi(t)) dt with an error estimate <= tol_abs."""
-    if phi.degree <= 0:
-        c0 = float(phi(0))
+def osc_integral(phase, a, T, tol_abs):
+    """int_a^T exp(2*pi*i*Phi(t)) dt with an error estimate <= tol_abs, for
+    Phi(t) = g(e^t) with g a RationalPoly or the pair (den, scaled) of
+    polycore.phase_integers (the transform passes the pair)."""
+    den, scaled = _phase_pair(phase)
+    if not any(scaled[1:]):
+        # the same float as float(g(0)): int / int is correctly rounded
+        c0 = scaled[0] / den if scaled else 0.0
         return complex(math.cos(math.tau * c0), math.sin(math.tau * c0)) * (T - a), 0.0
-    table = _PhaseTable(phi)
+    table = _PhaseTable((den, scaled))
     cuts = _breakpoints(table.scaled, a, T)
     knots = [a] + cuts + [T]
     total = 0.0 + 0.0j
@@ -465,17 +497,17 @@ def mu_hat_real_with_error(family, window, lam, tol=1e-9):
     """Normalized transform (1/(T-a)) int_a^T cos(2*pi*Phi) dt within tol,
     as (value, error_estimate).
 
-    Phi(t) = g(e^t) with g = sum_i lam_i f_i; exact rational phase
-    construction, then the piecewise oscillatory integrator above.  Raises ValueError unless
-    0 < tol <= 1e-3 and the window starts above a0, and QuadratureError
-    (with the partial estimate attached) if refinement cannot reach tol.
+    Phi(t) = g(e^t) with g = sum_i lam_i f_i; exact integer phase
+    construction (phase_integers), then the piecewise oscillatory
+    integrator above.  Raises ValueError unless 0 < tol <= 1e-3 and the
+    window starts above a0, and QuadratureError (with the partial estimate
+    attached) if refinement cannot reach tol.
     """
     window = _as_window(window)
     if not (0 < tol <= 1e-3):
         raise ValueError("tol must lie in (0, 1e-3]")
     check_window_real(family, window)
-    phi = phi_from_frequency(family, lam)
-    value, err = osc_integral(phi, window.a, window.T, tol * window.length)
+    value, err = osc_integral(phase_integers(family, lam), window.a, window.T, tol * window.length)
     if err > tol * window.length * 1.5:
         raise QuadratureError("requested tolerance not reached", partial=value, error=err)
     mu = value.real / window.length

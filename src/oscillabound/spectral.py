@@ -126,12 +126,17 @@ def _grid_stream(axis_values, m, rng):
         yield tuple(axis_values[i] for i in cell)
 
 
-def _sign_canonical(lam):
-    """lam or -lam, whichever has its first nonzero component positive."""
-    for x in lam:
-        if x != 0:
-            return lam if x > 0 else tuple(-v for v in lam)
-    return lam
+def _cache_key(lam):
+    """The (numerator, denominator) pairs of lam or -lam, whichever has its
+    first nonzero component positive, with the sign read off the integer
+    numerators.  A Fraction is kept in lowest terms with a positive
+    denominator, so two frequencies share a key iff they are equal or
+    opposite, and hashing ints costs no modular inverse."""
+    pairs = [(x.numerator, x.denominator) for x in lam]
+    for n, _ in pairs:
+        if n:
+            return tuple(pairs) if n > 0 else tuple((-n, d) for n, d in pairs)
+    return tuple(pairs)
 
 
 def _compass_search(evaluate, lam, val):
@@ -201,8 +206,9 @@ def minimize_mu_hat(family, window, budget=None, seed=0, tol=1e-6):
 
     Both transforms are even, mu_hat(lam) = mu_hat(-lam) to the bit (the
     tests assert it), so every value is cached under the sign-canonical lam
-    (first nonzero component positive) and reused for -lam; `evaluations`
-    and the budget count the cached, distinct sign-canonical transforms.
+    (first nonzero component positive), keyed by its integer (numerator,
+    denominator) pairs, and reused for -lam; `evaluations` and the budget
+    count the cached, distinct sign-canonical transforms.
     No lattice coordinate is negative, so every cell is its own key, the
     p-adic cache never hits, and each cell counts once.  Only a real
     candidate may fail: its QuadratureError or ArithmeticError is cached as
@@ -219,7 +225,7 @@ def minimize_mu_hat(family, window, budget=None, seed=0, tol=1e-6):
     cache = {}
 
     def evaluate(lam):
-        key = _sign_canonical(lam)
+        key = _cache_key(lam)
         v = cache.get(key)
         if v is None:
             if len(cache) >= budget:

@@ -134,6 +134,21 @@ def eval_poly_fraction(coeffs, x):
     return acc
 
 
+def phase_fraction(rows, lam):
+    """Coefficients of the phase g = sum_i lam_i f_i in Fraction arithmetic,
+    ascending and zero-padded to the top degree; rows holds each component's
+    coefficient list (ascending), lam the frequency."""
+    coeffs = [Fraction(0)] * max(len(r) for r in rows)
+    for lv, row in zip(lam, rows):
+        lv = Fraction(lv)
+        if lv == 0:
+            continue
+        for j, c in enumerate(row):
+            if c != 0:
+                coeffs[j] += lv * Fraction(c)
+    return coeffs
+
+
 def _trim(cs):
     cs = list(cs)
     while cs and cs[-1] == 0:

@@ -191,10 +191,13 @@ def test_window_must_be_a_list_of_two_bounds():
 
 
 def test_lambda_must_be_a_list_of_m_rationals():
-    # "12" is never unpacked into the frequency (1, 2), nor into two samples
+    # "12" is never unpacked into the frequency (1, 2), nor into two samples,
+    # and an empty list (or object) of lambdas is no report with no samples
     cases = (
         {"family": FAMILY, "window": [1, 2], "lambda": "12"},
         {"family": [["0", "1"]], "window": [1, 2], "lambdas": "12"},
+        {"family": FAMILY, "window": [1, 2], "lambdas": []},
+        {"family": FAMILY, "window": [1, 2], "lambdas": {}},
     )
     with tempfile.TemporaryDirectory() as tmp:
         for cfg in cases:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import (
     det_fraction,
     min_eigenvalue_lower_charpoly,
+    phase_fraction,
     poly_gcd,
     poly_real_roots,
     rank_fraction,
@@ -21,7 +22,7 @@ from oracles import (
     sturm_isolate,
 )
 
-from oscillabound import polycore, realosc
+from oscillabound import polycore, realosc, spectral
 from oscillabound.polycore import (
     ISOLATION_WIDTH,
     CurveFamily,
@@ -32,6 +33,7 @@ from oscillabound.polycore import (
     isolate_positive_roots,
     parse_curve_family,
     parse_rational,
+    phase_integers,
     phi_from_frequency,
     vandermonde_interpolation,
 )
@@ -378,6 +380,50 @@ def test_phi_from_frequency():
     assert zero.is_zero()
     shifted = parse_curve_family([["3", "1"], ["1/2", "0", "1"]])
     assert phi_from_frequency(shifted, (2, "-1/2")) == RationalPoly([Fraction(23, 4), 2, Fraction(-1, 2)])
+
+
+_PHASE_COEFF = st.fractions(min_value=-40, max_value=40, max_denominator=36)
+
+
+@st.composite
+def _phase_cases(draw):
+    """(family rows, lam): 1-3 components of degree 1-5 with non-integer
+    coefficients and constant terms; lam mixes zeros, rationals of either
+    sign with denominators up to 1e9, and real-grid and lattice values."""
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        degree = draw(st.integers(1, 5))
+        row = draw(st.lists(_PHASE_COEFF, min_size=degree + 1, max_size=degree + 1))
+        if row[-1] == 0:
+            row[-1] = draw(st.sampled_from((Fraction(1, 3), Fraction(-7, 2), Fraction(5))))
+        rows.append(row)
+    component = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**9),
+        st.sampled_from(spectral._real_axis_values()),
+        st.sampled_from(spectral._padic_axis_values(3) + spectral._padic_axis_values(5)),
+    )
+    lam = tuple(draw(component) for _ in rows)
+    return rows, lam
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_phase_cases())
+def test_phase_integers_match_the_fraction_oracle(case):
+    rows, lam = case
+    fam = CurveFamily([RationalPoly(r) for r in rows])
+    want = phase_fraction([p.coeffs for p in fam.polys], lam)
+    den, ints = phase_integers(fam, lam)
+    assert den > 0 and len(ints) == fam.n + 1
+    assert all(Fraction(n, den) == c for n, c in zip(ints, want))
+    assert phi_from_frequency(fam, lam) == RationalPoly(want)
+    for bad in (lam + (Fraction(1),), lam[1:]):
+        try:
+            phase_integers(fam, bad)
+        except ValueError:
+            pass
+        else:
+            raise AssertionError(f"a frequency of length {len(bad)} was accepted for m = {fam.m}")
 
 
 def test_vandermonde_examples():

@@ -3,7 +3,9 @@ independent Simpson oracle, oscillation bounds on certified witness
 intervals, superlevel decompositions with their hard caps, and the uniform
 certified constant."""
 
+import functools
 import math
+import operator
 import random
 from fractions import Fraction
 from unittest import mock
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from oracles import adaptive_cc_dfs, simpson_mu_hat
 
 from oscillabound import realosc
-from oscillabound.polycore import RationalPoly, parse_curve_family
+from oscillabound.polycore import RationalPoly, parse_curve_family, phase_integers, phi_from_frequency
 from oscillabound.realosc import (
     HIGH,
     LOW,
@@ -34,6 +36,9 @@ from oscillabound.realosc import (
 FAM_XX2 = parse_curve_family([["0", "1"], ["0", "0", "1"]])
 FAM_XX3 = parse_curve_family([["0", "1"], ["0", "0", "0", "1"]])
 FAM_SHIFTED = parse_curve_family([["3", "1"], ["1/2", "0", "1"]])  # (x + 3, x^2 + 1/2)
+FAM_X235 = parse_curve_family([["0", "0", "1"], ["0", "0", "0", "1"], ["0", "0", "0", "0", "0", "1"]])
+FAM_X5 = parse_curve_family([["0", "0", "0", "0", "0", "1"]])
+FAM_DENSE = parse_curve_family([["1/3", "-2", "5/7", "1", "-3/11", "1"]])  # six terms: order shows in the bits
 
 
 def _complex_simpson(phi, a, T, n=1 << 15):
@@ -323,7 +328,47 @@ def test_phase_beyond_float_range_fails_as_quadrature_error():
         assert table.slope(400.0) == math.inf
 
 
-FAM_X235 = parse_curve_family([["0", "0", "1"], ["0", "0", "0", "1"], ["0", "0", "0", "0", "0", "1"]])
+def _generator_sum_rows(phi, t):
+    """Phi^(k)(t) for k < 4 as the table computed it with generator sums:
+    float(j^k g_j) over the nonzero terms, exp(j*t) in plain floats or, past
+    the float range, all of them from numpy, and each row added left to
+    right from int 0 -- which is what sum does on Python 3.11 (3.12's sum
+    compensates)."""
+    js = [float(j) for j, c in enumerate(phi.coeffs) if c]
+    try:
+        powers = [math.exp(j * t) for j in js]
+    except OverflowError:
+        powers = np.exp(np.array(js) * t).tolist()
+    rows = [[float(c * j**k) for j, c in enumerate(phi.coeffs) if c] for k in range(4)]
+    return [functools.reduce(operator.add, (c * x for c, x in zip(row, powers)), 0) for row in rows]
+
+
+def _bits(v):
+    # an all-zero lam leaves no term, and an empty sum is the int 0
+    return type(v).__name__, float(v).hex()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from((FAM_XX2, FAM_SHIFTED, FAM_X235, FAM_X5, FAM_DENSE)),
+    st.lists(
+        st.one_of(st.just(Fraction(0)), st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**9)),
+        min_size=3,
+        max_size=3,
+    ),
+    st.one_of(st.floats(0.0, 30.0), st.floats(140.0, 400.0)),
+)
+def test_scalar_reads_keep_the_generator_sum_bits(fam, lam, t):
+    # (x, x^2), (x + 3, x^2 + 1/2) (zero j = 0 entries in rows 1-3), (x^2, x^3,
+    # x^5), x^5 and a dense quintic; zero components of lam drop terms, and
+    # past t = 142 (x^5) or 354 (x^2) exp overflows and the numpy fallback runs
+    lam = lam[: fam.m]
+    table = realosc._PhaseTable(phase_integers(fam, lam))
+    with np.errstate(over="ignore"):
+        want = [_bits(v) for v in _generator_sum_rows(phi_from_frequency(fam, lam), t)]
+        assert [_bits(v) for v in table.derivs(t)] == want
+        assert _bits(table.slope(t)) == want[1]
+
 
 # (family, window, lambda, value.hex(), error.hex()) of mu_hat_real_with_error
 # at tol 1e-3: the three criterion-6 families on [1, 2], [1, 6] and [1, 26],

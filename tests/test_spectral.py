@@ -140,6 +140,28 @@ def test_minimize_real_evaluates_each_sign_pair_once(monkeypatch):
     assert rep.best_value == -0.047210002197041835
 
 
+def test_cache_keys_opposite_frequencies_together(monkeypatch):
+    # a zero leading component: the sign comes from the first nonzero numerator
+    calls = []
+
+    def stub(family, window, lam, tol):
+        calls.append(lam)
+        return 0.5
+
+    q = Fraction(3, 7)
+    stream = [(0, q), (0, -q), (Fraction(0), Fraction(6, 14)), (0, 0), (0, 0), (-1, q), (1, -q), (q, 0)]
+
+    def candidates(evaluate, m, seed):
+        for lam in stream:
+            yield "grid", lam, evaluate(lam)
+
+    monkeypatch.setattr(spectral, "mu_hat_real", stub)
+    monkeypatch.setattr(spectral, "_real_candidates", candidates)
+    rep = minimize_mu_hat(FAM, (1, 2))
+    assert calls == [(0, q), (0, 0), (-1, q), (q, 0)]
+    assert rep.evaluations == 4 and not rep.partial
+
+
 def test_minimize_real_all_candidates_failed(monkeypatch):
     def failing(family, window, lam, tol):
         raise QuadratureError("requested tolerance not reached")
