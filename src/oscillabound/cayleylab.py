@@ -6,6 +6,7 @@ Everything here is desk-scale and demonstrative: Found/NotFound outcomes and
 sample cliques are witnesses, never certificates of nonexistence.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -13,11 +14,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polycore import CurveFamily, RationalPoly, _bareiss, check_independence, parse_rational
+from .polycore import CurveFamily, check_independence, parse_rational
 
 _MEMBERSHIP_TOL = 1e-9  # curve-membership tolerance for float samples
 _DENSITY_GRID = 200  # grid cells per axis in upper_density_estimate
 _COLORING_SAMPLES = 20001  # sample points on one period in coloring_threshold
+_ZERO = Fraction(0)
 
 
 # --- box sets ----------------------------------------------------------------
@@ -29,7 +31,10 @@ class BoxSet:
     boxes: list of boxes, each a list of per-axis (lo, hi) pairs; lo/hi may
     be None for an unbounded side.  period: None, or a per-axis list whose
     entries are positive rationals (that axis repeats) or None (it does not).
-    Membership is exact on rational points; boxes are closed and may overlap.
+    Boxes are closed and may overlap.  On an axis with period p a box covers
+    [lo, hi] + pZ: x lies in it iff (x - lo) mod p <= hi - lo, and a box with
+    an open side on that axis covers the whole line.  Membership and
+    distance are exact on rational points (floats are converted exactly).
     """
 
     def __init__(self, boxes, period=None, dim=None):
@@ -65,55 +70,34 @@ class BoxSet:
     def from_json(cls, data):
         return cls(data["boxes"], data.get("period"), data.get("dim"))
 
-    def _axis_inside(self, i, x, lo, hi):
-        if self.period[i] is not None:
-            x = x % self.period[i]
-        return (lo is None or x >= lo) and (hi is None or x <= hi)
-
     def contains(self, point):
-        """Exact membership for a rational point (floats converted exactly)."""
-        xs = [parse_rational(v) for v in point]
-        if len(xs) != self.dim:
-            raise ValueError("point dimension mismatch")
-        for box in self.boxes:
-            if all(self._axis_inside(i, xs[i], lo, hi) for i, (lo, hi) in enumerate(box)):
-                return True
-        return False
+        """Exact membership for a rational point."""
+        return self.distance(point) == 0
 
     __contains__ = contains
 
-    def _axis_distance(self, i, x, lo, hi):
-        """Distance from x to the interval on axis i (0 when inside)."""
-        p = self.period[i]
-        if p is not None:
-            x = x % p
-        if (lo is None or x >= lo) and (hi is None or x <= hi):
-            return Fraction(0)
-        gaps = []
-        if lo is not None and x < lo:
-            gaps.append(lo - x)
-            if p is not None and hi is not None:
-                gaps.append(x + p - hi)  # wrap around the other way
-        if hi is not None and x > hi:
-            gaps.append(x - hi)
-            if p is not None and lo is not None:
-                gaps.append(lo + p - x)
-        return min(gaps)
-
     def distance(self, point):
-        """Min over boxes of the max axis distance (an exact L^inf gap)."""
+        """Min over boxes of the max axis gap (an exact L^inf distance)."""
         xs = [parse_rational(v) for v in point]
+        if len(xs) != self.dim:
+            raise ValueError("point dimension mismatch")
         if not self.boxes:
             return Fraction(10**9)
-        best = None
-        for box in self.boxes:
-            d = max(
-                (self._axis_distance(i, xs[i], lo, hi) for i, (lo, hi) in enumerate(box)),
-                default=Fraction(0),
-            )
-            if best is None or d < best:
-                best = d
-        return best
+        return min(
+            max((_axis_gap(x, lo, hi, p) for x, (lo, hi), p in zip(xs, box, self.period)), default=_ZERO)
+            for box in self.boxes
+        )
+
+
+def _axis_gap(x, lo, hi, p):
+    """Distance from x to [lo, hi] (None: an open side), or to its nearest
+    copy [lo, hi] + kp when p is a period; 0 when x is covered."""
+    if p is not None:
+        if lo is None or hi is None:
+            return _ZERO
+        x = lo + (x - lo) % p  # read x in [lo, lo + p)
+        return max(_ZERO, min(x - hi, lo + p - x))
+    return max(_ZERO, _ZERO if lo is None else lo - x, _ZERO if hi is None else x - hi)
 
 
 @dataclass(frozen=True)
@@ -121,6 +105,24 @@ class DensityEstimate:
     radius: float
     value: float
     error: float  # boundary-cell volume / ball volume
+
+
+def _outer(ufunc, vecs):
+    """The m-dim array ufunc(v_1[j_1], ..., v_m[j_m]), vecs[i] along axis i."""
+    return functools.reduce(ufunc.outer, vecs)
+
+
+def _cell_all_any(corner, center):
+    """(all, any) of a grid predicate over each cell's 2^m corners and its
+    centre; corner holds it at the g+1 grid values per axis, center at the g
+    cell centres."""
+    g = center.shape[0]
+    cell_all, cell_any = center.copy(), center.copy()
+    for delta in itertools.product((0, 1), repeat=center.ndim):
+        view = corner[tuple(slice(d, g + d) for d in delta)]
+        cell_all &= view
+        cell_any |= view
+    return cell_all, cell_any
 
 
 def upper_density_estimate(box_set, radii):
@@ -143,64 +145,28 @@ def upper_density_estimate(box_set, radii):
     k = np.arange(g + 1, dtype=np.int64)
     corner_sq = (2 * k - g) ** 2
     center_sq = (2 * np.arange(g, dtype=np.int64) + 1 - g) ** 2
+    ball_all, ball_any = _cell_all_any(
+        _outer(np.add, [corner_sq] * m) <= g * g, _outer(np.add, [center_sq] * m) <= g * g
+    )
 
-    def _cube_sum(axis_vals):
-        total = np.zeros((len(axis_vals),) * m, dtype=np.int64)
-        for i in range(m):
-            shape = [1] * m
-            shape[i] = len(axis_vals)
-            total = total + axis_vals.reshape(shape)
-        return total
-
-    ball_corner = _cube_sum(corner_sq) <= g * g
-    ball_center = _cube_sum(center_sq) <= g * g
-    corner_slices = [tuple(slice(d, g + d) for d in delta) for delta in itertools.product((0, 1), repeat=m)]
-    ball_all = np.ones((g,) * m, dtype=bool)
-    ball_any = np.zeros((g,) * m, dtype=bool)
-    for s in corner_slices:
-        ball_all &= ball_corner[s]
-        ball_any |= ball_corner[s]
-    ball_all &= ball_center
-    ball_any |= ball_center
+    def in_set(vals):
+        # exact membership of every grid point, box by box and axis by axis
+        full = np.zeros((len(vals),) * m, dtype=bool)
+        for box in box_set.boxes:
+            full |= _outer(
+                np.logical_and,
+                [np.array([_axis_gap(v, lo, hi, p) == 0 for v in vals]) for (lo, hi), p in zip(box, box_set.period)],
+            )
+        return full
 
     unit_ball_vol = math.pi ** (m / 2) / math.gamma(m / 2 + 1)
     out = []
     for r in radii:
         rq = parse_rational(r)
-        corner_vals = [Fraction(2 * j - g, g) * rq for j in range(g + 1)]
-        center_vals = [Fraction(2 * j + 1 - g, g) * rq for j in range(g)]
-
-        def _in_axes(vals):
-            # per box and axis, exact membership of every grid value
-            if not box_set.boxes:
-                return np.zeros((len(vals),) * m, dtype=bool)
-            masks = []
-            for box in box_set.boxes:
-                ax = [
-                    np.array([box_set._axis_inside(i, v, lo, hi) for v in vals], dtype=bool)
-                    for i, (lo, hi) in enumerate(box)
-                ]
-                box_mask = np.ones((len(vals),) * m, dtype=bool)
-                for i in range(m):
-                    shape = [1] * m
-                    shape[i] = len(vals)
-                    box_mask &= ax[i].reshape(shape)
-                masks.append(box_mask)
-            full = masks[0]
-            for extra in masks[1:]:
-                full = full | extra
-            return full
-
-        in_corner = _in_axes(corner_vals)
-        in_center = _in_axes(center_vals)
-        set_all = np.ones((g,) * m, dtype=bool)
-        set_any = np.zeros((g,) * m, dtype=bool)
-        for s in corner_slices:
-            set_all &= in_corner[s]
-            set_any |= in_corner[s]
-        set_all &= in_center
-        set_any |= in_center
-
+        set_all, set_any = _cell_all_any(
+            in_set([Fraction(2 * j - g, g) * rq for j in range(g + 1)]),
+            in_set([Fraction(2 * j + 1 - g, g) * rq for j in range(g)]),
+        )
         full_in = ball_all & set_all
         full_out = ~ball_any | ~set_any
         boundary = ~(full_in | full_out)
@@ -321,7 +287,9 @@ def _as_multipoly(poly):
 def multivariate_reduce(polys, ell=None):
     """Substitute x_i -> t^(ell^(i-1)) to turn d-variable components into a
     one-variable curve family; base-ell digit positions keep distinct
-    monomials distinct, so independence is preserved.
+    monomials distinct and send only the constant one to t^0, so 1, F_1,
+    ..., F_m are independent iff the substituted family is.  A constant or
+    dependent component raises ValueError.
 
     ell defaults to 1 + the max per-variable degree (the smallest valid
     base); an explicit ell must satisfy that bound.
@@ -340,35 +308,14 @@ def multivariate_reduce(polys, ell=None):
     ell = int(ell)
     if ell < 2 or max_deg > ell - 1:
         raise ValueError(f"need per-variable degrees <= ell-1; got max degree {max_deg}, ell {ell}")
-    # precondition: 1, F_1, ..., F_m linearly independent, i.e. the components
-    # are independent modulo constants -- exact rank over the nonconstant
-    # monomial support
-    support = sorted({exps for p in ps for exps in p if any(exps)})
-    columns = {exps: idx for idx, exps in enumerate(support)}
-    coeff_rows = []
-    for p in ps:
-        row = [Fraction(0)] * len(support)
-        for exps, c in p.items():
-            if any(exps):
-                row[columns[exps]] = c
-        coeff_rows.append(row)
-    if not support or len(_bareiss(coeff_rows)[2]) < len(ps):
-        raise ValueError("components must be linearly independent together with constants")
     weights = [ell**i for i in range(d)]
     rows = []
     for p in ps:
-        coeffs = {}
-        for exps, c in p.items():
-            h = sum(e * w for e, w in zip(exps, weights))
-            coeffs[h] = coeffs.get(h, Fraction(0)) + c
-        top = max(coeffs)
-        rows.append([coeffs.get(j, Fraction(0)) for j in range(top + 1)])
-    family = CurveFamily([RationalPoly(r) for r in rows])
+        coeffs = {sum(e * w for e, w in zip(exps, weights)): c for exps, c in p.items()}
+        rows.append([coeffs.get(j, Fraction(0)) for j in range(max(coeffs) + 1)])
+    family = CurveFamily(rows)
     if not check_independence(family):
-        raise RuntimeError(
-            "substitution produced a dependent family; digit injectivity "
-            "guarantees this cannot happen, so this is an implementation bug"
-        )
+        raise ValueError("components must be linearly independent together with constants")
     return family
 
 

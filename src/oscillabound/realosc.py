@@ -455,7 +455,11 @@ def _integrate_piece(table, c, d, tol_piece):
 def osc_integral(phase, a, T, tol_abs):
     """int_a^T exp(2*pi*i*Phi(t)) dt with an error estimate <= tol_abs, for
     Phi(t) = g(e^t) with g a RationalPoly or the pair (den, scaled) of
-    polycore.phase_integers (the transform passes the pair)."""
+    polycore.phase_integers (the transform passes the pair).  Raises
+    ValueError unless Window(a, T) is valid and 0 < tol_abs < inf."""
+    Window(a, T)
+    if not 0 < tol_abs < math.inf:
+        raise ValueError(f"tol_abs must lie in (0, inf); got {tol_abs!r}")
     den, scaled = _phase_pair(phase)
     if not any(scaled[1:]):
         # the same float as float(g(0)): int / int is correctly rounded

@@ -571,6 +571,45 @@ def cyc_reduced_dense(p, terms):
     return {Fraction(e, N): c for e, c in arr.items() if c != 0}
 
 
+def box_member(boxes, period, x):
+    """x in the union of closed boxes, each axis i with a period p_i
+    replicated as [lo, hi] + p_i Z.  boxes: per-axis (lo, hi) pairs with None
+    for an open side; period: per-axis p or None.  On a periodic axis x is
+    covered iff (x - lo) mod p <= hi - lo, and an open side covers the line."""
+
+    def axis_in(xi, lo, hi, p):
+        if p is not None:
+            return lo is None or hi is None or (xi - lo) % p <= hi - lo
+        return (lo is None or xi >= lo) and (hi is None or xi <= hi)
+
+    return any(all(axis_in(xi, lo, hi, p) for xi, (lo, hi), p in zip(x, box, period)) for box in boxes)
+
+
+def box_distance(boxes, period, x):
+    """The L^inf distance from x to the union of box_member: the min over
+    boxes of the max over axes of the distance to the nearest copy of that
+    axis's interval (math.inf for no boxes)."""
+
+    def interval_gap(xi, lo, hi):
+        if lo is not None and xi < lo:
+            return lo - xi
+        if hi is not None and xi > hi:
+            return xi - hi
+        return 0
+
+    def axis_gap(xi, lo, hi, p):
+        if p is None:
+            return interval_gap(xi, lo, hi)
+        if lo is None or hi is None:
+            return 0  # the copies of a half-line cover the line
+        k = math.floor((xi - lo) / p)  # copy k starts at or below xi, copy k+1 above it
+        return min(interval_gap(xi, lo + j * p, hi + j * p) for j in (k - 1, k, k + 1))
+
+    return min(
+        (max((axis_gap(xi, lo, hi, p) for xi, (lo, hi), p in zip(x, box, period)), default=0) for box in boxes),
+        default=math.inf,
+    )
+
 if __name__ == "__main__":
     # Freeze run: numbers printed here get copied into the test files.
     val = simpson_mu_hat({1: Fraction(1, 100)}, 1.0, 2.0)

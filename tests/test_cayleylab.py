@@ -7,6 +7,10 @@ import random
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oracles import box_distance, box_member
 
 from oscillabound.cayleylab import (
     BoxSet,
@@ -56,6 +60,55 @@ def test_boxset_distance():
     assert bs.distance((Fraction(7, 2),)) == Fraction(1, 2)  # wraps to the next copy
 
 
+def test_boxset_distance_checks_dimension():
+    bs = BoxSet([[("0", "1"), ("0", "1")]])
+    for point in ((5, 0, 99), (5,)):
+        for query in (bs.distance, bs.contains):
+            try:
+                query(point)
+            except ValueError as exc:
+                assert "dimension mismatch" in str(exc)
+            else:
+                raise AssertionError(f"{query.__name__}{point} accepted")
+
+
+STRIPES = ([[("0", "3"), ("-1", "1")]], ("9", "9"))
+_coords = st.fractions(min_value=-12, max_value=12, max_denominator=4)
+
+
+@st.composite
+def _box_sets_and_points(draw):
+    """Box sets with negative lo, open sides on periodic axes, boxes as wide
+    as their period or wider, and no boxes at all; points in a wider range."""
+    dim = draw(st.integers(1, 3))
+    period = [draw(st.none() | st.fractions(min_value="1/4", max_value=6, max_denominator=4)) for _ in range(dim)]
+    boxes = []
+    for _ in range(draw(st.integers(0, 3))):
+        box = []
+        for _ in range(dim):
+            lo, hi = sorted((draw(_coords), draw(_coords)))
+            box.append((draw(st.none() | st.just(lo)), draw(st.none() | st.just(hi))))
+        boxes.append(box)
+    point = tuple(draw(st.fractions(min_value=-30, max_value=30, max_denominator=4)) for _ in range(dim))
+    return boxes, period, point
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_box_sets_and_points())
+@example((*STRIPES, (1, Fraction(-1, 2))))
+@example(([[("0", "2")]], ("2",), (7,)))
+@example(([[("1", "5")]], ("4",), (Fraction(1, 2),)))
+@example(([[(None, "-1")]], ("3",), (Fraction(5, 2),)))
+@example(([], (None, "2"), (0, 0)))
+def test_boxset_matches_brute_force_oracle(case):
+    boxes, period, point = case
+    bs = BoxSet(boxes, period=period, dim=len(period))
+    gap = bs.distance(point)
+    assert gap >= 0, case
+    assert bs.contains(point) == box_member(bs.boxes, bs.period, point) == (gap == 0), case
+    assert gap == box_distance(bs.boxes, bs.period, point) if boxes else gap > 0, case
+
+
 def test_density_full_empty_stripes():
     radii = [2.0, 5.0, 10.0]
     full = BoxSet([[(None, None), (None, None)]])
@@ -97,6 +150,28 @@ def test_config_search_stripe_demo():
     assert stripes.contains(res.x1) and stripes.contains(res.x2)
     diff = tuple(a - b for a, b in zip(res.x1, res.x2))
     assert diff == (res.s, res.s**2)
+
+
+# [0,1]^2 and the band R x [-3,-1], both repeated with period 9 on the
+# second axis: (20/7, 400/49) is outside, since 400/49 - 9 > -1
+BAND_SET = ([[("0", "1"), ("0", "1")], [(None, None), ("-3", "-1")]], (None, "9"))
+
+
+def test_config_search_witnesses_pass_the_oracle():
+    cases = [
+        (BAND_SET, "1/7"),
+        (STRIPES, "1/4"),
+        (([[("-100", "100"), ("-100", "100")]], None), "1/4"),
+        (([[("1", "2"), ("-2", "-1/2")], [("-1/2", "0"), (None, "-5")]], ("5/2", "7")), "1/5"),
+        (([[(None, "1/2"), ("2", "3")]], ("3", "11/2")), "1/3"),
+    ]
+    for (boxes, period), step in cases:
+        bs = BoxSet(boxes, period=period)
+        res = config_search(PARABOLA, (1.0, 2.0), bs, step)
+        assert res.found, boxes
+        assert box_member(bs.boxes, bs.period, res.x1), (boxes, res)
+        assert box_member(bs.boxes, bs.period, res.x2), (boxes, res)
+        assert tuple(a - b for a, b in zip(res.x1, res.x2)) == (res.s, res.s**2)
 
 
 def test_config_search_validation():

@@ -10,7 +10,10 @@ import os
 import tempfile
 from fractions import Fraction
 
+from oracles import box_member
+
 from oscillabound import cli
+from oscillabound.cayleylab import BoxSet
 from oscillabound.polycore import parse_curve_family, parse_rational
 from oscillabound.realosc import Window, certified_constant_real, mu_hat_real_with_error
 from oscillabound.spectral import PipelineConsistencyError
@@ -392,6 +395,21 @@ def test_config_search_command():
             assert code == 1 and "two bounds" in payload["detail"], (window, payload)
         code, _, payload = _run(["config-search", _write_config(tmp, "c.json", dict(base, field={"padic": 3}))])
         assert code == 1 and "real window" in payload["detail"], payload
+
+
+def test_config_search_command_witness_is_in_the_set():
+    # the band R x [-3, -1] repeats with period 9: (20/7, 400/49) is not in it
+    boxset = {"boxes": [[["0", "1"], ["0", "1"]], [[None, None], ["-3", "-1"]]], "period": [None, "9"]}
+    cfg = {"family": FAMILY, "window": [1, 2], "step": "1/7", "boxset": boxset}
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _, payload = _run(["config-search", _write_config(tmp, "c.json", cfg)])
+    assert code == 0
+    rep = payload["report"]
+    assert rep["found"] and rep["residual"] == 0.0
+    bs = BoxSet.from_json(boxset)
+    s, x1, x2 = Fraction(rep["s"]), [Fraction(v) for v in rep["x1"]], [Fraction(v) for v in rep["x2"]]
+    assert box_member(bs.boxes, bs.period, x1) and box_member(bs.boxes, bs.period, x2), rep
+    assert [a - b for a, b in zip(x1, x2)] == [s, s * s]
 
 
 def test_clique_command():

@@ -164,6 +164,17 @@ def test_osc_integral_constant_phase():
     assert abs(val - want) < 1e-12 and err == 0.0
 
 
+def test_osc_integral_rejects_bad_window_and_tolerance():
+    phi = RationalPoly(["0", "1/2", "1"])
+    for a, T, tol_abs in ((2.0, 1.0, 1e-9), (1.0, 1.0, 1e-9), (0.0, 1.0, 0.0), (0.0, 1.0, -1.0), (0.0, 1.0, math.nan)):
+        try:
+            osc_integral(phi, a, T, tol_abs)
+        except ValueError:
+            pass
+        else:
+            raise AssertionError(f"osc_integral accepted a={a}, T={T}, tol_abs={tol_abs}")
+
+
 def test_osc_integral_vs_complex_simpson():
     rng = random.Random(47)
     for _ in range(6):
