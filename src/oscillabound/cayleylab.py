@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polycore import CurveFamily, check_independence, parse_rational
+from .polycore import CurveFamily, check_independence, parse_integer, parse_rational
 
 _MEMBERSHIP_TOL = 1e-9  # curve-membership tolerance for float samples
 _DENSITY_GRID = 200  # grid cells per axis in upper_density_estimate
@@ -77,16 +77,16 @@ class BoxSet:
     __contains__ = contains
 
     def distance(self, point):
-        """Min over boxes of the max axis gap (an exact L^inf distance)."""
+        """Min over boxes of the max axis gap (an exact L^inf distance);
+        math.inf for a set with no boxes."""
         xs = [parse_rational(v) for v in point]
         if len(xs) != self.dim:
             raise ValueError("point dimension mismatch")
-        if not self.boxes:
-            return Fraction(10**9)
-        return min(
+        gaps = [
             max((_axis_gap(x, lo, hi, p) for x, (lo, hi), p in zip(xs, box, self.period)), default=_ZERO)
             for box in self.boxes
-        )
+        ]
+        return min(gaps, default=math.inf)
 
 
 def _axis_gap(x, lo, hi, p):
@@ -303,9 +303,7 @@ def multivariate_reduce(polys, ell=None):
             if len(exps) != d:
                 raise ValueError("components must share one variable count")
     max_deg = max((e for p in ps for exps in p for e in exps), default=0)
-    if ell is None:
-        ell = max_deg + 1
-    ell = int(ell)
+    ell = max_deg + 1 if ell is None else parse_integer(ell, "ell")
     if ell < 2 or max_deg > ell - 1:
         raise ValueError(f"need per-variable degrees <= ell-1; got max degree {max_deg}, ell {ell}")
     weights = [ell**i for i in range(d)]

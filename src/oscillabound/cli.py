@@ -31,7 +31,7 @@ from .cayleylab import (
     upper_density_estimate,
 )
 from .padic import PadicWindow, certified_bound_padic, check_window_padic, echelon_reduce, mu_hat_padic
-from .polycore import check_independence, parse_curve_family, parse_rational
+from .polycore import check_independence, parse_curve_family, parse_integer, parse_rational
 from .realosc import (
     QuadratureError,
     Window,
@@ -115,17 +115,22 @@ def _window_of(cfg):
     if p is None:
         a, T = (parse_rational(v) for v in window)
         return Window(float(a), float(T))
-    a, T = (_integer(v, "a p-adic window bound") for v in window)
+    a, T = (parse_integer(v, "a p-adic window bound") for v in window)
     return PadicWindow(a, T, p)
 
 
-def _integer(value, name):
-    """value as an int if it parses to an integer ("7", 7.0 and Fraction(7)
-    all mean 7); 7.9 or a bool raises instead of being truncated."""
-    q = None if isinstance(value, bool) else parse_rational(value)
-    if q is None or q.denominator != 1:
-        raise ValueError(f"{name} must be an integer; got {value!r}")
-    return int(q)
+def _positive(value, name):
+    """value as a float if it is a finite positive number ("1e-9" and 1e-9
+    alike); a bool, zero, a negative number, nan or inf raises."""
+    x = None if isinstance(value, bool) else float(value)
+    if x is None or not 0 < x < math.inf:
+        raise ValueError(f"{name} must be a finite positive number; got {value!r}")
+    return x
+
+
+def _tol_of(cfg, flags, default):
+    """The --tol flag, else the config's tol, else default (see _positive)."""
+    return _positive(flags.tol if flags.tol is not None else cfg.get("tol", default), "tol")
 
 
 def _row_of(value, size, message):
@@ -172,7 +177,7 @@ def _cmd_muhat(cfg, flags):
             for _, v, _ in rows
         ]
     else:
-        tol = flags.tol if flags.tol is not None else float(cfg.get("tol", 1e-9))
+        tol = _tol_of(cfg, flags, 1e-9)
         rows = [(lam, *mu_hat_real_with_error(fam, w, lam, tol=tol)) for lam in lams]
         samples = [{"value": value, "error": error} for _, value, error in rows]
     if flags.csv:
@@ -223,11 +228,11 @@ def _search(cfg, flags, search):
     means the default), tol defaults to 1e-6, and --csv writes the trace."""
     w = _window_of(cfg)
     fam = _family_of(cfg)
-    seed = flags.seed if flags.seed is not None else _integer(cfg.get("seed", 0), "seed")
+    seed = flags.seed if flags.seed is not None else parse_integer(cfg.get("seed", 0), "seed")
     budget = flags.budget
     if budget is None and cfg.get("budget") is not None:
-        budget = _integer(cfg["budget"], "budget")
-    tol = flags.tol if flags.tol is not None else float(cfg.get("tol", 1e-6))
+        budget = parse_integer(cfg["budget"], "budget")
+    tol = _tol_of(cfg, flags, 1e-6)
     res = search(fam, w, budget=budget, seed=seed, tol=tol)
     if flags.csv:
         trace = getattr(res, "report", res).trace  # a PipelineResult holds its MinimizationReport
@@ -268,7 +273,7 @@ def _cmd_config_search(cfg, flags):
         )
     if "density_radii" in cfg:
         report["density"] = _jsonable(
-            upper_density_estimate(boxes, [float(r) for r in cfg["density_radii"]])
+            upper_density_estimate(boxes, [_positive(r, "a density radius") for r in cfg["density_radii"]])
         )
     return report
 
@@ -276,18 +281,18 @@ def _cmd_config_search(cfg, flags):
 @_command("clique")
 def _cmd_clique(cfg, flags):
     fam = _family_of(cfg)
-    tol = flags.tol if flags.tol is not None else float(cfg.get("tol", 1e-9))
-    oracle = curve_difference_oracle(fam, tol=tol)
+    oracle = curve_difference_oracle(fam, tol=_tol_of(cfg, flags, 1e-9))
     inst = CliqueInstance(cfg["points"], oracle)
-    found = clique_search(inst, max_size=cfg.get("max_size"))
+    max_size = cfg.get("max_size")
+    found = clique_search(inst, max_size=None if max_size is None else parse_integer(max_size, "max_size"))
     return {"size": len(found), "clique": [list(p) for p in found]}
 
 
 def _series_function(spec):
     """f(t) = constant + sum amp*cos(2 pi k t) + sum amp*sin(2 pi k t)."""
     c0 = float(spec.get("constant", 0.0))
-    cos_terms = [(int(k), float(a)) for k, a in spec.get("cos", [])]
-    sin_terms = [(int(k), float(a)) for k, a in spec.get("sin", [])]
+    cos_terms = [(parse_integer(k, "a harmonic k"), float(a)) for k, a in spec.get("cos", [])]
+    sin_terms = [(parse_integer(k, "a harmonic k"), float(a)) for k, a in spec.get("sin", [])]
 
     def f(t):
         t = np.asarray(t, dtype=float)
@@ -304,10 +309,10 @@ def _series_function(spec):
 @_command("color-check")
 def _cmd_color_check(cfg, flags):
     f = _series_function(cfg["function"])
-    seed = flags.seed if flags.seed is not None else _integer(cfg.get("seed", 0), "seed")
+    seed = flags.seed if flags.seed is not None else parse_integer(cfg.get("seed", 0), "seed")
     n_min, M, eps, delta = coloring_threshold(f)
-    n = _integer(cfg.get("n", n_min), "n")
-    edges = _integer(cfg.get("edges", 100_000), "edges")
+    n = parse_integer(cfg.get("n", n_min), "n")
+    edges = parse_integer(cfg.get("edges", 100_000), "edges")
     violations = periodic_coloring_verify(f, n, edges, seed=seed)
     return {
         "n": n,

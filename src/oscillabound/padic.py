@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polycore import CurveFamily, RationalPoly, parse_rational, phi_from_frequency
+from .polycore import CurveFamily, RationalPoly, _bareiss, clear_denominators, parse_rational, phi_from_frequency
 
 
 def _require_prime(p):
@@ -325,31 +325,25 @@ def mu_hat_padic(family, window, lam, memo=None):
 def echelon_reduce(family):
     """Rewrite the family as B.f with strictly decreasing degrees >= 1.
 
-    Exact Gauss elimination on the coefficient rows; B is returned as a tuple
-    of rows of Fractions and is invertible by construction.  Raises if the
-    family fails to be independent (a combination collapses to a constant).
+    One fraction-free elimination (polycore._bareiss) of the coefficient
+    rows, x^n first, each extended by its row of the identity, whose columns
+    then hold B.  By Bareiss's identity (Math. Comp. 22, 1968) an eliminated
+    row is the previous pivot times its Gaussian row, scaled by the lcm of
+    its input row, so dividing by both gives the Gaussian row exactly; B is
+    invertible by construction.  Raises ValueError if the m-th pivot lies at x^0 or beyond,
+    i.e. a combination collapses to a constant (the family is dependent).
     """
-    m = family.m
-    polys = list(family.polys)
-    b = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
-    while True:
-        order = sorted(range(m), key=lambda i: -polys[i].degree)
-        polys = [polys[i] for i in order]
-        b = [b[i] for i in order]
-        done = True
-        for i in range(m - 1):
-            if polys[i].degree == polys[i + 1].degree:
-                done = False
-                ratio = polys[i + 1].coeffs[-1] / polys[i].coeffs[-1]
-                polys[i + 1] = polys[i + 1] - polys[i] * ratio
-                b[i + 1] = [x - ratio * y for x, y in zip(b[i + 1], b[i])]
-                if polys[i + 1].degree < 1:
-                    raise ValueError("independence violation detected during elimination")
-                break
-        if done:
-            break
-    reduced = CurveFamily(polys)
-    return tuple(tuple(row) for row in b), reduced
+    m, n = family.m, family.n
+    rows = [row[::-1] + [int(i == j) for j in range(m)] for i, row in enumerate(family.coefficient_matrix())]
+    elim, order, pivots = _bareiss(rows)
+    if pivots[-1][0] >= n:
+        raise ValueError("independence violation detected during elimination")
+    prev = [1] + [v for _, v in pivots[:-1]]
+    gauss = [
+        [Fraction(x, d * clear_denominators(rows[i])[0]) for x in row] for row, i, d in zip(elim, order, prev)
+    ]
+    reduced = CurveFamily([RationalPoly(row[n::-1]) for row in gauss])
+    return tuple(tuple(row[n + 1 :]) for row in gauss), reduced
 
 
 def certified_bound_padic(family, window):

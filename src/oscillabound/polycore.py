@@ -37,6 +37,15 @@ def parse_rational(x):
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
+def parse_integer(value, name):
+    """value as an int if it parses to an integer ("7", 7.0 and Fraction(7)
+    all mean 7); 7.9 or a bool raises instead of being truncated."""
+    q = None if isinstance(value, bool) else parse_rational(value)
+    if q is None or q.denominator != 1:
+        raise ValueError(f"{name} must be an integer; got {value!r}")
+    return int(q)
+
+
 class RationalPoly:
     """Dense univariate polynomial over Q, coefficients ascending (a0, a1, ...)."""
 

@@ -472,8 +472,6 @@ def osc_integral(phase, a, T, tol_abs):
     err = 0.0
     width = T - a
     for lo, hi in zip(knots, knots[1:]):
-        if hi - lo <= 0:
-            continue
         try:
             with np.errstate(over="ignore"):  # past the float range the phase reads inf
                 val, e = _integrate_piece(table, lo, hi, tol_abs * (hi - lo) / width)
@@ -542,32 +540,19 @@ def superlevel_decompose(phi, M, window):
     M = parse_rational(M)
     if M <= 0:
         raise ValueError("level must be positive")
-    n = phi.degree
     xlo, xhi = _x_window(window.a, window.T)
-    crossing_cuts = []
-    for shifted in (phi - RationalPoly([M]), phi + RationalPoly([M])):
-        for left, right in isolate_positive_roots(shifted, xlo, xhi):
-            crossing_cuts.append((left + right) / 2)
-    second = phi.t_derivative(2)
-    curvature_cuts = []
-    if second.degree >= 1:
-        for left, right in isolate_positive_roots(second, xlo, xhi):
-            curvature_cuts.append((left + right) / 2)
-    curvature_set = set(curvature_cuts)
-    cuts = sorted(set(crossing_cuts) | curvature_set | {xlo, xhi})
-    kept = []  # (x_left, x_right) elementary pieces where |phi| >= M
-    for left, right in zip(cuts, cuts[1:]):
-        if right <= xlo or left >= xhi:
+
+    def cuts(poly):
+        return {(left + right) / 2 for left, right in isolate_positive_roots(poly, xlo, xhi)}
+
+    # phi.t_derivative(2) has phi's degree: its roots cut Phi' into monotone pieces
+    curvature = cuts(phi.t_derivative(2))
+    knots = sorted(cuts(phi - RationalPoly([M])) | cuts(phi + RationalPoly([M])) | curvature | {xlo, xhi})
+    merged = []  # (x_left, x_right) runs of pieces where |phi| >= M, cut at the curvature roots
+    for left, right in zip(knots, knots[1:]):
+        if abs(phi((left + right) / 2)) < M:
             continue
-        left, right = max(left, xlo), min(right, xhi)
-        if right <= left:
-            continue
-        mid = (left + right) / 2
-        if abs(phi(mid)) >= M:
-            kept.append((left, right))
-    merged = []
-    for left, right in kept:
-        if merged and merged[-1][1] == left and left not in curvature_set:
+        if merged and merged[-1][1] == left and left not in curvature:
             merged[-1] = (merged[-1][0], right)
         else:
             merged.append((left, right))
@@ -577,7 +562,7 @@ def superlevel_decompose(phi, M, window):
         hi_t = min(window.T, math.log(float(right)))
         if hi_t > lo_t:
             intervals.append(WitnessInterval(lo_t, hi_t, 0, float(M)))
-    if len(intervals) > 3 * max(n, 1):
+    if len(intervals) > 3 * phi.degree:
         raise ArithmeticError("superlevel interval count exceeded the 3n cap")
     return IntervalDecomposition(tuple(intervals))
 

@@ -75,7 +75,7 @@ class PipelineResult:
     certified_ratio_bound: float  # C/(T-a), upper bound for independence ratio
     chromatic_lower_bound: float  # (T-a)/C
     empirical_min: float  # smallest transform value found (upper bound on inf)
-    empirical_ratio_bound: float  # -m/(1-m) at the empirical minimum
+    empirical_ratio_bound: float | None  # -m/(1-m) at the empirical minimum m; None if m >= 0
     report: MinimizationReport
 
 
@@ -301,7 +301,9 @@ def independence_pipeline(family, window, budget=None, seed=0, tol=1e-6):
     C scaled so that C/(T-a) = B/L.  Raises PipelineConsistencyError when
     the empirical minimum dips below the certified floor -C/(T-a) - tol;
     that can only happen if the certificate or the quadrature is wrong, so
-    the full diagnostics ride on the error.
+    the full diagnostics ride on the error.  empirical_ratio_bound is None
+    when the empirical minimum is not negative, as the Hoffman bound needs
+    m < 0; the certified fields stand either way.
     """
     if isinstance(window, PadicWindow):
         w = window
@@ -331,7 +333,7 @@ def independence_pipeline(family, window, budget=None, seed=0, tol=1e-6):
                 "tol": tol,
             },
         )
-    empirical_ratio = float(hoffman_ratio_bound(m_hat)) if m_hat < 0 else 0.0
+    empirical_ratio = float(hoffman_ratio_bound(m_hat)) if m_hat < 0 else None
     return PipelineResult(
         certified_C=float(certified),
         certified_ratio_bound=float(certified) / length,

@@ -156,6 +156,34 @@ def _trim(cs):
     return cs
 
 
+def echelon_reduce_fraction(rows):
+    """The sorting elimination that echelon_reduce once was, in Fraction
+    arithmetic.  rows: one ascending coefficient list per nonconstant
+    component.  Sort by degree (stably, highest first), subtract a multiple
+    of the first of two neighbours sharing a degree from the second, and
+    start over until the degrees strictly decrease.  Returns (B, reduced):
+    B as a tuple of rows with reduced_i = sum_j B_ij f_j, reduced as trimmed
+    coefficient lists.  Raises ValueError when a combination drops to a
+    constant."""
+    polys = [_trim(Fraction(c) for c in row) for row in rows]
+    m = len(polys)
+    b = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    while True:
+        order = sorted(range(m), key=lambda i: -len(polys[i]))
+        polys = [polys[i] for i in order]
+        b = [b[i] for i in order]
+        for i in range(m - 1):
+            if len(polys[i]) == len(polys[i + 1]):
+                ratio = polys[i + 1][-1] / polys[i][-1]
+                polys[i + 1] = _trim(x - ratio * y for x, y in zip(polys[i + 1], polys[i]))
+                b[i + 1] = [x - ratio * y for x, y in zip(b[i + 1], b[i])]
+                if len(polys[i + 1]) < 2:
+                    raise ValueError("independence violation detected during elimination")
+                break
+        else:
+            return tuple(tuple(row) for row in b), polys
+
+
 def _poly_divmod(a, b):
     """Quotient and remainder of a by b, coefficient lists over Q (ascending)."""
     rem = _trim(a)

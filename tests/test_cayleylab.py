@@ -48,7 +48,7 @@ def test_boxset_unbounded_and_empty():
     assert half.contains((-100, 999)) and not half.contains((1, 0))
     empty = BoxSet([], dim=2)
     assert not empty.contains((0, 0))
-    assert empty.distance((0, 0)) > 10**6
+    assert empty.distance((0, 0)) == math.inf
     roundtrip = BoxSet.from_json({"boxes": [[["0", "1"]]], "period": ["2"]})
     assert roundtrip.contains((Fraction(5, 2),)) and not roundtrip.contains((Fraction(3, 2),))
 
@@ -106,7 +106,7 @@ def test_boxset_matches_brute_force_oracle(case):
     gap = bs.distance(point)
     assert gap >= 0, case
     assert bs.contains(point) == box_member(bs.boxes, bs.period, point) == (gap == 0), case
-    assert gap == box_distance(bs.boxes, bs.period, point) if boxes else gap > 0, case
+    assert gap == box_distance(bs.boxes, bs.period, point), case
 
 
 def test_density_full_empty_stripes():
@@ -220,6 +220,20 @@ def test_multivariate_reduce_pairs_form_and_default_ell():
             pass
         else:
             raise AssertionError(f"multivariate_reduce accepted {bad}")
+
+
+def test_multivariate_reduce_ell_must_be_an_integer():
+    comps = [[[(1, 1), "1"]], [[(1, 0), "1"], [(0, 1), "1"]]]
+    for bad in (3.9, "5/2", True):
+        try:
+            multivariate_reduce(comps, ell=bad)
+        except ValueError as exc:
+            assert "ell must be an integer" in str(exc), exc
+        else:
+            raise AssertionError(f"ell = {bad!r} accepted")
+    want = [list(f.coeffs) for f in multivariate_reduce(comps, ell=3).polys]
+    for ell in (3.0, "3", Fraction(3)):
+        assert [list(f.coeffs) for f in multivariate_reduce(comps, ell=ell).polys] == want
 
 
 def test_multivariate_reduce_random_independence():

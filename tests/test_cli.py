@@ -467,6 +467,69 @@ def test_seed_and_budget_must_be_integers():
         assert code == 0 and payload["report"]["evaluations"] == 19**2, payload
 
 
+def test_pipeline_reports_no_ratio_bound_without_a_negative_minimum():
+    # (x^2) over Q_3 on [4, 6]: every value found is >= 0, and a ratio bound
+    # of 0.0 would claim that the independence ratio is at most 0
+    cfg = {"family": [["0", "0", "1"]], "window": [4, 6], "field": {"padic": 3}}
+    with tempfile.TemporaryDirectory() as tmp:
+        code, raw, payload = _run(["pipeline", _write_config(tmp, "c.json", cfg)])
+    assert code == 0, payload
+    rep = payload["report"]
+    assert rep["empirical_min"] >= 0 and rep["empirical_ratio_bound"] is None, rep
+    assert '"empirical_ratio_bound":null' in raw
+    assert rep["certified_ratio_bound"] > 0 and rep["chromatic_lower_bound"] > 0
+
+
+def _clique_config(**extra):
+    return {"family": FAMILY, "points": [[0, 0], [1, 1], [2, 4]], **extra}
+
+
+def _assert_rejected(command, cfg, message, *flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _, payload = _run([command, _write_config(tmp, "c.json", cfg), *flags])
+    assert code == 1 and payload["error"] == "ValueError", (cfg, flags, payload)
+    assert message in payload["detail"], payload
+
+
+def test_clique_max_size_must_be_an_integer():
+    # true is not a size-1 clique, nor 1.5 a cap of 1
+    for value in (True, 1.5):
+        _assert_rejected("clique", _clique_config(max_size=value), "max_size must be an integer")
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _, payload = _run(["clique", _write_config(tmp, "c.json", _clique_config(max_size="1"))])
+    assert code == 0 and payload["report"]["size"] == 1, payload
+
+
+def test_clique_tol_must_be_a_finite_positive_number():
+    # a negative tol admits no edge (a size-1 clique); true is not 1.0
+    for value in (-1, 0, True, "nan", "inf"):
+        _assert_rejected("clique", _clique_config(tol=value), "tol must be a finite positive number")
+    for flag in ("-1", "0", "nan"):
+        _assert_rejected("clique", _clique_config(), "tol must be a finite positive number", f"--tol={flag}")
+
+
+def test_reduce_ell_must_be_an_integer():
+    cfg = {"components": [[[[1, 1], "1"]], [[[1, 0], "1"], [[0, 1], "1"]]]}
+    for value in (3.9, True):
+        _assert_rejected("reduce", dict(cfg, ell=value), "ell must be an integer")
+
+
+def test_color_check_harmonic_must_be_an_integer():
+    # cos(2 pi 2.5 t) is not the k = 2 harmonic
+    cfg = {"function": {"constant": 2, "cos": [[2.5, 0.1]]}, "n": 7, "edges": 500}
+    _assert_rejected("color-check", cfg, "harmonic k must be an integer")
+    cfg = {"function": {"constant": 2, "sin": [[True, 0.1]]}, "n": 7, "edges": 500}
+    _assert_rejected("color-check", cfg, "harmonic k must be an integer")
+
+
+def test_density_radii_must_be_finite_positive_numbers():
+    boxset = {"boxes": [[["0", "1"], ["0", "1"]]]}
+    cfg = {"family": FAMILY, "window": [1, 2], "step": "1/2", "boxset": boxset}
+    # [true] is not the radius 1
+    for radii in ([True], [2.0, "inf"], [-1.0]):
+        _assert_rejected("config-search", dict(cfg, density_radii=radii), "density radius must be a finite positive")
+
+
 def test_reduce_command():
     with tempfile.TemporaryDirectory() as tmp:
         path = _write_config(

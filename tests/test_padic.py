@@ -12,7 +12,13 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_sphere_sum, cyc_reduced_dense, padic_vdc_check, residue_sphere_sum
+from oracles import (
+    brute_force_sphere_sum,
+    cyc_reduced_dense,
+    echelon_reduce_fraction,
+    padic_vdc_check,
+    residue_sphere_sum,
+)
 
 import oscillabound
 from oscillabound import padic, spectral
@@ -505,6 +511,45 @@ def test_echelon_reduce_rejects_dependent_families(fam, data):
         pass
     else:
         raise AssertionError("dependent family reduced")
+
+
+@st.composite
+def _families_sharing_degrees(draw):
+    """Coefficient rows of 1-3 components of degree <= 4, dependent families
+    included, with degrees drawn from a pool of one or two so that they
+    often coincide."""
+    pool = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        deg = draw(st.sampled_from(pool))
+        rows.append(draw(st.lists(_COEFF, min_size=deg, max_size=deg)) + [draw(_NONZERO)])
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_families_sharing_degrees())
+def test_echelon_reduce_matches_the_fraction_elimination(rows):
+    fam = CurveFamily([RationalPoly(r) for r in rows])
+    try:
+        b_old, reduced_old = echelon_reduce_fraction(rows)
+    except ValueError:
+        b_old = reduced_old = None
+    try:
+        b, reduced = echelon_reduce(fam)
+    except ValueError as exc:
+        assert reduced_old is None and "independence violation" in str(exc), rows
+        return
+    assert reduced_old is not None, rows
+    assert [f.degree for f in reduced.polys] == [len(r) - 1 for r in reduced_old], rows
+    for w in (PadicWindow(1, 4, 3), PadicWindow(2, 5, 5)):
+        assert certified_bound_padic(reduced, w) == certified_bound_padic(CurveFamily(reduced_old), w)
+    # Bareiss pivots on the first row in order, the old loop on the last to
+    # drop to that degree: the transforms agree unless three rows share one
+    if fam.m <= 2 or len({len(r) for r in rows}) == fam.m:
+        assert (b, [list(f.coeffs) for f in reduced.polys]) == (b_old, reduced_old), rows
+    for row, g in zip(b, reduced.polys):
+        assert sum((f * c for c, f in zip(row, fam.polys)), RationalPoly([0])) == g
+    assert len(polycore._bareiss(b)[2]) == fam.m  # B is invertible
 
 
 def test_certified_bound():
