@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polycore import CurveFamily, check_independence, parse_integer, parse_rational
+from .polycore import CurveFamily, check_independence, parse_float, parse_integer, parse_rational
 
 _MEMBERSHIP_TOL = 1e-9  # curve-membership tolerance for float samples
 _DENSITY_GRID = 200  # grid cells per axis in upper_density_estimate
@@ -40,7 +40,7 @@ class BoxSet:
     def __init__(self, boxes, period=None, dim=None):
         if not boxes and dim is None:
             raise ValueError("an empty box set needs an explicit dim")
-        self.dim = len(boxes[0]) if boxes else int(dim)
+        self.dim = len(boxes[0]) if boxes else parse_integer(dim, "dim")
         self.boxes = []
         for box in boxes:
             if len(box) != self.dim:
@@ -275,7 +275,7 @@ def _as_multipoly(poly):
     items = poly.items() if isinstance(poly, dict) else poly
     out = {}
     for exps, coeff in items:
-        exps = tuple(int(e) for e in exps)
+        exps = tuple(parse_integer(e, "an exponent") for e in exps)
         if any(e < 0 for e in exps):
             raise ValueError("exponents must be nonnegative")
         c = parse_rational(coeff)
@@ -363,10 +363,11 @@ def curve_difference_oracle(family, tol=_MEMBERSHIP_TOL):
 
 class CliqueInstance:
     """A finite vertex sample plus the +-V membership oracle; edges are
-    u ~ v iff u != v and u - v lies in +-V."""
+    u ~ v iff u != v and u - v lies in +-V.  A coordinate is read as a
+    float, and a bool raises (see parse_float)."""
 
     def __init__(self, points, oracle):
-        self.points = [tuple(float(c) for c in p) for p in points]
+        self.points = [tuple(parse_float(c, "a point coordinate") for c in p) for p in points]
         self.oracle = oracle
 
     def adjacent(self, u, v):
@@ -378,7 +379,10 @@ class CliqueInstance:
 def clique_search(instance, max_size=None):
     """Largest pairwise-adjacent vertex set in the sample (exact search,
     Bron-Kerbosch with pivoting); a lower bound on the sample's clique
-    number.  max_size stops the search early once reached."""
+    number.  max_size stops the search early once reached; it must be at
+    least 1, else ValueError."""
+    if max_size is not None and max_size < 1:
+        raise ValueError(f"max_size must be at least 1; got {max_size!r}")
     pts = instance.points
     n = len(pts)
     if n == 0:
@@ -464,8 +468,9 @@ def periodic_coloring_verify(f, n, edge_samples, seed=0):
 
     n must clear the sampled threshold; a valid n makes the coloring proper,
     so the expected return is 0 and anything else is a counterexample.
+    n must be an integer (7.9 raises; see parse_integer).
     """
-    n = int(n)
+    n = parse_integer(n, "n")
     n_min, M, eps, delta = coloring_threshold(f)
     if n < n_min:
         raise ValueError(f"n={n} below the sampled threshold {n_min} (M={M:.3f}, eps={eps:.3f}, delta={delta})")

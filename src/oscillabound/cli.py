@@ -31,7 +31,7 @@ from .cayleylab import (
     upper_density_estimate,
 )
 from .padic import PadicWindow, certified_bound_padic, check_window_padic, echelon_reduce, mu_hat_padic
-from .polycore import check_independence, parse_curve_family, parse_integer, parse_rational
+from .polycore import check_independence, parse_curve_family, parse_float, parse_integer, parse_rational
 from .realosc import (
     QuadratureError,
     Window,
@@ -225,7 +225,8 @@ def _cmd_certify(cfg, flags):
 def _search(cfg, flags, search):
     """Run minimize_mu_hat or independence_pipeline on the config.  A flag
     beats the config, seed and budget must be integers (a missing budget
-    means the default), tol defaults to 1e-6, and --csv writes the trace."""
+    means the default), tol defaults to 1e-6, and --csv writes the trace,
+    with tol in the error column over R and 0.0 over Q_p, as muhat writes."""
     w = _window_of(cfg)
     fam = _family_of(cfg)
     seed = flags.seed if flags.seed is not None else parse_integer(cfg.get("seed", 0), "seed")
@@ -236,7 +237,8 @@ def _search(cfg, flags, search):
     res = search(fam, w, budget=budget, seed=seed, tol=tol)
     if flags.csv:
         trace = getattr(res, "report", res).trace  # a PipelineResult holds its MinimizationReport
-        _write_csv(flags.csv, fam.m, [(lam, val, tol) for _, lam, val in trace])
+        err = 0.0 if isinstance(w, PadicWindow) else tol
+        _write_csv(flags.csv, fam.m, [(lam, val, err) for _, lam, val in trace])
     return _jsonable(res)
 
 
@@ -289,10 +291,11 @@ def _cmd_clique(cfg, flags):
 
 
 def _series_function(spec):
-    """f(t) = constant + sum amp*cos(2 pi k t) + sum amp*sin(2 pi k t)."""
-    c0 = float(spec.get("constant", 0.0))
-    cos_terms = [(parse_integer(k, "a harmonic k"), float(a)) for k, a in spec.get("cos", [])]
-    sin_terms = [(parse_integer(k, "a harmonic k"), float(a)) for k, a in spec.get("sin", [])]
+    """f(t) = constant + sum amp*cos(2 pi k t) + sum amp*sin(2 pi k t); the
+    constant and the amplitudes are floats and never bools (parse_float)."""
+    c0 = parse_float(spec.get("constant", 0.0), "constant")
+    cos_terms = [(parse_integer(k, "a harmonic k"), parse_float(a, "an amplitude")) for k, a in spec.get("cos", [])]
+    sin_terms = [(parse_integer(k, "a harmonic k"), parse_float(a, "an amplitude")) for k, a in spec.get("sin", [])]
 
     def f(t):
         t = np.asarray(t, dtype=float)
@@ -391,10 +394,7 @@ def main(argv=None):
             "diagnostics": _jsonable(exc.diagnostics),
         }
         code = 2
-    except (
-        OSError, KeyError, IndexError, TypeError, ValueError, ArithmeticError,
-        json.JSONDecodeError, QuadratureError,
-    ) as exc:
+    except (OSError, KeyError, IndexError, TypeError, ValueError, ArithmeticError, QuadratureError) as exc:
         payload = {"command": flags.command, "error": exc.__class__.__name__, "detail": str(exc)}
         code = 1
 

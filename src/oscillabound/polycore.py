@@ -46,6 +46,14 @@ def parse_integer(value, name):
     return int(q)
 
 
+def parse_float(value, name):
+    """float(value), so "0.5", 0.5 and Fraction(1, 2) all mean 0.5; a bool
+    raises instead of reading as 0.0 or 1.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number; got {value!r}")
+    return float(value)
+
+
 class RationalPoly:
     """Dense univariate polynomial over Q, coefficients ascending (a0, a1, ...)."""
 

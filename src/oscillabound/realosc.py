@@ -33,13 +33,17 @@ scaled = den * g built from the family's integer matrix without a Fraction,
 and den * Phi^(k) has the coefficients j^k * scaled[j].  Root isolation
 takes the integer Phi' and Phi'' as they are; the float table holds the
 quotients j^k * scaled[j] / den, each correctly rounded from the exact
-rational, so a den that is not minimal changes no bit.  The scalar reads
-(Phi' in the t_star bisection, Phi to Phi''' at an IBP boundary) add their
-terms left to right from int 0 in plain loops over rows built once per
-table.  Error state: osc_integral enters np.errstate(over="ignore") once
-per piece, and every read of the table happens inside that scope, since
-past the float range exp(j*t) reads inf; the quadrature loop keeps its own,
-wider scope.
+rational, so a den that is not minimal changes no bit.  _PhaseTable.rows
+reads arrays of points; _PhaseTable.at reads one Phi^(k) at one point (Phi'
+in the t_star bisection, Phi to Phi''' at an IBP boundary), adding the
+row's terms left to right from int 0.  Error state: osc_integral enters
+np.errstate(over="ignore") once per transform, and every table read
+happens inside that scope, since past the float range exp(j*t) reads inf;
+the quadrature loop keeps its own, wider scope.
+
+Measure bound.  |exp(2*pi*i*Phi)| = 1, so _capped charges a piece, or the
+slow zone of an IBP piece, its length whenever integrating it fails or
+reports a larger error.
 """
 
 import functools
@@ -69,7 +73,7 @@ _CC_N = 16
 _BATCH = 32  # panels evaluated together by _adaptive_cc
 _EPS = 2.3e-16  # float64 phase-evaluation granularity
 _SPOT_POINTS = 32  # interior samples per interval in IntervalDecomposition.spot_check
-_exp = math.exp  # one global lookup per term in _PhaseTable.slope's loop
+_exp = math.exp  # one global lookup per term in _PhaseTable.at's loop
 
 
 class QuadratureError(RuntimeError):
@@ -245,36 +249,29 @@ def _adaptive_cc(values_at, lo, hi, tol_abs, phase_at=None, rel=0.0):
 # --- piecewise oscillatory integration --------------------------------------
 
 
-def _phase_pair(phase):
-    """(den, scaled) with scaled[j] = den * g_j, exact integers, for a phase
-    polynomial g given as a RationalPoly or already as that pair (see
-    polycore.phase_integers)."""
-    return clear_denominators(phase.coeffs) if isinstance(phase, RationalPoly) else phase
-
-
 class _PhaseTable:
     """Float coefficients of Phi, Phi', ..., Phi'''' for one transform.
 
-    phase is a RationalPoly g or the pair (den, scaled) of
-    polycore.phase_integers: scaled[j] = den * g_j is an integer, so
-    den * Phi^(k) has the integer coefficients j^k * scaled[j].  Row k holds
-    j^k * scaled[j] / den for the nonzero terms, ascending, and every
-    evaluation shares one table of exp(j*t) across the rows it reads.  Zero
-    terms stay out: 0 * inf from an overflowed exp would be NaN.  Past the
-    float range exp reads inf, and the caller's np.errstate scope (see
-    osc_integral) keeps numpy quiet about it."""
+    phase is the pair (den, scaled) of polycore.phase_integers: scaled[j] =
+    den * g_j is an integer, so den * Phi^(k) has the integer coefficients
+    j^k * scaled[j].  Row k holds j^k * scaled[j] / den for the nonzero
+    terms, ascending.  Zero terms stay out: 0 * inf from an overflowed exp
+    would be NaN.  Past the float range exp reads inf, and the caller's
+    np.errstate scope (see osc_integral) keeps numpy quiet about it.  Two
+    reads: rows, at an array of points from one shared table of exp(j*t),
+    and at, for one of rows 0-3 at one point."""
 
-    __slots__ = ("scaled", "js", "coef", "_js", "_coef", "_slope")
+    __slots__ = ("js", "coef", "_terms")
 
     def __init__(self, phase):
-        den, self.scaled = _phase_pair(phase)
-        terms = [(j, n) for j, n in enumerate(self.scaled) if n]
-        self._js = [float(j) for j, _ in terms]
+        den, scaled = phase
+        terms = [(j, n) for j, n in enumerate(scaled) if n]
+        js = [float(j) for j, _ in terms]
         # int / int is correctly rounded: the bits of float(c_j * j**k)
-        self._coef = [[(n * j**k) / den for j, n in terms] for k in range(5)]
-        self._slope = tuple(zip(self._coef[1], self._js))
-        self.js = np.array(self._js)
-        self.coef = np.array(self._coef)
+        coef = [[(n * j**k) / den for j, n in terms] for k in range(5)]
+        self._terms = tuple(zip(*coef[:4], js))  # per term: its coefficients in rows 0-3, then j
+        self.js = np.array(js)
+        self.coef = np.array(coef)
 
     def rows(self, ks, ts):
         """Phi^(k) at ts for k in range(5)[ks], shape (rows,) + ts.shape."""
@@ -286,35 +283,19 @@ class _PhaseTable:
         """Phi at an array of points."""
         return self.rows(slice(0, 1), ts)[0]
 
-    def _powers(self, t):
-        """exp(j*t) for the table's j at one point, in plain floats: cheaper
-        than numpy calls for a handful of terms."""
-        try:
-            return [math.exp(j * t) for j in self._js]
-        except OverflowError:  # past the float range: inf, as on the array paths
-            return np.exp(self.js * t).tolist()
-
-    def derivs(self, t):
-        """Phi^(k)(t) for k < 4 at one point, each row's terms added left to
-        right from int 0."""
-        powers = self._powers(t)
-        out = []
-        for row in self._coef[:4]:
-            acc = 0
-            for c, x in zip(row, powers):
-                acc += c * x
-            out.append(acc)
-        return out
-
-    def slope(self, t):
-        """Phi'(t) alone, summed term by term as derivs sums it, so the
-        bits agree with derivs(t)[1]."""
+    def at(self, t, k):
+        """Phi^(k)(t) for k < 4, the row's terms added left to right from
+        int 0; plain floats are cheaper than numpy calls for a handful of
+        terms.  Past the float range math.exp raises, and the row is read
+        again with numpy's exp, which gives inf as the array path does."""
         acc = 0
         try:
-            for c, j in self._slope:
-                acc += c * _exp(j * t)
-        except OverflowError:  # past the float range: derivs reads numpy's inf
-            return self.derivs(t)[1]
+            for term in self._terms:
+                acc += term[k] * _exp(term[-1] * t)
+        except OverflowError:
+            acc = 0
+            for term, x in zip(self._terms, np.exp(self.js * t).tolist()):
+                acc += term[k] * x
         return acc
 
 
@@ -357,7 +338,7 @@ def _ibp_boundary(table, t):
 
     Evaluated via q = 1/psi' and the ratios psi^(k)/psi', which stay modest
     even when psi' itself would overflow raised to the fifth power."""
-    f, p1, p2, p3 = (math.tau * v for v in table.derivs(t))
+    f, p1, p2, p3 = (math.tau * table.at(t, k) for k in range(4))
     e = complex(math.cos(f), math.sin(f))
     q = 1.0 / p1
     u2, u3 = p2 * q, p3 * q
@@ -411,7 +392,7 @@ def _integrate_piece(table, c, d, tol_piece):
                 mid = 0.5 * (lo + hi)
                 if mid == lo or mid == hi:
                     break  # float resolution reached; t_star below is mid
-                if (abs(table.slope(mid)) < omega) == slow_at_left:
+                if (abs(table.at(mid, 1)) < omega) == slow_at_left:
                     lo = mid
                 else:
                     hi = mid
@@ -433,18 +414,10 @@ def _integrate_piece(table, c, d, tol_piece):
             b_hi, noise_hi = _ibp_boundary(table, fast_hi)
             b_lo, noise_lo = _ibp_boundary(table, fast_lo)
             slow_lo, slow_hi = (c, t_star) if slow_at_left else (t_star, d)
-            sval, serr = (0.0 + 0.0j, 0.0)
-            swidth = slow_hi - slow_lo
-            if swidth > 0:
-                if swidth <= 0.5 * tol_piece:
-                    serr = swidth  # measure bound: |integrand| = 1
-                else:
-                    try:
-                        sval, serr = direct(slow_lo, slow_hi, 0.5 * tol_piece)
-                    except QuadratureError:
-                        sval, serr = 0.0 + 0.0j, math.inf
-                    if serr > swidth:
-                        sval, serr = 0.0 + 0.0j, swidth
+            if slow_hi - slow_lo <= 0.5 * tol_piece:
+                sval, serr = 0.0 + 0.0j, slow_hi - slow_lo  # measure bound: |integrand| = 1
+            else:
+                sval, serr = _capped(direct, slow_lo, slow_hi, 0.5 * tol_piece)
             return sval + b_hi - b_lo, serr + r3 + (noise_hi + noise_lo)
         # the remainder decays like Omega^-3; jump near the needed level
         jump = omega * (r3 / (0.4 * tol_piece)) ** (1.0 / 3.0) * 1.5
@@ -452,38 +425,41 @@ def _integrate_piece(table, c, d, tol_piece):
     raise QuadratureError("IBP remainder failed to stabilize", partial=None, error=None)
 
 
+def _capped(integrate, lo, hi, tol):
+    """integrate(lo, hi, tol) as (value, error), or the measure bound
+    (0, hi - lo) when it raises QuadratureError or its error exceeds hi - lo
+    (a NaN error passes).  This rescues slivers between near-coincident
+    breakpoints and slow zones whose phase exceeds float resolution."""
+    try:
+        val, err = integrate(lo, hi, tol)
+    except QuadratureError:
+        return 0.0 + 0.0j, hi - lo
+    return (0.0 + 0.0j, hi - lo) if err > hi - lo else (val, err)
+
+
 def osc_integral(phase, a, T, tol_abs):
     """int_a^T exp(2*pi*i*Phi(t)) dt with an error estimate <= tol_abs, for
     Phi(t) = g(e^t) with g a RationalPoly or the pair (den, scaled) of
-    polycore.phase_integers (the transform passes the pair).  Raises
-    ValueError unless Window(a, T) is valid and 0 < tol_abs < inf."""
+    polycore.phase_integers (the transform passes the pair; a RationalPoly
+    is converted to it here).  Raises ValueError unless Window(a, T) is
+    valid and 0 < tol_abs < inf."""
     Window(a, T)
     if not 0 < tol_abs < math.inf:
         raise ValueError(f"tol_abs must lie in (0, inf); got {tol_abs!r}")
-    den, scaled = _phase_pair(phase)
+    den, scaled = clear_denominators(phase.coeffs) if isinstance(phase, RationalPoly) else phase
     if not any(scaled[1:]):
         # the same float as float(g(0)): int / int is correctly rounded
         c0 = scaled[0] / den if scaled else 0.0
         return complex(math.cos(math.tau * c0), math.sin(math.tau * c0)) * (T - a), 0.0
     table = _PhaseTable((den, scaled))
-    cuts = _breakpoints(table.scaled, a, T)
-    knots = [a] + cuts + [T]
-    total = 0.0 + 0.0j
-    err = 0.0
-    width = T - a
-    for lo, hi in zip(knots, knots[1:]):
-        try:
-            with np.errstate(over="ignore"):  # past the float range the phase reads inf
-                val, e = _integrate_piece(table, lo, hi, tol_abs * (hi - lo) / width)
-        except QuadratureError:
-            val, e = 0.0 + 0.0j, math.inf
-        if e > hi - lo:
-            # |exp(2*pi*i*Phi)| = 1, so the piece's measure always bounds it;
-            # rescues slivers between near-coincident breakpoints and slow
-            # zones whose phase exceeds float resolution
-            val, e = 0.0 + 0.0j, hi - lo
-        total += val
-        err += e
+    knots = [a] + _breakpoints(scaled, a, T) + [T]
+    piece = functools.partial(_integrate_piece, table)
+    total, err = 0.0 + 0.0j, 0.0
+    with np.errstate(over="ignore"):  # past the float range the phase reads inf
+        for lo, hi in zip(knots, knots[1:]):
+            val, e = _capped(piece, lo, hi, tol_abs * (hi - lo) / (T - a))
+            total += val
+            err += e
     return total, err
 
 
@@ -580,8 +556,6 @@ def merge_intervals(sets):
     endpoints = sorted({float(e) for s in sets for iv in s for e in iv})
     out = []
     for x, y in zip(endpoints, endpoints[1:]):
-        if y <= x:
-            continue
         mid = 0.5 * (x + y)
         prev_w = out[-1][2] if out else None
         witness = None
@@ -617,8 +591,7 @@ def witness_intervals(phi, k, eta, window):
         inner = [t for t in cuts if iv.lo < t < iv.hi]
         knots = [iv.lo] + inner + [iv.hi]
         for lo, hi in zip(knots, knots[1:]):
-            if hi > lo:
-                out.append(WitnessInterval(lo, hi, k, float(eta)))
+            out.append(WitnessInterval(lo, hi, k, float(eta)))
     return IntervalDecomposition(tuple(out))
 
 

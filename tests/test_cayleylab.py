@@ -198,6 +198,41 @@ def test_config_search_validation():
             raise AssertionError(f"window {window!r} accepted")
 
 
+def test_config_search_finds_a_witness_in_the_refinement_pass():
+    # the only witness is x1 = F(7/2) = (7/2, 49/4) against x2 = 0: no
+    # integer s in [e, e^2] hits it, the nearest miss is s = 3, and the
+    # first refinement step probes 3 +- 1/2
+    bs = BoxSet([[("0", "0"), ("0", "0")], [("7/2", "7/2"), ("49/4", "49/4")]])
+    res = config_search(PARABOLA, (1.0, 2.0), bs, 1)
+    assert res.found and res.s == Fraction(7, 2) and res.residual == 0.0
+    assert res.x1 == (Fraction(7, 2), Fraction(49, 4)) and res.x2 == (0, 0)
+
+
+def test_integer_inputs_are_never_truncated_and_no_number_is_a_bool():
+    # [[1.5, 0], "1"] is not x_1, a box set of dim 2.5 or true is not 2-dim,
+    # a point (true, true) is not (1.0, 1.0), and n = 7.9 is not 7
+    f = lambda t: 2 + np.cos(2 * np.pi * np.asarray(t))
+    oracle = curve_difference_oracle(PARABOLA)
+    calls = [lambda e=e: multivariate_reduce([[[(e, 0), "1"]], [[(0, 1), "1"]]]) for e in (1.5, True)]
+    calls += [lambda d=d: BoxSet([], dim=d) for d in (2.5, True)]
+    calls += [lambda: CliqueInstance([(0, 0), (True, True)], oracle), lambda: periodic_coloring_verify(f, 7.9, 100)]
+    for call in calls:
+        try:
+            call()
+        except ValueError:
+            pass
+        else:
+            raise AssertionError("a bool or a non-integral value was accepted")
+    # what was read before reads the same: integral exponents, dims and n,
+    # and any coordinate float() takes, as the same float
+    reduced = multivariate_reduce([[[(1.0, "0"), "1"]], [[(0, 1), "1"]]])
+    assert reduced.polys == multivariate_reduce([{(1, 0): 1}, {(0, 1): 1}]).polys
+    assert BoxSet([], dim=2.0).dim == BoxSet([], dim="2").dim == 2
+    assert periodic_coloring_verify(f, 7.0, 2_000, seed=5) == periodic_coloring_verify(f, 7, 2_000, seed=5)
+    coords = (1, "2.5", Fraction(1, 3), 0.1, "-inf", np.float64(0.7))
+    assert CliqueInstance([coords], oracle).points == [tuple(float(c) for c in coords)]
+
+
 def test_multivariate_reduce_examples():
     fam = multivariate_reduce([{(1, 0): 1, (0, 1): 0}, {(0, 1): 1}], ell=2)
     assert [list(f.coeffs) for f in fam.polys] == [[0, 1], [0, 0, 1]]

@@ -4,16 +4,18 @@ validation error / certified-floor consistency failure)."""
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
 import tempfile
 from fractions import Fraction
 
+import numpy as np
 from oracles import box_member
 
 from oscillabound import cli
-from oscillabound.cayleylab import BoxSet
+from oscillabound.cayleylab import BoxSet, coloring_threshold, periodic_coloring_verify, upper_density_estimate
 from oscillabound.polycore import parse_curve_family, parse_rational
 from oscillabound.realosc import Window, certified_constant_real, mu_hat_real_with_error
 from oscillabound.spectral import PipelineConsistencyError
@@ -528,6 +530,94 @@ def test_density_radii_must_be_finite_positive_numbers():
     # [true] is not the radius 1
     for radii in ([True], [2.0, "inf"], [-1.0]):
         _assert_rejected("config-search", dict(cfg, density_radii=radii), "density radius must be a finite positive")
+
+
+def test_cayleylab_inputs_are_never_truncated_and_no_number_is_a_bool():
+    # [[1.5, 0], "1"] is not x_1, a box set of dim 2.5 or true is not 2-dim,
+    # and the point [true, true] is not (1.0, 1.0): each used to exit 0
+    for exponent in (1.5, True):
+        cfg = {"components": [[[[exponent, 0], "1"]], [[[0, 1], "1"]]]}
+        _assert_rejected("reduce", cfg, "exponent must be an integer")
+    for dim in (2.5, True):
+        cfg = {"family": FAMILY, "window": [1, 2], "step": "1/2", "boxset": {"boxes": [], "dim": dim}}
+        _assert_rejected("config-search", cfg, "dim must be an integer")
+    _assert_rejected("clique", _clique_config(points=[[0, 0], [True, True]]), "point coordinate must be a number")
+
+
+def test_clique_max_size_must_be_positive():
+    # max_size 0 or -1 used to report the empty clique with exit 0
+    for value in (0, -1, "0"):
+        _assert_rejected("clique", _clique_config(max_size=value), "max_size must be at least 1")
+
+
+def test_color_check_constant_and_amplitudes_are_not_bools():
+    # {"constant": true, "cos": [[1, true]]} used to run as 1 + cos(2 pi t)
+    for function in (
+        {"constant": True, "cos": [[1, 1.0]]},
+        {"constant": 2, "cos": [[1, True]]},
+        {"constant": 2, "sin": [[1, True]]},
+    ):
+        _assert_rejected("color-check", {"function": function, "n": 7, "edges": 500}, "must be a number")
+
+
+def test_color_check_sin_harmonics():
+    # f = 2 + sin(2 pi t) / 2 + cos(4 pi t) / 4, against the library on the same f
+    spec = {"constant": "2", "sin": [[1, 0.5]], "cos": [[2, 0.25]]}
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _, payload = _run(["color-check", _write_config(tmp, "c.json", {"function": spec, "edges": 2000})])
+    assert code == 0, payload
+
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        return 2.0 + 0.5 * np.sin(2 * np.pi * t) + 0.25 * np.cos(4 * np.pi * t)
+
+    n_min, M, eps, delta = coloring_threshold(f)
+    rep = payload["report"]
+    assert (rep["n_min"], rep["M"], rep["eps"], rep["delta"]) == (n_min, M, eps, delta)
+    assert rep["n"] == n_min and rep["violations"] == periodic_coloring_verify(f, n_min, 2000) == 0
+
+
+def test_minimize_and_pipeline_csv_pin_the_trace():
+    # one row per trace entry; the error column is the tolerance over R and
+    # 0.0 over Q_p, as muhat writes it
+    padic = {"family": FAMILY, "window": [1, 4], "field": {"padic": 3}, "budget": 10}
+    real = {"family": FAMILY, "window": [1, 2], "tol": 1e-3, "budget": 6}
+    header = "lambda_1,lambda_2,value,error\r\n"
+    want = {
+        "padic": header + "0.0,0.0,1.0,0.0\r\n0.0,0.0013717421124828531,0.0,0.0\r\n",
+        "real": header
+        + "0.5817091329374358,-225393.39047347935,3.7333370549972054e-08,0.001\r\n"
+        + "1.9684194472866112,-3.3838551534273156e-06,-0.027375341062169826,0.001\r\n",
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "trace.csv")
+        for command in ("minimize", "pipeline"):
+            for field, cfg in (("padic", padic), ("real", real)):
+                code, _, payload = _run([command, _write_config(tmp, "c.json", cfg), "--csv", out])
+                assert code == 0, payload
+                with open(out, newline="") as fh:
+                    assert fh.read() == want[field], (command, field)
+                report = payload["report"] if command == "minimize" else payload["report"]["report"]
+                assert len(report["trace"]) == 2
+
+
+def test_config_search_density_report_and_boxset_path():
+    boxset = {"boxes": [[["0", "1"], ["0", "1"]]]}
+    cfg = {"family": FAMILY, "window": [1, 2], "step": "1/2", "density_radii": [1, "2"]}
+    want = [
+        {k: float(v) for k, v in dataclasses.asdict(d).items()}
+        for d in upper_density_estimate(BoxSet.from_json(boxset), [1.0, 2.0])
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _, inline = _run(["config-search", _write_config(tmp, "c.json", dict(cfg, boxset=boxset))])
+        # the box set may also come from its own file
+        path = dict(cfg, boxset_path=_write_config(tmp, "boxes.json", boxset))
+        code_path, _, from_path = _run(["config-search", _write_config(tmp, "p.json", path)])
+    assert code == code_path == 0, (inline, from_path)
+    assert inline["report"] == from_path["report"]
+    rep = inline["report"]
+    assert rep["found"] is False and rep["density"] == want
+    assert 0 < want[0]["value"] < 1 and want[1]["value"] < want[0]["value"]
 
 
 def test_reduce_command():

@@ -21,8 +21,10 @@ from oscillabound.polycore import RationalPoly, parse_curve_family, phase_intege
 from oscillabound.realosc import (
     HIGH,
     LOW,
+    IntervalDecomposition,
     QuadratureError,
     Window,
+    WitnessInterval,
     certified_constant_real,
     merge_intervals,
     mu_hat_real,
@@ -331,12 +333,11 @@ def test_phase_beyond_float_range_fails_as_quadrature_error():
         raise AssertionError("an unreachable tolerance was reported as reached")
     # the table keeps only the nonzero term of x^5, so past the float range
     # the phase reads inf; a zero term would add 0 * inf = NaN.  The table
-    # is read inside the error-state scope that osc_integral gives each piece
-    table = realosc._PhaseTable(RationalPoly([0, 0, 0, 0, 0, 1]))
+    # is read inside the error-state scope that osc_integral gives each transform
+    table = realosc._PhaseTable((1, [0, 0, 0, 0, 0, 1]))
     with np.errstate(over="ignore"):
         assert table.phase(np.array([400.0]))[0] == math.inf
-        assert table.derivs(400.0) == [math.inf] * 4
-        assert table.slope(400.0) == math.inf
+        assert [table.at(400.0, k) for k in range(4)] == [math.inf] * 4
 
 
 def _generator_sum_rows(phi, t):
@@ -377,8 +378,7 @@ def test_scalar_reads_keep_the_generator_sum_bits(fam, lam, t):
     table = realosc._PhaseTable(phase_integers(fam, lam))
     with np.errstate(over="ignore"):
         want = [_bits(v) for v in _generator_sum_rows(phi_from_frequency(fam, lam), t)]
-        assert [_bits(v) for v in table.derivs(t)] == want
-        assert _bits(table.slope(t)) == want[1]
+        assert [_bits(table.at(t, k)) for k in range(4)] == want
 
 
 # (family, window, lambda, value.hex(), error.hex()) of mu_hat_real_with_error
@@ -519,6 +519,28 @@ def test_witness_intervals_support_oscillation_bound():
                 assert abs(val) + err <= bound, (phi, k, eta, iv, abs(val), bound)
                 checked += 1
     assert checked >= 20
+
+
+def test_measure_bound_rescue():
+    # a failed integration, or one whose error exceeds the interval's length,
+    # is charged that length; a NaN error passes as it is, as before
+    def failing(lo, hi, tol):
+        raise QuadratureError("no convergence")
+
+    assert realosc._capped(failing, 1.0, 1.5, 1e-9) == (0j, 0.5)
+    assert realosc._capped(lambda lo, hi, tol: (0.3 + 0.1j, 0.75), 1.0, 1.5, 1e-9) == (0j, 0.5)
+    assert realosc._capped(lambda lo, hi, tol: (0.3 + 0.1j, 0.5), 1.0, 1.5, 1e-9) == (0.3 + 0.1j, 0.5)
+    val, err = realosc._capped(lambda lo, hi, tol: (0.3 + 0.1j, math.nan), 1.0, 1.5, 1e-9)
+    assert val == 0.3 + 0.1j and math.isnan(err)
+
+
+def test_spot_check_catches_a_false_witness():
+    # Phi = e^t on [0, 1]: |Phi'| = e^t lies in [1, e], so eta = 1/2 holds and
+    # eta = 3 fails at every interior sample; a witness on Phi'' fails too
+    phi = RationalPoly([0, 1])
+    assert IntervalDecomposition((WitnessInterval(0.0, 1.0, 1, 0.5),)).spot_check(phi)
+    for iv in (WitnessInterval(0.0, 1.0, 1, 3.0), WitnessInterval(0.5, 1.0, 2, 3.0)):
+        assert not IntervalDecomposition((WitnessInterval(0.0, 1.0, 1, 0.5), iv)).spot_check(phi), iv
 
 
 def test_certified_constant_shape():

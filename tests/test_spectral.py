@@ -2,8 +2,13 @@
 chromatic formulas, budgeted deterministic minimization, and the consistency
 check of empirical minima against certified floors."""
 
+import contextlib
+import io
+import json
 import math
+import os
 import random
+import tempfile
 from fractions import Fraction
 
 from oscillabound import cli, realosc, spectral
@@ -270,6 +275,28 @@ def test_tol_is_checked_for_both_fields(monkeypatch):
         assert exc.diagnostics["empirical_min"] == -1000.0
     else:
         raise AssertionError("an empirical minimum of -1000 passed the floor")
+
+
+def test_pipeline_real_consistency_alarm(monkeypatch):
+    # a real transform far below the certified floor (about -7.3e5 on [1, 2])
+    # sets off the alarm too, and the CLI reports it with exit 2
+    monkeypatch.setattr(spectral, "mu_hat_real", lambda family, window, lam, tol: -1e9)
+    try:
+        independence_pipeline(FAM, (1, 2), budget=3, tol=1e-6)
+    except PipelineConsistencyError as exc:
+        diag = exc.diagnostics
+        assert (diag["field"], diag["window"], diag["empirical_min"]) == ("real", (1.0, 2.0), -1e9)
+        assert diag["floor"] == -certified_constant_real(FAM).C
+    else:
+        raise AssertionError("an empirical minimum of -1e9 passed the real floor")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w") as fh:
+            json.dump({"family": [["0", "1"], ["0", "0", "1"]], "window": [1, 2], "budget": 3}, fh)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["pipeline", path]) == 2
+    payload = json.loads(out.getvalue())
+    assert payload["error"] == "consistency failure" and payload["diagnostics"]["field"] == "real"
 
 
 def test_budget_must_be_an_integer():
