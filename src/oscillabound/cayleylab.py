@@ -468,9 +468,11 @@ def periodic_coloring_verify(f, n, edge_samples, seed=0):
 
     n must clear the sampled threshold; a valid n makes the coloring proper,
     so the expected return is 0 and anything else is a counterexample.
-    n must be an integer (7.9 raises; see parse_integer).
-    """
+    n must be an integer (7.9 raises; see parse_integer), and edge_samples
+    at least 1: a check of no edge proves nothing."""
     n = parse_integer(n, "n")
+    if edge_samples < 1:
+        raise ValueError(f"edge_samples must be at least 1; got {edge_samples!r}")
     n_min, M, eps, delta = coloring_threshold(f)
     if n < n_min:
         raise ValueError(f"n={n} below the sampled threshold {n_min} (M={M:.3f}, eps={eps:.3f}, delta={delta})")

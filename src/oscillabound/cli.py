@@ -30,16 +30,10 @@ from .cayleylab import (
     periodic_coloring_verify,
     upper_density_estimate,
 )
-from .padic import PadicWindow, certified_bound_padic, check_window_padic, echelon_reduce, mu_hat_padic
+from .padic import PadicWindow, mu_hat_padic
 from .polycore import check_independence, parse_curve_family, parse_float, parse_integer, parse_rational
-from .realosc import (
-    QuadratureError,
-    Window,
-    certified_constant_real,
-    check_window_real,
-    mu_hat_real_with_error,
-)
-from .spectral import PipelineConsistencyError, independence_pipeline, minimize_mu_hat
+from .realosc import QuadratureError, Window, certified_constant_real, mu_hat_real_with_error
+from .spectral import PipelineConsistencyError, certificate, independence_pipeline, minimize_mu_hat
 
 _COMMANDS = {}
 
@@ -79,22 +73,20 @@ def _field_prime(cfg):
     """None for the real field, else the p that the config's field names.
 
     Accepts 'real' (or 'R', None, or no field), a prime p, ('padic', p),
-    'padic:p' and {'padic': p}.  p must be an int, or a string of digits
-    inside the three spelled-out forms; PadicWindow checks that p is prime.
+    'padic:p' and {'padic': p}.  p must be an int, or ASCII digits inside
+    the three spelled-out forms; PadicWindow checks that p is prime.
     """
     field = cfg.get("field", "real")
     if field in ("real", "R", None):
         return None
-    p = None
-    if isinstance(field, int):
-        p = field
-    elif isinstance(field, (tuple, list)) and len(field) == 2 and field[0] == "padic":
+    p = field if isinstance(field, int) else None
+    if isinstance(field, (tuple, list)) and len(field) == 2 and field[0] == "padic":
         p = field[1]
     elif isinstance(field, dict) and "padic" in field:
         p = field["padic"]
-    elif isinstance(field, str) and field.startswith("padic"):
-        p = field.replace("padic", "").strip(":- ")
-    if isinstance(p, str) and p.isdigit():
+    elif isinstance(field, str) and field.startswith("padic:"):
+        p = field[len("padic:") :]
+    if isinstance(p, str) and p.isascii() and p.isdigit():
         p = int(p)
     if isinstance(p, int) and not isinstance(p, bool):
         return p
@@ -193,32 +185,24 @@ def _cmd_muhat(cfg, flags):
 def _cmd_certify(cfg, flags):
     if _field_prime(cfg) is not None:
         w = _window_of(cfg)
-        fam = _family_of(cfg)
-        check_window_padic(fam, w)
-        transform, reduced = echelon_reduce(fam)
-        bound_b = certified_bound_padic(reduced, w)
-        floor = Fraction(-bound_b) / w.L
+        cert = certificate(_family_of(cfg), w)
+        floor = -cert.C / cert.length  # exactly -B/L
         return {
-            "B": bound_b,
+            "B": cert.B,
             "L": str(w.L),
             "floor": str(floor),
             "floor_float": float(floor),
-            "reduced_degrees": [f.degree for f in reduced.polys],
-            "row_transform": [[str(c) for c in row] for row in transform],
+            "reduced_degrees": [f.degree for f in cert.echelon[1].polys],
+            "row_transform": [[str(c) for c in row] for row in cert.echelon[0]],
         }
     fam = _family_of(cfg)
-    bound = certified_constant_real(fam)
-    report = {
-        "C": bound.C,
-        "breakdown": {k: list(v) for k, v in bound.breakdown.items()},
-        "constants": _jsonable(bound.constants),
-    }
-    if "window" in cfg:
-        w = _window_of(cfg)
-        check_window_real(fam, w)
-        report["window"] = [w.a, w.T]
-        report["ratio_bound"] = bound.C / w.length
-        report["floor"] = -bound.C / w.length
+    cert = certificate(fam, _window_of(cfg)) if "window" in cfg else None
+    bound = certified_constant_real(fam) if cert is None else cert.bound
+    report = _jsonable(bound)  # C, breakdown and constants
+    if cert is not None:
+        report["window"] = [cert.window.a, cert.window.T]
+        report["ratio_bound"] = cert.C / cert.length
+        report["floor"] = -cert.C / cert.length
     return report
 
 

@@ -39,8 +39,9 @@ def parse_rational(x):
 
 def parse_integer(value, name):
     """value as an int if it parses to an integer ("7", 7.0 and Fraction(7)
-    all mean 7); 7.9 or a bool raises instead of being truncated."""
-    q = None if isinstance(value, bool) else parse_rational(value)
+    all mean 7); 7.9, a bool, nan or inf raises a ValueError naming it."""
+    bad = isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value))
+    q = None if bad else parse_rational(value)
     if q is None or q.denominator != 1:
         raise ValueError(f"{name} must be an integer; got {value!r}")
     return int(q)

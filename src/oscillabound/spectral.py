@@ -17,8 +17,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import PadicWindow, certified_bound_padic, echelon_reduce, mu_hat_padic
-from .realosc import QuadratureError, _as_window, certified_constant_real, mu_hat_real
+from .padic import PadicWindow, certified_bound_padic, check_window_padic, echelon_reduce, mu_hat_padic
+from .polycore import parse_integer
+from .realosc import QuadratureError, _as_window, certified_constant_real, check_window_real, mu_hat_real
 
 _GRID_STAGE = 4096  # coarse-grid candidates before refinement starts
 _N_STARTS = 5  # compass searches, seeded from the best grid cells
@@ -77,6 +78,30 @@ class PipelineResult:
     empirical_min: float  # smallest transform value found (upper bound on inf)
     empirical_ratio_bound: float | None  # -m/(1-m) at the empirical minimum m; None if m >= 0
     report: MinimizationReport
+
+
+@dataclass(frozen=True)
+class Certificate:
+    window: object  # the Window or PadicWindow it holds on
+    length: float | int  # T - a
+    C: float | Fraction  # mu_hat >= -C/length at every frequency; exactly B*length/L over Q_p
+    bound: object = None  # over R, the realosc.CertifiedBound that C comes from
+    B: int | None = None  # over Q_p
+    echelon: tuple | None = None  # over Q_p, echelon_reduce's (row transform, reduced family) behind B
+
+
+def certificate(family, window):
+    """The Certificate of family on window, in the window's field; first a
+    ValueError unless the window starts above a0 (R) or the essential part (Q_p)."""
+    if isinstance(window, PadicWindow):
+        check_window_padic(family, window)
+        echelon, length = echelon_reduce(family), window.T - window.a
+        b = certified_bound_padic(echelon[1], window)
+        return Certificate(window, length, b * length / window.L, B=b, echelon=echelon)
+    w = _as_window(window)
+    check_window_real(family, w)
+    bound = certified_constant_real(family)
+    return Certificate(w, w.length, bound.C, bound)
 
 
 class PipelineConsistencyError(RuntimeError):
@@ -196,8 +221,8 @@ def minimize_mu_hat(family, window, budget=None, seed=0, tol=1e-6):
     followed by compass pattern searches from the five best cells.  A
     PadicWindow means Q_p at window.p: exhaustive enumeration of the lattice
     {0} U {u p^v : u unit mod p^2, -6 <= v <= 2} per axis.  Either way tol
-    must lie in (0, 1e-3] and budget must be a positive integer (7.0 is 7;
-    3.5 and True are not), else ValueError.
+    must lie in (0, 1e-3] and budget must be a positive integer (read by
+    polycore.parse_integer: 7.0 is 7; 3.5, True and nan are not).
 
     The candidate stream is a fixed sequence for a given (family, window,
     seed); the budget is a prefix length, so the reported best value is
@@ -214,11 +239,10 @@ def minimize_mu_hat(family, window, budget=None, seed=0, tol=1e-6):
     candidate may fail: its QuadratureError or ArithmeticError is cached as
     inf.  Raises ValueError if every evaluated candidate failed.
 
-    The p-adic search shares the descent as well.  Its cells reduce, modulo
-    Z_p[u], to far fewer unit-ball averages than they visit, so one memo
-    (see padic.mu_hat_padic) is created per call, passed to every cell's
-    transform and dropped on return.  Each cell is still one transform
-    call, and its value is exactly what a call with its own memo gives.
+    The p-adic cells reduce, modulo Z_p[u], to far fewer unit-ball averages
+    than they visit, so one descent memo (see padic.mu_hat_padic) serves a
+    whole call; each cell is still one transform call, with exactly the
+    value that a call with its own memo gives.
     """
     if not 0 < tol <= 1e-3:
         raise ValueError("tol must lie in (0, 1e-3]")
@@ -267,8 +291,7 @@ def minimize_mu_hat(family, window, budget=None, seed=0, tol=1e-6):
 
         stream = _real_candidates(evaluate, family.m, seed)
         budget = 10_000 if budget is None else budget
-    if isinstance(budget, bool) or budget % 1 != 0:
-        raise ValueError(f"budget must be an integer; got {budget!r}")
+    budget = parse_integer(budget, "budget")
     if budget < 1:
         raise ValueError("budget must allow at least one evaluation")
 
@@ -296,26 +319,16 @@ def minimize_mu_hat(family, window, budget=None, seed=0, tol=1e-6):
 def independence_pipeline(family, window, budget=None, seed=0, tol=1e-6):
     """Certified C and ratio/chromatic bounds next to the empirical minimum.
 
-    As in minimize_mu_hat, a Window or (a, T) means R, with C from
-    certified_constant_real, and a PadicWindow means Q_p at window.p, with
-    C scaled so that C/(T-a) = B/L.  Raises PipelineConsistencyError when
-    the empirical minimum dips below the certified floor -C/(T-a) - tol;
-    that can only happen if the certificate or the quadrature is wrong, so
-    the full diagnostics ride on the error.  empirical_ratio_bound is None
-    when the empirical minimum is not negative, as the Hoffman bound needs
-    m < 0; the certified fields stand either way.
+    C comes from certificate(family, window), as certify's does, so over Q_p
+    the floor -C/(T-a) = -B/L is exact and each field is rounded once from
+    it.  Raises PipelineConsistencyError, diagnostics attached, when the
+    empirical minimum dips below floor - tol, which only a wrong certificate
+    or quadrature can cause.  empirical_ratio_bound is None unless the
+    empirical minimum is negative, as the Hoffman bound needs m < 0; the
+    certified fields stand either way.
     """
-    if isinstance(window, PadicWindow):
-        w = window
-        length = w.T - w.a
-        _, reduced = echelon_reduce(family)
-        bound_b = certified_bound_padic(reduced, w)
-        certified = bound_b * length / float(w.L)  # so that C/(T-a) = B/L
-    else:
-        w = _as_window(window)
-        length = w.length
-        certified = certified_constant_real(family).C
-
+    cert = certificate(family, window)
+    w, certified, length = cert.window, cert.C, cert.length
     report = minimize_mu_hat(family, w, budget=budget, seed=seed, tol=tol)
     m_hat = report.best_value
     floor = -certified / length
@@ -328,16 +341,16 @@ def independence_pipeline(family, window, budget=None, seed=0, tol=1e-6):
                 "field": report.grid_spec["field"],
                 "empirical_min": m_hat,
                 "at_lambda": report.best_lambda,
-                "certified_C": certified,
-                "floor": floor,
+                "certified_C": float(certified),
+                "floor": float(floor),
                 "tol": tol,
             },
         )
     empirical_ratio = float(hoffman_ratio_bound(m_hat)) if m_hat < 0 else None
     return PipelineResult(
         certified_C=float(certified),
-        certified_ratio_bound=float(certified) / length,
-        chromatic_lower_bound=length / float(certified),
+        certified_ratio_bound=float(certified / length),
+        chromatic_lower_bound=float(length / certified),
         empirical_min=m_hat,
         empirical_ratio_bound=empirical_ratio,
         report=report,

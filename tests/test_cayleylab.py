@@ -366,6 +366,18 @@ def test_periodic_coloring_verify():
         raise AssertionError("sub-threshold n accepted")
 
 
+def test_periodic_coloring_verify_needs_an_edge():
+    # no edge checked is no evidence: 0 used to report 0 violations
+    f = lambda t: 2 + np.cos(2 * np.pi * np.asarray(t))
+    for edges in (0, -1):
+        try:
+            periodic_coloring_verify(f, 7, edges)
+        except ValueError as exc:
+            assert str(exc) == f"edge_samples must be at least 1; got {edges}", exc
+        else:
+            raise AssertionError(f"{edges} edges accepted")
+
+
 def test_coloring_random_periodic_functions():
     rng = random.Random(89)
     for _ in range(10):

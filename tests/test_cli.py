@@ -7,16 +7,27 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import tempfile
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import box_member
 
 from oscillabound import cli
 from oscillabound.cayleylab import BoxSet, coloring_threshold, periodic_coloring_verify, upper_density_estimate
-from oscillabound.polycore import parse_curve_family, parse_rational
+from oscillabound.padic import ess_part
+from oscillabound.polycore import (
+    CurveFamily,
+    RationalPoly,
+    check_independence,
+    compute_a0_real,
+    parse_curve_family,
+    parse_rational,
+)
 from oscillabound.realosc import Window, certified_constant_real, mu_hat_real_with_error
 from oscillabound.spectral import PipelineConsistencyError
 
@@ -632,3 +643,74 @@ def test_reduce_command():
     rep = payload["report"]
     assert rep["family"] == [["0", "0", "0", "1"], ["0", "1", "1"]]
     assert rep["independent"] is True
+
+
+_COEFF = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+_LEAD = st.builds(Fraction, st.integers(1, 5), st.integers(1, 4)).flatmap(lambda c: st.sampled_from((c, -c)))
+
+
+@st.composite
+def _certificate_configs(draw):
+    """A config for an independent family of 1-3 components of degree <= 3,
+    over R or over Q_p for a prime p <= 13, on a window that starts above
+    a0 (R) or above the essential part (Q_p)."""
+    polys = []
+    for _ in range(draw(st.integers(1, 3))):
+        deg = draw(st.integers(1, 3))
+        poly = RationalPoly(draw(st.lists(_COEFF, min_size=deg, max_size=deg)) + [draw(_LEAD)])
+        if check_independence(CurveFamily(polys + [poly])):
+            polys.append(poly)
+    cfg = {"family": [[str(c) for c in f.coeffs] for f in polys]}
+    p = draw(st.one_of(st.none(), st.sampled_from((2, 3, 5, 7, 11, 13))))
+    if p is None:
+        a = math.floor(4 * compute_a0_real(CurveFamily(polys)) + 1) / 4 + draw(st.sampled_from((0, 0.5, 1, 2.75)))
+        return dict(cfg, window=[a, a + draw(st.sampled_from((0.5, 1, 1.75, 3, 5)))])
+    a = max(ess_part(f, p) for f in polys) + draw(st.integers(1, 4))
+    return dict(cfg, window=[a, a + draw(st.integers(1, 9))], field=f"padic:{p}")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_certificate_configs())
+@example({"family": FAMILY, "window": [1, 7], "field": "padic:2"})
+def test_pipeline_and_certify_report_one_certificate(cfg):
+    # the pipeline's C/(T-a) is certify's ratio bound over R and -floor_float
+    # over Q_p, to the bit; over Q_2 on [1, 7] both are 96/7 rounded once,
+    # 13.714285714285714, where a float B*(T-a)/L divided by T-a gave ...715
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_config(tmp, "c.json", cfg)
+        certify_code, _, certified = _run(["certify", path])
+        pipeline_code, _, piped = _run(["pipeline", path, "--budget", "1"])
+    assert (certify_code, pipeline_code) == (0, 0), (certified, piped)
+    cert, pipe = certified["report"], piped["report"]
+    want = cert["ratio_bound"] if "field" not in cfg else -cert["floor_float"]
+    assert pipe["certified_ratio_bound"].hex() == want.hex(), (cfg, cert, pipe)
+    if "field" in cfg:  # B/L and L/B, each rounded once from the exact value
+        ratio = -Fraction(cert["floor"])
+        assert (pipe["certified_ratio_bound"], pipe["chromatic_lower_bound"]) == (float(ratio), float(1 / ratio))
+
+
+def test_non_finite_integers_name_the_setting():
+    # JSON Infinity and NaN used to escape as an OverflowError or a message
+    # about integer ratios that named no setting
+    padic = {"family": FAMILY, "window": [1, 4], "field": {"padic": 3}, "budget": 7}
+    color = {"function": {"constant": 2, "cos": [[1, 1.0]]}, "n": 7, "edges": 500}
+    cases = [("pipeline", padic, "seed"), ("minimize", padic, "budget"), ("color-check", color, "edges")]
+    for command, base, key in cases:
+        for value in (math.inf, -math.inf, math.nan):
+            _assert_rejected(command, dict(base, **{key: value}), f"{key} must be an integer; got {value!r}")
+
+
+def test_string_field_is_only_padic_colon_p():
+    base = {"family": FAMILY, "window": [1, 3], "lambda": ["1/5", "2"]}
+    for field in ("padic:-3", "padicpadic3", "padic-3", "padic: 3", "padic3", "padic:3 ", "padic:", "padic:³"):
+        _assert_rejected("muhat", dict(base, field=field), "field must be")
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _, payload = _run(["muhat", _write_config(tmp, "c.json", dict(base, field="padic:5"))])
+    assert code == 0 and payload["report"]["value_float"] == 0.060747385618450944, payload
+
+
+def test_color_check_needs_at_least_one_edge():
+    # zero edges used to report "violations": 0, a proper coloring by default
+    base = {"function": {"constant": 2, "cos": [[1, 1]]}}
+    for edges in (0, -5):
+        _assert_rejected("color-check", dict(base, edges=edges), "edge_samples must be at least 1")

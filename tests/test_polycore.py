@@ -32,6 +32,7 @@ from oscillabound.polycore import (
     high_freq_constants,
     isolate_positive_roots,
     parse_curve_family,
+    parse_integer,
     parse_rational,
     phase_integers,
     phi_from_frequency,
@@ -64,6 +65,17 @@ def test_parse_rational_forms():
             pass
         else:
             raise AssertionError(f"parse_rational accepted {flag!r}")
+
+
+def test_parse_integer_names_the_setting_for_nan_and_inf():
+    assert [parse_integer(v, "seed") for v in (7, 7.0, "7", Fraction(7))] == [7] * 4
+    for value in (math.nan, math.inf, -math.inf, np.float64("nan"), 7.5, True):
+        try:
+            parse_integer(value, "seed")
+        except ValueError as exc:
+            assert str(exc) == f"seed must be an integer; got {value!r}", exc
+        else:
+            raise AssertionError(f"{value!r} read as an integer")
 
 
 def test_rational_poly_arithmetic():

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from oscillabound import cli, realosc, spectral
 from oscillabound.padic import PadicWindow
-from oscillabound.polycore import parse_curve_family
+from oscillabound.polycore import compute_a0_real, parse_curve_family
 from oscillabound.realosc import QuadratureError, Window, certified_constant_real
 from oscillabound.spectral import (
     PipelineConsistencyError,
@@ -311,3 +311,57 @@ def test_budget_must_be_an_integer():
                 raise AssertionError(f"budget {budget!r} accepted")
     # an integral float means that integer
     assert minimize_mu_hat(FAM, w, budget=3.0) == minimize_mu_hat(FAM, w, budget=3)
+
+
+def test_pipeline_checks_the_window_before_any_certificate_or_transform(monkeypatch):
+    # a window at or below a0 (R) or the essential part (Q_p) raises the
+    # transforms' own message before the echelon form, the certified
+    # constants or any transform is computed
+    calls = []
+    for name in ("echelon_reduce", "certified_bound_padic", "certified_constant_real", "mu_hat_real", "mu_hat_padic"):
+        monkeypatch.setattr(spectral, name, lambda *args, name=name, **kwargs: calls.append(name))
+    shifted = parse_curve_family([["-2", "1"], ["-4", "0", "1"]])  # a0 = ln 2
+    a0 = compute_a0_real(shifted)
+    padic_fam = parse_curve_family([["0", "1/9", "1"]])  # essential part 2 at p = 3
+    cases = (
+        (shifted, (0.1, 3), f"window start 0.1 must exceed a0 = {a0}"),
+        (shifted, Window(a0, 3), f"window start {a0} must exceed a0 = {a0}"),
+        (padic_fam, PadicWindow(1, 4, 3), "window start 1 must exceed the essential part 2"),
+        (padic_fam, PadicWindow(2, 4, 3), "window start 2 must exceed the essential part 2"),
+    )
+    for fam, window, message in cases:
+        for call in (spectral.certificate, independence_pipeline):
+            try:
+                call(fam, window)
+            except ValueError as exc:
+                assert str(exc) == message, (window, exc)
+            else:
+                raise AssertionError(f"window {window!r} accepted")
+    assert calls == []
+
+
+def test_budget_is_read_as_an_integer():
+    # "7" means 7, as it does in a config; at the parent it raised TypeError
+    w = PadicWindow(1, 4, 3)
+    assert minimize_mu_hat(FAM, w, budget="7") == minimize_mu_hat(FAM, w, budget=7)
+    for budget in (0, -3, "0"):
+        try:
+            minimize_mu_hat(FAM, w, budget=budget)
+        except ValueError as exc:
+            assert "at least one evaluation" in str(exc), exc
+        else:
+            raise AssertionError(f"budget {budget!r} accepted")
+
+
+def test_padic_consistency_diagnostics_are_the_exact_floor_rounded_once(monkeypatch):
+    # over Q_2 on [1, 7] the floor is exactly -96/7; the alarm reports it and
+    # C = 96*6/7 as floats, each rounded once from the exact value
+    monkeypatch.setattr(spectral, "mu_hat_padic", lambda family, window, lam, memo: -1000.0)
+    try:
+        independence_pipeline(FAM, PadicWindow(1, 7, 2), budget=3)
+    except PipelineConsistencyError as exc:
+        diag = exc.diagnostics
+        assert (diag["certified_C"], diag["floor"]) == (float(Fraction(576, 7)), float(Fraction(-96, 7))), diag
+        assert type(diag["certified_C"]) is float and type(diag["floor"]) is float, diag
+    else:
+        raise AssertionError("an empirical minimum of -1000 passed the floor")
