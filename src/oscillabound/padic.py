@@ -14,14 +14,14 @@ unit-ball average J(h) = int_{Z_p} psi(h(u)) du of its scaled phase.  A
 float is summed from the exact terms in ascending phase order, so it
 depends on those terms alone.
 
-J(h) depends only on h modulo Z_p[u], because psi is trivial on Z_p.  The
-stationary-phase descent that evaluates J therefore works on the p-adic
-fractional parts of the coefficients: the constant term becomes a phase
-shift, and J(h - h(0)) is memoized as a phase -> coefficient map keyed by
-the reduced non-constant coefficients.  Weights, and the conjugate of a
-paired ball, apply only when a memo entry is added into the accumulator.
-The memo belongs to the caller: a transform makes a fresh one per call
-unless it is handed one, as the lattice minimizer does for each run.
+J(h) depends only on h modulo Z_p[u], as psi is trivial on Z_p: J(h - h(0))
+is memoized as a phase -> coefficient map keyed by the p-adic fractional
+parts of the non-constant coefficients, and h(0) is a phase shift.  The
+descent reads a key as integer numerators over p^m and runs one loop over
+the residue classes, each a Taylor shift of those integers.  Weights, and
+the conjugate of a paired ball, apply only when a memo entry is added into
+the accumulator.  The memo belongs to the caller: a transform makes a fresh
+one per call unless it is handed one, as the lattice minimizer does.
 
 Haar measure is normalized so that Z_p has mass 1; the ball p^{-r} Z_p then
 has mass p^r and the sphere |s| = p^r has mass p^r - p^{r-1}.
@@ -32,7 +32,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polycore import CurveFamily, RationalPoly, _bareiss, clear_denominators, parse_rational, phi_from_frequency
+from .polycore import CurveFamily, RationalPoly, _bareiss, clear_denominators, parse_rational
+from .polycore import phi_from_frequency, taylor_shift
 
 
 def _require_prime(p):
@@ -160,44 +161,36 @@ def _descend(key, p, memo, depth=0):
     _reduce gives them); memo maps keys to values already descended, and
     J(c + h) = psi(c) J(h) lets every node reuse them whatever its constant.
 
-    Stationary-phase descent: let m = -min_j>=1 v_p(h_j).  For m <= 0 (an
-    empty key) J = 1; for m = 1 the integrand is constant on each of the p
-    residue classes; for m >= 2 the classes where p^m h'(c) is a unit mod p
-    integrate to zero exactly (the linear term of the phase dominates and
-    averages a full set of p-th roots of unity), and each surviving class c
-    contributes psi(h(c)) J(h(c + p u) - h(c)) / p.
+    Stationary-phase descent on integer numerators.  With p^m the largest
+    denominator in key, p^m h has integer coefficients; their Taylor shift by
+    a residue c gives p^m h(c + u), whose constant mod p^m is the phase of
+    class c and whose others, times p^j over p^m, key h(c + p u) - h(c).  The
+    class adds psi(h(c)) J(h(c + p u) - h(c)) / p.  For m >= 2 a class where
+    p^m h'(c) is a unit mod p is skipped: the linear term averages a full set
+    of p-th roots of unity to zero.  For m = 1 every child key is empty.
+    Each level lowers m; a descent deeper than 400 levels raises ValueError.
     """
     got = memo.get(key)
     if got is not None:
         return got
-    if depth > 400:
-        raise RecursionError("p-adic descent failed to terminate")
     out = {}
     if not key:
         out[_ZERO] = Fraction(1)
+    elif depth > 400:
+        raise ValueError("p-adic descent deeper than 400 levels: the phase's denominators are too large")
     else:
-        h = RationalPoly((0,) + key)
-        # every coefficient is r/p^k in lowest terms, so p^m is the largest denominator
-        pm = max(c.denominator for c in key)
-        if pm == p:
-            for c in range(p):
-                theta = padic_fractional_phase(h(c), p)
-                out[theta] = out.get(theta, 0) + Fraction(1, p)
-        else:
-            dbar = [j * c.numerator * (pm // c.denominator) % p for j, c in enumerate(key, 1)]
-            for c in range(p):
-                s = 0
-                for coef in reversed(dbar):
-                    s = (s * c + coef) % p
-                if s:
-                    continue
-                shifted = h.compose_linear(c, p).coeffs
-                shift = padic_fractional_phase(shifted[0], p)
-                for theta, coef in _descend(_reduce(shifted[1:], p), p, memo, depth + 1).items():
-                    theta += shift
-                    if theta >= 1:
-                        theta -= 1
-                    out[theta] = out.get(theta, 0) + coef / p
+        pm, nums = clear_denominators((_ZERO,) + key)  # the denominators are p-powers: lcm = max = p^m
+        for c in range(p):
+            shifted = taylor_shift(nums, c)
+            if pm > p and shifted[1] % p:
+                continue
+            shift = Fraction(shifted[0] % pm, pm)
+            child = _reduce([Fraction(s * p**j, pm) for j, s in enumerate(shifted[1:], 1)], p)
+            for theta, coef in _descend(child, p, memo, depth + 1).items():
+                theta += shift
+                if theta >= 1:
+                    theta -= 1
+                out[theta] = out.get(theta, 0) + coef / p
     memo[key] = out
     return out
 
@@ -231,6 +224,8 @@ def sphere_character_sum(f, lam, r, p):
     (cyclotomic stationary-phase descent): the ball p^{-r} Z_p minus the ball
     p^{1-r} Z_p."""
     _require_prime(p)
+    if not isinstance(r, int) or isinstance(r, bool):
+        raise ValueError(f"r must be an integer; got {r!r}")
     phase = f * parse_rational(lam)
     acc, memo = {}, {}
     _add_ball(acc, phase, p, -r, 1, memo)

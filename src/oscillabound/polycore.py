@@ -39,9 +39,12 @@ def parse_rational(x):
 
 def parse_integer(value, name):
     """value as an int if it parses to an integer ("7", 7.0 and Fraction(7)
-    all mean 7); 7.9, a bool, nan or inf raises a ValueError naming it."""
-    bad = isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value))
-    q = None if bad else parse_rational(value)
+    all mean 7); what parse_rational cannot read (a bool, nan, inf, None,
+    "abc", "1/0") or 7.9 raises a ValueError naming it."""
+    try:
+        q = parse_rational(value)
+    except (TypeError, ValueError, ArithmeticError):  # Fraction(inf) overflows, "1/0" divides by zero
+        q = None
     if q is None or q.denominator != 1:
         raise ValueError(f"{name} must be an integer; got {value!r}")
     return int(q)
@@ -119,12 +122,19 @@ class RationalPoly:
         return RationalPoly([c * j**k for j, c in enumerate(self.coeffs)])
 
     def compose_linear(self, c, d):
-        """p(c + d*x), exact."""
+        """p(c + d*x), exact: the Taylor shift by c, then x scaled by d."""
         c, d = parse_rational(c), parse_rational(d)
-        out = RationalPoly([0])
-        for a in reversed(self.coeffs):
-            out = out * RationalPoly([c, d]) + RationalPoly([a])
-        return out
+        return RationalPoly([a * d**j for j, a in enumerate(taylor_shift(self.coeffs, c))])
+
+
+def taylor_shift(coeffs, c):
+    """The ascending coefficients of p(c + x) from those of p, by synthetic
+    division by x - c; exact, and ints stay ints when c is one."""
+    out = list(coeffs)
+    for i in range(len(out) - 1):
+        for k in range(len(out) - 2, i - 1, -1):
+            out[k] += c * out[k + 1]
+    return out
 
 
 def clear_denominators(coeffs):

@@ -700,6 +700,24 @@ def test_non_finite_integers_name_the_setting():
             _assert_rejected(command, dict(base, **{key: value}), f"{key} must be an integer; got {value!r}")
 
 
+def test_unreadable_integers_name_the_setting():
+    # a string or null used to report "invalid literal for int()" or a
+    # TypeError about rationals, naming no setting
+    padic = {"family": FAMILY, "window": [1, 4], "field": {"padic": 3}, "budget": 7}
+    for value in ("abc", None, "1/0", [7]):
+        _assert_rejected("pipeline", dict(padic, seed=value), f"seed must be an integer; got {value!r}")
+
+
+def test_too_deep_a_descent_is_one_json_error():
+    # the descent's depth guard used to raise RecursionError, which left
+    # main as a traceback with no JSON
+    cfg = {"family": [["0", "0", "1"]], "window": [1, 4], "field": {"padic": 3}, "lambda": [f"1/{3**900}"]}
+    with tempfile.TemporaryDirectory() as tmp:
+        code, raw, payload = _run(["muhat", _write_config(tmp, "c.json", cfg)])
+    assert code == 1 and raw.count("\n") == 1 and payload["error"] == "ValueError", raw
+    assert payload["detail"].startswith("p-adic descent deeper than 400 levels"), payload
+
+
 def test_string_field_is_only_padic_colon_p():
     base = {"family": FAMILY, "window": [1, 3], "lambda": ["1/5", "2"]}
     for field in ("padic:-3", "padicpadic3", "padic-3", "padic: 3", "padic3", "padic:3 ", "padic:", "padic:³"):

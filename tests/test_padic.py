@@ -187,6 +187,20 @@ def test_non_prime_p_is_rejected_by_every_entry_point():
                 raise AssertionError(f"p = {p!r} accepted")
 
 
+def test_sphere_radius_must_be_an_integer():
+    # a float or bool r used to run: for x^2/9 at p = 3, r = 2.0 gave 6,
+    # r = 1.5 gave 3.46 and r = True ran as r = 1
+    want = brute_force_sphere_sum({2: Fraction(1, 9), 0: Fraction(0)}, 3, 2, 7)
+    assert abs(sphere_character_sum(X2, Fraction(1, 9), 2, 3) - want) < 1e-12
+    for r in (2.0, 1.5, True, "2", Fraction(2)):
+        try:
+            sphere_character_sum(X2, Fraction(1, 9), r, 3)
+        except ValueError as exc:
+            assert str(exc) == f"r must be an integer; got {r!r}", exc
+        else:
+            raise AssertionError(f"r = {r!r} accepted")
+
+
 def test_valuation_base_below_two_is_rejected():
     """vp and padic_fractional_phase divide by p until it stops dividing, so
     p = 1 would never return: run them in a child process under a timeout."""
@@ -425,6 +439,77 @@ def test_shared_memo_gives_fresh_values():
                 else:
                     assert shared == fresh, (p, cell, shared, fresh)
     assert memo
+
+
+# (family, p, a, T, lambda, mu_hat_padic value): exact values and float bits
+# pinned for any rework of the descent to reproduce
+_PINNED = [
+    ([["0", "1"], ["0", "0", "1"]], 2, 1, 4, ("-1/8", "7"), float.fromhex("0x1.8361311c551afp-6")),
+    ([["0", "1"], ["0", "0", "1"]], 2, 1, 2, ("1", "3/2"), float.fromhex("0x1.6a09e667f3bccp-2")),
+    ([["0", "1"], ["0", "0", "1"]], 2, 1, 2, ("5/2", "-9"), float.fromhex("0x1.4e7ae9144f0fcp-2")),
+    ([["0", "1"], ["0", "0", "1"]], 2, 2, 5, ("1/32", "-7/16"), float.fromhex("0x1.8361311c551afp-6")),
+    ([["0", "0", "1"]], 2, 1, 4, ("4",), Fraction(1, 4)),
+    ([["0", "0", "1"]], 2, 1, 3, ("4",), Fraction(1, 3)),
+    ([["0", "0", "1"]], 2, 1, 3, ("3/2",), float.fromhex("-0x1.e2b7dddfefa66p-3")),
+    ([["0", "0", "1"]], 2, 1, 3, ("1/2",), float.fromhex("0x1.e2b7dddfefa65p-3")),
+    ([["0", "0", "0", "1"]], 2, 1, 4, ("-8",), Fraction(1, 4)),
+    ([["0", "0", "0", "1"]], 2, 1, 2, ("-4",), Fraction(-1, 2)),
+    ([["0", "0", "1"], ["0", "0", "0", "1"]], 2, 1, 2, ("0", "8"), Fraction(1, 2)),
+    ([["0", "0", "1"], ["0", "0", "0", "1"]], 2, 1, 4, ("-3/4", "-6"), float.fromhex("0x1.684b9c80f1a8cp-4")),
+    ([["0", "0", "1"], ["0", "0", "0", "1"]], 2, 1, 2, ("-1/16", "1/4"), float.fromhex("0x1.5553e3f5b5e58p-4")),
+    ([["0", "1", "0", "0", "5"]], 2, 1, 3, ("3",), float.fromhex("-0x1.3b59d34cc5e2ep-2")),
+    ([["0", "1", "0", "0", "5"]], 2, 1, 4, ("6",), float.fromhex("0x1.6a09e667f3bccp-3")),
+    ([["0", "1"], ["0", "0", "1"]], 3, 1, 4, ("-2/3", "-1"), float.fromhex("0x1.8836fa2cf5038p-4")),
+    ([["0", "1"], ["0", "0", "1"]], 3, 1, 2, ("-1/9", "5/6"), float.fromhex("-0x1.1b2f55705204fp-3")),
+    ([["0", "1"], ["0", "0", "1"]], 3, 1, 3, ("-4/27", "-4"), float.fromhex("0x1.2f65694e0e600p-6")),
+    ([["0", "1"], ["0", "0", "1"]], 3, 1, 4, ("2/27", "-4/81"), Fraction(0)),
+    ([["0", "0", "1"]], 3, 1, 4, ("-3/2",), Fraction(-1, 8)),
+    ([["0", "0", "1"]], 3, 1, 2, ("3",), Fraction(-1, 4)),
+    ([["0", "0", "0", "1"]], 3, 1, 3, ("-9/2",), Fraction(-1, 6)),
+    ([["0", "0", "0", "1"]], 3, 1, 4, ("-3",), float.fromhex("0x1.8836fa2cf5038p-3")),
+    ([["0", "0", "0", "1"]], 3, 2, 5, ("-1/243",), Fraction(0)),
+    ([["0", "0", "1"], ["0", "0", "0", "1"]], 3, 1, 3, ("-4/3", "-1/3"), float.fromhex("0x1.e90d0425d75d8p-9")),
+    ([["0", "0", "1"], ["0", "0", "0", "1"]], 3, 1, 3, ("-1", "-1"), float.fromhex("0x1.97a90725097a2p-4")),
+    ([["0", "2", "1/4", "1"]], 3, 1, 4, ("-1/9",), float.fromhex("0x1.4da964369d888p-6")),
+    ([["0", "2", "1/4", "1"]], 3, 1, 2, ("1/3",), float.fromhex("-0x1.0589ddc90b48fp-3")),
+    ([["1/2", "3"], ["0", "1/3", "1"]], 3, 2, 4, ("1/3", "2/9"), Fraction(0)),
+    ([["0", "1"], ["0", "0", "1"]], 5, 1, 4, ("-6/125", "-7/25"), float.fromhex("0x1.037fca91e6126p-7")),
+    ([["0", "1"], ["0", "0", "1"]], 5, 1, 4, ("6/25", "-1/5"), float.fromhex("0x1.9be13322b67e1p-6")),
+    ([["0", "0", "1"]], 5, 1, 4, ("5",), float.fromhex("0x1.3c6ef372fe94ep-4")),
+    ([["0", "0", "1"], ["0", "0", "0", "1"]], 5, 1, 3, ("-4/125", "-9/25"), float.fromhex("0x1.dbec50ab93d16p-8")),
+    ([["0", "0", "1"], ["0", "0", "0", "1"]], 5, 1, 2, ("-2/25", "3/5"), float.fromhex("0x1.68e699df8cc35p-6")),
+    ([["0", "1", "0", "0", "5"]], 5, 2, 4, ("1/5",), Fraction(0)),
+    ([["0", "1"], ["0", "0", "1"]], 7, 1, 2, ("-1/49", "5"), float.fromhex("0x1.7304b5111ac98p-7")),
+    ([["0", "1"], ["0", "0", "1"]], 7, 1, 4, ("3/343", "4/49"), float.fromhex("-0x1.689ed00200feap-8")),
+    ([["0", "1"], ["0", "0", "1"]], 7, 1, 4, ("-3/7", "6"), float.fromhex("-0x1.caf518aca6992p-6")),
+    ([["0", "1"], ["0", "0", "1"]], 7, 1, 4, ("5/343", "-1/7"), float.fromhex("0x1.26e22b9092c1fp-9")),
+    ([["0", "0", "1"], ["0", "0", "0", "1"]], 7, 1, 4, ("4/7", "5"), float.fromhex("-0x1.aeb37bf13a398p-8")),
+    ([["0", "0", "1"], ["0", "0", "0", "1"]], 7, 1, 2, ("-9/343", "1/49"), float.fromhex("0x1.7ce344ca98008p-13")),
+    ([["0", "0", "0", "1"]], 7, 1, 3, ("-2/7",), Fraction(0)),
+]
+
+
+def test_mu_hat_padic_pinned_values(monkeypatch):
+    """Every pinned value comes back exactly, from a fresh memo and from one
+    memo shared by all primes; the pins span p = 2, 3, 5, 7, primes that
+    divide the degree (x^2 at 2, x^3 at 3), and descents through nodes with
+    m = 1 and with m >= 3."""
+    depths = set()
+    descend = padic._descend
+
+    def spy(key, p, memo, depth=0):
+        if key:
+            depths.add(vp(max(c.denominator for c in key), p))
+        return descend(key, p, memo, depth)
+
+    monkeypatch.setattr(padic, "_descend", spy)
+    memo = {}
+    for rows, p, a, T, lam, want in _PINNED:
+        fam, w = parse_curve_family(rows), PadicWindow(a, T, p)
+        for got in (mu_hat_padic(fam, w, lam), mu_hat_padic(fam, w, lam, memo=memo)):
+            assert type(got) is type(want), (rows, p, lam, got)
+            assert got == want if isinstance(want, Fraction) else got.hex() == want.hex(), (rows, p, lam, got)
+    assert 1 in depths and max(depths) >= 3, depths
 
 
 def test_padic_vdc_check():

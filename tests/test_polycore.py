@@ -78,6 +78,18 @@ def test_parse_integer_names_the_setting_for_nan_and_inf():
             raise AssertionError(f"{value!r} read as an integer")
 
 
+def test_parse_integer_names_the_setting_for_unreadable_values():
+    # these used to escape from parse_rational as "invalid literal for
+    # int()", a TypeError or a ZeroDivisionError, naming no setting
+    for value in ("abc", None, "1/0", "1/2/3", [7], {}):
+        try:
+            parse_integer(value, "seed")
+        except ValueError as exc:
+            assert str(exc) == f"seed must be an integer; got {value!r}", exc
+        else:
+            raise AssertionError(f"{value!r} read as an integer")
+
+
 def test_rational_poly_arithmetic():
     one_plus = RationalPoly([1, 1])
     one_minus = RationalPoly([1, -1])
@@ -106,6 +118,15 @@ def test_rational_poly_gcd_squarefree_compose():
         poly = RationalPoly(coeffs)
         c, d, x = (_random_rational(rng) for _ in range(3))
         assert poly.compose_linear(c, d)(x) == poly(c + d * x)
+    # the form the p-adic descent shifts: integer coefficients and an
+    # integer c, which taylor_shift keeps in ints
+    for _ in range(20):
+        coeffs = [rng.randint(-10**6, 10**6) for _ in range(rng.randint(1, 6))]
+        c, x = rng.randint(-7, 7), _random_rational(rng)
+        shifted = polycore.taylor_shift(coeffs, c)
+        assert all(type(a) is int for a in shifted), shifted
+        assert RationalPoly(shifted)(x) == RationalPoly(coeffs)(c + x)
+        assert RationalPoly(coeffs).compose_linear(c, 7)(x) == RationalPoly(coeffs)(c + 7 * x)
 
 
 def test_isolate_positive_roots_examples():

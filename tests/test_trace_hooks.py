@@ -51,3 +51,5 @@ def test_one_pipeline_report_records_each_certificate_layer_once():
         assert not any(spans[name] for name in other_field), (cfg, spans)
         transforms = sum(spans[name] for name in tracing.TRANSFORMS)
         assert 1 <= transforms <= 5, (cfg, spans)
+        # the BENCH shares of CycNum.reduced rest on one reduction per p-adic transform
+        assert spans["padic.CycNum.reduced"] == spans["padic.mu_hat_padic"], (cfg, spans)
