@@ -327,7 +327,12 @@ def curve_difference_oracle(family, tol=_MEMBERSHIP_TOL):
 
     The coefficients are converted to floats once, here.  The remaining
     coordinates are evaluated by Horner's rule in the order of the float
-    path of RationalPoly.__call__, so every answer keeps its bits."""
+    path of RationalPoly.__call__, so every answer keeps its bits.  tol
+    must be a finite positive number, as the CLI requires: at 0, nan or
+    inf no point would be adjacent to another."""
+    tol = parse_float(tol, "tol")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a finite positive number; got {tol!r}")
     f1 = family.polys[0]
     desc = [float(c) for c in reversed(f1.coeffs)]  # np.roots wants descending
     rest = [[float(c) for c in reversed(f.coeffs)] for f in family.polys[1:]]

@@ -113,9 +113,13 @@ def _window_of(cfg):
 
 def _positive(value, name):
     """value as a float if it is a finite positive number ("1e-9" and 1e-9
-    alike); a bool, zero, a negative number, nan or inf raises."""
-    x = None if isinstance(value, bool) else float(value)
-    if x is None or not 0 < x < math.inf:
+    alike, see parse_float); anything else, a bool, null, "abc", zero, a
+    negative number, nan and inf among them, raises."""
+    try:
+        x = parse_float(value, name)
+    except ValueError:
+        x = math.nan
+    if not 0 < x < math.inf:
         raise ValueError(f"{name} must be a finite positive number; got {value!r}")
     return x
 

@@ -52,10 +52,14 @@ def parse_integer(value, name):
 
 def parse_float(value, name):
     """float(value), so "0.5", 0.5 and Fraction(1, 2) all mean 0.5; a bool
-    raises instead of reading as 0.0 or 1.0."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be a number; got {value!r}")
-    return float(value)
+    (not 0.0 or 1.0) and what float cannot read (None, "abc", [1]) raise a
+    ValueError naming the setting."""
+    try:
+        if not isinstance(value, bool):
+            return float(value)
+    except (TypeError, ValueError, ArithmeticError):  # a huge Fraction overflows
+        pass
+    raise ValueError(f"{name} must be a number; got {value!r}")
 
 
 class RationalPoly:
@@ -173,27 +177,26 @@ def _pseudo_divmod(a, b):
     return q, r
 
 
-def _sturm_chain(p):
-    """Sturm chain of an integer polynomial, each member scaled to a
-    primitive integer polynomial by a positive constant.  The last member is
-    gcd(p, p') up to a constant."""
-    chain = [p, _primitive([i * c for i, c in enumerate(p)][1:])]
-    while len(chain[-1]) > 1:
-        r = _pseudo_divmod(chain[-2], chain[-1])[1]
-        if not r:
-            break
-        chain.append([-c for c in _primitive(r)])
-    return chain
+def _gcd(a, b):
+    """A primitive gcd of two primitive integer polynomials (ascending), by
+    the primitive remainder sequence (Brown, J. ACM 18, 1971)."""
+    while b:
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    return a
 
 
-def _squarefree_chain(p):
-    """Integer Sturm chain of the squarefree part of a nonconstant integer
-    polynomial p."""
+def _squarefree(p):
+    """p / gcd(p, p'), primitive, for a nonconstant integer polynomial p:
+    the same distinct roots, each simple."""
     p = _primitive(p)
-    chain = _sturm_chain(p)
-    if len(chain[-1]) > 1:  # repeated roots: divide out gcd(p, p') and rebuild
-        chain = _sturm_chain(_primitive(_pseudo_divmod(p, chain[-1])[0]))
-    return chain
+    g = _gcd(p, _primitive([i * c for i, c in enumerate(p)][1:]))
+    return _primitive(_pseudo_divmod(p, g)[0]) if len(g) > 1 else p
+
+
+def _sign_changes(c):
+    """Sign changes along the coefficients c, zeros skipped."""
+    signs = [x > 0 for x in c if x]
+    return sum(map(operator.ne, signs, signs[1:]))
 
 
 def _sign_at(c, n, d):
@@ -204,18 +207,6 @@ def _sign_at(c, n, d):
         dk *= d
         acc = acc * n + c[i] * dk
     return (acc > 0) - (acc < 0)
-
-
-def _variations(chain, n, d):
-    """Sign changes along the chain at n/d, zeros skipped."""
-    count = last = 0
-    for c in chain:
-        s = _sign_at(c, n, d)
-        if s:
-            if s == -last:
-                count += 1
-            last = s
-    return count
 
 
 def _refine(p, sa, na, nb, d):
@@ -244,25 +235,25 @@ def isolate_positive_roots(poly, lo, hi):
     Returns a sorted list of (left, right) Fraction pairs with right - left
     <= 1e-12, each containing exactly one root; an exact rational root shows
     up as a degenerate pair (r, r).  Endpoint roots are excluded (open
-    interval).  Exact integer arithmetic throughout: endpoints are integer
-    numerators over one shared denominator d0 * 2^k, and bisection on the
-    sign of poly narrows each root, at the same midpoints a Sturm count
-    would use.
+    interval).  Exact integer arithmetic throughout: a pair is the coarsest
+    cell of the dyadic subdivision of (lo, hi) no wider than 1e-12 that
+    holds its root alone, or (m, m) for a root at the midpoint m of a
+    coarser cell.  The one exception: a non-real root within about 1e-12 of
+    a real one can make Descartes' rule overcount on that cell, which is
+    then split into a deeper cell that still holds the real root alone.
 
-    Descartes' rule of signs decides two cases without a Sturm chain: the
-    number of positive roots, counted with multiplicity, is the number v of
-    sign changes in the coefficients minus an even number.
-      * v = 0 and lo >= 0: no positive root, so none in (lo, hi).
-      * v = 1 and lo > 0: exactly one positive root, and it is simple.  It
-        lies in (lo, hi) iff poly(lo) and poly(hi) have opposite nonzero
-        signs; a zero sign puts it on an endpoint.  No chain is needed
-        because poly changes sign nowhere else on (0, inf): it differs from
-        its squarefree part by a factor with no positive root, so its sign
-        steers the bisection exactly as the chain's first member would, and
-        the Sturm route would reach the same bisection of the same (lo, hi)
-        with a count of 1.
-      * anything else: Sturm counts of the squarefree part split the
-        interval until each piece holds one root, which is then narrowed.
+    Descartes' rule of signs decides every count: the roots in (0, inf),
+    counted with multiplicity, number the sign changes v of the
+    coefficients minus an even number.
+      * v = 0 and lo >= 0: no root in (lo, hi).
+      * v = 1 and lo > 0: one positive root, and it is simple; it lies in
+        (lo, hi) iff poly(lo) and poly(hi) have opposite nonzero signs, and
+        the sign of poly steers its bisection.
+      * anything else: poly is divided by gcd(poly, poly') and (lo, hi) is
+        bisected (Collins & Akritas, SYMSAC 1976).  A piece (a, b) whose
+        image (1 + x)^n poly((a + b x) / (1 + x)) has no sign change is
+        dropped; with one it holds one root, which is narrowed; with more it
+        is split at its midpoint m, giving (m, m) if poly(m) = 0.
     """
     lo, hi = parse_rational(lo), parse_rational(hi)
     if isinstance(poly, RationalPoly):
@@ -271,8 +262,7 @@ def isolate_positive_roots(poly, lo, hi):
         p = list(poly)
         while p and not p[-1]:
             p.pop()
-    signs = [c > 0 for c in p if c]
-    changes = sum(map(operator.ne, signs, signs[1:]))
+    changes = _sign_changes(p)
     if len(p) <= 1 or changes == 0 and lo.numerator >= 0:
         return []
     d0, (na, nb) = clear_denominators((lo, hi))
@@ -282,32 +272,28 @@ def isolate_positive_roots(poly, lo, hi):
         sa = _sign_at(p, na, d0)
         return [_refine(p, sa, na, nb, d0)] if sa * _sign_at(p, nb, d0) < 0 else []
 
-    chain = _squarefree_chain(p)
-    p, dp = chain[0], chain[1]
+    p = _squarefree(p)
+    n = len(p) - 1
     out = []
 
-    def split(na, va, nb, d, count):
-        # count = distinct roots in the open (na/d, nb/d); va = chain sign
-        # changes at na/d
-        if count == 0:
-            return
-        if count == 1:
-            # the sign of p just right of na/d, read off p' when na/d is
-            # itself a root of p
-            out.append(_refine(p, _sign_at(p, na, d) or _sign_at(dp, na, d), na, nb, d))
-            return
-        m, d = na + nb, 2 * d
-        vm = _variations(chain, m, d)
-        hit = _sign_at(p, m, d) == 0
-        left = va - vm - hit
-        split(2 * na, va, m, d, left)
-        if hit:
-            out.append((Fraction(m, d), Fraction(m, d)))
-        split(m, vm, 2 * nb, d, count - hit - left)
+    def split(r, na, nb, d):
+        # r(y) = d^n p((na + (nb - na) y) / d) lays the piece over (0, 1); the
+        # image reversed is (1 + x)^n r(1 / (1 + x)), with the same changes
+        v = _sign_changes(taylor_shift(r[::-1], 1))
+        if v == 1:
+            # the sign of p just right of na/d is that of r's lowest term
+            out.append(_refine(p, 1 if next(c for c in r if c) > 0 else -1, na, nb, d))
+        elif v > 1:
+            left = [c << (n - i) for i, c in enumerate(r)]  # 2^n r(y / 2)
+            right = taylor_shift(left, 1)  # 2^n r((1 + y) / 2)
+            m, d = na + nb, 2 * d
+            split(left, 2 * na, m, d)
+            if not right[0]:  # p(m / d) = 0
+                out.append((Fraction(m, d), Fraction(m, d)))
+            split(right, m, 2 * nb, d)
 
-    va = _variations(chain, na, d0)
-    # V(lo) - V(hi) counts (lo, hi]; the contract is the open interval
-    split(na, va, nb, d0, va - _variations(chain, nb, d0) - (_sign_at(p, nb, d0) == 0))
+    r = taylor_shift([c * d0 ** (n - i) for i, c in enumerate(p)], na)  # d0^n p((na + y) / d0)
+    split([c * (nb - na) ** j for j, c in enumerate(r)], na, nb, d0)
     return out
 
 
@@ -460,16 +446,12 @@ def compute_a0_real(family):
 
 
 def _a0_real(polys):
-    # gcd(f_1, ..., f_m) by the primitive integer remainder sequence (Brown,
-    # J. ACM 18, 1971).  Over Q the gcd is unique up to a constant, so the
-    # primitive gcd with a positive leading coefficient is exactly den * (the
-    # monic gcd): the integer list a Fraction gcd would hand to isolation.
+    # Over Q the gcd is unique up to a constant, so the primitive gcd with a
+    # positive leading coefficient is exactly den * (the monic gcd): the
+    # integer list a Fraction gcd would hand to isolation.
     g = []
     for p in polys:
-        a, b = _primitive(clear_denominators(p.coeffs)[1]), g
-        while b:
-            a, b = b, _primitive(_pseudo_divmod(a, b)[1])
-        g = a
+        g = _gcd(_primitive(clear_denominators(p.coeffs)[1]), g)
     if len(g) < 2:
         return 0.0
     if g[-1] < 0:

@@ -143,12 +143,13 @@ class CertifiedBound:
 
 
 def vdc_bound(k, eta):
-    """Oscillation bound 12*k/eta^(1/k) for phases with |psi^(k)| >= eta."""
+    """Oscillation bound 12*k/eta^(1/k) for phases with |psi^(k)| >= eta;
+    eta must be finite and positive (an infinite eta would bound by 0)."""
     if k < 1:
         raise ValueError("derivative order must be >= 1")
     eta = float(eta)
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta must be a finite positive number; got {eta!r}")
     return 12.0 * k / eta ** (1.0 / k)
 
 

@@ -30,21 +30,24 @@ _VAL_LO, _VAL_HI = -6, 2  # valuation range of the p-adic lattice
 
 
 def hoffman_ratio_bound(m_val):
-    """Independence-ratio bound -m/(1-m) from a spectral minimum m < 0.
+    """Independence-ratio bound -m/(1-m) from a spectral minimum m < 0:
+    operator_ratio_bound(m, 1, 0).
 
     Exact inputs (Fraction, int) give exact outputs.
     """
-    if not m_val < 0:
-        raise ValueError("spectral minimum must be negative")
-    return -m_val / (1 - m_val)
+    return operator_ratio_bound(m_val, 1, 0)
 
 
 def operator_ratio_bound(m_val, R, eps):
     """Ratio bound (-m + 2*eps)/(R - m - eps) for an operator-norm pair.
 
-    R bounds the operator norm and eps the defect; requires the denominator
-    R - m - eps > 0.  With (R, eps) = (1, 0) this is hoffman_ratio_bound.
+    m < 0 is the spectral minimum, R bounds the operator norm and eps >= 0
+    the defect; requires the denominator R - m - eps > 0.
     """
+    if not m_val < 0:
+        raise ValueError("spectral minimum must be negative")
+    if not eps >= 0:
+        raise ValueError(f"the defect eps must be nonnegative; got {eps!r}")
     denom = R - m_val - eps
     if not denom > 0:
         raise ValueError(f"need R - m - eps > 0, got {denom}")

@@ -314,6 +314,20 @@ def test_curve_oracle_and_demo_clique():
     assert len(clique_search(CliqueInstance([], oracle))) == 0
 
 
+def test_curve_oracle_needs_a_finite_positive_tol():
+    # at tol nan, -1 or inf no point was adjacent to another, so the search
+    # reported a 1-clique on a sample holding a 2-clique
+    pts = [(0, 0), (1, 1), (2, 4), (3, 9)]
+    assert len(clique_search(CliqueInstance(pts, curve_difference_oracle(PARABOLA)))) == 2
+    for tol in (math.nan, -1, math.inf, 0, True, None, "abc"):
+        try:
+            curve_difference_oracle(PARABOLA, tol=tol)
+        except ValueError as exc:
+            assert str(exc).startswith("tol must be a"), exc
+        else:
+            raise AssertionError(f"tol {tol!r} accepted")
+
+
 def test_clique_monotone_in_sample():
     oracle = curve_difference_oracle(PARABOLA)
     rng = random.Random(79)

@@ -514,8 +514,9 @@ def test_clique_max_size_must_be_an_integer():
 
 
 def test_clique_tol_must_be_a_finite_positive_number():
-    # a negative tol admits no edge (a size-1 clique); true is not 1.0
-    for value in (-1, 0, True, "nan", "inf"):
+    # a negative tol admits no edge (a size-1 clique); true is not 1.0; "abc"
+    # and null used to fail in float(), naming no setting
+    for value in (-1, 0, True, "nan", "inf", "abc", None, [1e-9]):
         _assert_rejected("clique", _clique_config(tol=value), "tol must be a finite positive number")
     for flag in ("-1", "0", "nan"):
         _assert_rejected("clique", _clique_config(), "tol must be a finite positive number", f"--tol={flag}")
@@ -562,13 +563,17 @@ def test_clique_max_size_must_be_positive():
 
 
 def test_color_check_constant_and_amplitudes_are_not_bools():
-    # {"constant": true, "cos": [[1, true]]} used to run as 1 + cos(2 pi t)
-    for function in (
-        {"constant": True, "cos": [[1, 1.0]]},
-        {"constant": 2, "cos": [[1, True]]},
-        {"constant": 2, "sin": [[1, True]]},
+    # {"constant": true, "cos": [[1, true]]} used to run as 1 + cos(2 pi t);
+    # null and "abc" used to fail in float(), naming no setting
+    for function, name in (
+        ({"constant": True, "cos": [[1, 1.0]]}, "constant"),
+        ({"constant": 2, "cos": [[1, True]]}, "an amplitude"),
+        ({"constant": 2, "sin": [[1, True]]}, "an amplitude"),
+        ({"constant": None}, "constant"),
+        ({"constant": 2, "cos": [[1, None]]}, "an amplitude"),
+        ({"constant": 2, "sin": [[1, "abc"]]}, "an amplitude"),
     ):
-        _assert_rejected("color-check", {"function": function, "n": 7, "edges": 500}, "must be a number")
+        _assert_rejected("color-check", {"function": function, "n": 7, "edges": 500}, f"{name} must be a number")
 
 
 def test_color_check_sin_harmonics():

@@ -1,6 +1,7 @@
-"""Exact polynomial plumbing: rational parsing, polynomial arithmetic, Sturm
-root isolation, phase polynomials and their t-derivatives, curve families, and the certified
-interpolation / operator-norm constants."""
+"""Exact polynomial plumbing: rational parsing, polynomial arithmetic, root
+isolation checked against a Sturm oracle, phase polynomials and their
+t-derivatives, curve families, and the certified interpolation /
+operator-norm constants."""
 
 import math
 import random
@@ -109,7 +110,7 @@ def test_rational_poly_gcd_squarefree_compose():
     assert abs(compute_a0_real(fam) - math.log(2)) < 1e-11
     x_minus_1 = RationalPoly([-1, 1])
     doubled = x_minus_1 * x_minus_1 * RationalPoly([2, 1]) * Fraction(3, 5)
-    sf = polycore._squarefree_chain(polycore.clear_denominators(doubled.coeffs)[1])[0]
+    sf = polycore._squarefree(polycore.clear_denominators(doubled.coeffs)[1])
     assert sf in ([-2, 1, 1], [2, -1, -1])  # (x-1)(x+2), primitive
     # p(c + d*x) agrees with direct evaluation
     rng = random.Random(7)
@@ -234,10 +235,15 @@ def _descartes_cases(draw):
     lo = 0) and a quadratic with positive coefficients: no sign change.
     "one" multiplies a simple x - r by factors x + s: a real-rooted factor
     has log-concave coefficients, so exactly one sign change.  "many" has
-    two or more positive roots, counted with multiplicity.  The window
-    is (lo, hi) with lo = 0, lo > 0 or lo < 0, or a padded x-window of t in
-    [1, 6] or [1, 26].  A positive root is an endpoint, a bisection midpoint
-    (a degenerate pair), or another rational inside or outside the window."""
+    two or more positive roots, counted with multiplicity.  "near" is
+    (x - r)^2 + (s (hi - lo))^2 with r > 0 and s from 1e-6 to 1, times zero
+    or one simple positive root: two or three sign changes for at most one
+    real root, so the bisection splits deeper around r than a Sturm count
+    would.  It is returned as "many", whose sign-change bound it meets.  The
+    window is (lo, hi) with lo = 0, lo > 0 or lo < 0, or a padded x-window
+    of t in [1, 6] or [1, 26].  A positive root is an endpoint, a bisection
+    midpoint (a degenerate pair), or another rational inside or outside the
+    window."""
     kind = draw(st.sampled_from(("zero", "positive", "negative", "x6", "x26")))
     if kind == "zero":
         lo, hi = Fraction(0), Fraction(draw(st.integers(1, 64)), draw(st.sampled_from((1, 2, 3, 8))))
@@ -252,7 +258,15 @@ def _descartes_cases(draw):
     )
     rational = st.builds(lambda n, d: lo + (hi - lo) * Fraction(n, d), st.integers(-8, 24), st.integers(1, 16))
     positive_root = st.one_of(st.sampled_from((lo, hi)), midpoint, rational).filter(lambda r: r > 0)
-    shape = draw(st.sampled_from(("none", "one", "many")))
+    shape = draw(st.sampled_from(("none", "one", "many", "near")))
+    if shape == "near":
+        r = draw(st.one_of(midpoint, rational).filter(lambda r: r > 0))
+        width = (hi - lo) / 10 ** draw(st.integers(0, 6))
+        lead = Fraction(draw(st.sampled_from((1, -1))))
+        coeffs = [lead * (r * r + width * width), -2 * lead * r, lead]
+        for root in draw(st.lists(positive_root, max_size=1)):
+            coeffs = _times(coeffs, [-root, Fraction(1)])
+        return coeffs, lo, hi, "many"
     roots = {
         "none": [],
         "one": [draw(positive_root)],
@@ -284,6 +298,20 @@ def test_descartes_paths_match_the_sturm_oracle(case):
     # the integer form that realosc passes gives the same intervals
     den = math.lcm(*(c.denominator for c in coeffs))
     assert isolate_positive_roots([int(c * den) for c in coeffs], lo, hi) == got
+
+
+def test_a_non_real_root_near_a_real_one_keeps_the_contract():
+    # (x - r)((x - r)^2 + s^2): Descartes' rule overcounts on the dyadic cell
+    # of width <= 1e-12 around r once s is about that small, so the pair may
+    # be a deeper dyadic cell of (0, 1), but it still holds r alone
+    for r, k in ((Fraction(1, 3), 11), (Fraction(1, 3), 15), (Fraction(2, 7), 20)):
+        s = Fraction(1, 10**k)
+        coeffs = _times([-r, Fraction(1)], [r * r + s * s, -2 * r, Fraction(1)])
+        [(left, right)] = isolate_positive_roots(RationalPoly(coeffs), 0, 1)
+        width = right - left
+        assert left < r < right and width <= ISOLATION_WIDTH
+        assert width.numerator == 1 and width.denominator & (width.denominator - 1) == 0  # 2^-k
+        assert (left / width).denominator == 1
 
 
 def test_isolation_width_is_pinned():

@@ -68,7 +68,8 @@ def test_vdc_bound():
     # decreasing in eta, increasing in k for eta > 1
     assert vdc_bound(2, 9.0) < vdc_bound(2, 4.0)
     assert vdc_bound(3, 4.0) > vdc_bound(2, 4.0)
-    for k, eta in ((0, 1.0), (1, 0.0), (2, -3.0)):
+    # an infinite eta bounded an oscillatory integral by 0, and nan gave nan
+    for k, eta in ((0, 1.0), (1, 0.0), (2, -3.0), (1, math.nan), (2, math.inf), (1, -math.inf)):
         try:
             vdc_bound(k, eta)
         except ValueError:

@@ -2,8 +2,9 @@
 an invalid escape sequence cannot hide until a newer Python promotes it;
 every exported name resolves, so a deleted function cannot stay exported;
 the README lists exactly the CLI's commands, so a deleted or renamed
-command cannot stay documented; and the README's library quick start runs
-and returns what it documents."""
+command cannot stay documented; the README's library quick start runs
+and returns what it documents; and each input guard of the library raises
+its ValueError."""
 
 import pathlib
 import re
@@ -12,6 +13,10 @@ from fractions import Fraction
 
 import oscillabound
 from oscillabound import cli
+from oscillabound.cayleylab import BoxSet, multivariate_reduce, upper_density_estimate
+from oscillabound.padic import padic_fractional_phase, vp
+from oscillabound.polycore import CurveFamily, RationalPoly, vandermonde_interpolation
+from oscillabound.realosc import Window, superlevel_decompose
 
 
 def test_sources_compile_without_warnings():
@@ -43,3 +48,33 @@ def test_readme_quick_start_runs():
     namespace = {}
     exec(compile(block.group(1), "README.md", "exec"), namespace)
     assert namespace["exact"] == Fraction(1, 4)
+
+
+def test_input_guards_raise_their_value_errors():
+    unit = BoxSet([[("0", "1")]])
+    x = RationalPoly([0, 1])
+    guards = [
+        (lambda: BoxSet([]), "an empty box set needs an explicit dim"),
+        (lambda: BoxSet([[("0", "1")], [("0", "1"), ("0", "1")]]), "boxes must share one dimension"),
+        (lambda: BoxSet([[("1", "0")]]), "box with lo > hi"),
+        (lambda: BoxSet([[("0", "1")]], period=("1", "1")), "period vector must match dimension"),
+        (lambda: BoxSet([[("0", "1")]], period=("0",)), "periods must be positive"),
+        (lambda: upper_density_estimate(unit, [1.0, -2.0]), "radii must be positive"),
+        (lambda: upper_density_estimate(unit, [2.0, 1.0]), "radii must be increasing"),
+        (lambda: multivariate_reduce([{(-1, 0): 1}, {(0, 1): 1}]), "exponents must be nonnegative"),
+        (lambda: multivariate_reduce([{(1, 0): 1}, {(1,): 1}]), "components must share one variable count"),
+        (lambda: x.t_derivative(-1), "derivative order must be >= 0"),
+        (lambda: CurveFamily([]), "empty curve family"),
+        (lambda: vandermonde_interpolation([1, 2], 3), "need exactly n target values"),
+        (lambda: vp(3, 1), "p = 1 must be at least 2"),
+        (lambda: padic_fractional_phase(Fraction(1, 3), 0), "p = 0 must be at least 2"),
+        (lambda: superlevel_decompose(RationalPoly([5]), 1, Window(0, 1)), "phase must be nonconstant"),
+        (lambda: superlevel_decompose(x, 0, Window(0, 1)), "level must be positive"),
+    ]
+    for call, message in guards:
+        try:
+            call()
+        except ValueError as exc:
+            assert str(exc) == message, (message, exc)
+        else:
+            raise AssertionError(f"no ValueError: {message}")

@@ -44,12 +44,15 @@ def test_operator_ratio_bound():
     assert operator_ratio_bound(Fraction(-1, 3), 1, 0) == Fraction(1, 4)
     got = operator_ratio_bound(Fraction(-1, 2), Fraction(2, 5), Fraction(1, 5))
     assert got == (Fraction(1, 2) + Fraction(2, 5)) / Fraction(7, 10)
-    try:
-        operator_ratio_bound(Fraction(-1, 4), Fraction(1, 4), 1)  # denominator -1/2
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("nonpositive denominator accepted")
+    # a nonpositive denominator, m >= 0 (hoffman_ratio_bound's guard), and a
+    # negative defect, which gave a negative bound on the ratio
+    for args in ((Fraction(-1, 4), Fraction(1, 4), 1), (0.5, 1, 0), (0, 1, 0), (-0.5, 1, -0.4), (-0.5, 1, math.nan)):
+        try:
+            operator_ratio_bound(*args)
+        except ValueError:
+            pass
+        else:
+            raise AssertionError(f"operator_ratio_bound accepted {args}")
 
 
 def test_chromatic_bound_exact():
