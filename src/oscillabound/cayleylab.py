@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polycore import CurveFamily, check_independence, parse_float, parse_integer, parse_rational
+from .polycore import CurveFamily, check_independence, parse_float, parse_integer, parse_positive, parse_rational
 
 _MEMBERSHIP_TOL = 1e-9  # curve-membership tolerance for float samples
 _DENSITY_GRID = 200  # grid cells per axis in upper_density_estimate
@@ -328,11 +328,10 @@ def curve_difference_oracle(family, tol=_MEMBERSHIP_TOL):
     The coefficients are converted to floats once, here.  The remaining
     coordinates are evaluated by Horner's rule in the order of the float
     path of RationalPoly.__call__, so every answer keeps its bits.  tol
-    must be a finite positive number, as the CLI requires: at 0, nan or
-    inf no point would be adjacent to another."""
-    tol = parse_float(tol, "tol")
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be a finite positive number; got {tol!r}")
+    must be a finite positive number, read by polycore.parse_positive as
+    the CLI reads it: at 0, nan or inf no point would be adjacent to
+    another."""
+    tol = parse_positive(tol, "tol")
     f1 = family.polys[0]
     desc = [float(c) for c in reversed(f1.coeffs)]  # np.roots wants descending
     rest = [[float(c) for c in reversed(f.coeffs)] for f in family.polys[1:]]

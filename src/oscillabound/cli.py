@@ -31,7 +31,7 @@ from .cayleylab import (
     upper_density_estimate,
 )
 from .padic import PadicWindow, mu_hat_padic
-from .polycore import check_independence, parse_curve_family, parse_float, parse_integer, parse_rational
+from .polycore import check_independence, parse_curve_family, parse_float, parse_integer, parse_positive, parse_rational
 from .realosc import QuadratureError, Window, certified_constant_real, mu_hat_real_with_error
 from .spectral import PipelineConsistencyError, certificate, independence_pipeline, minimize_mu_hat
 
@@ -111,22 +111,9 @@ def _window_of(cfg):
     return PadicWindow(a, T, p)
 
 
-def _positive(value, name):
-    """value as a float if it is a finite positive number ("1e-9" and 1e-9
-    alike, see parse_float); anything else, a bool, null, "abc", zero, a
-    negative number, nan and inf among them, raises."""
-    try:
-        x = parse_float(value, name)
-    except ValueError:
-        x = math.nan
-    if not 0 < x < math.inf:
-        raise ValueError(f"{name} must be a finite positive number; got {value!r}")
-    return x
-
-
 def _tol_of(cfg, flags, default):
-    """The --tol flag, else the config's tol, else default (see _positive)."""
-    return _positive(flags.tol if flags.tol is not None else cfg.get("tol", default), "tol")
+    """The --tol flag, else the config's tol, else default (see polycore.parse_positive)."""
+    return parse_positive(flags.tol if flags.tol is not None else cfg.get("tol", default), "tol")
 
 
 def _row_of(value, size, message):
@@ -263,7 +250,7 @@ def _cmd_config_search(cfg, flags):
         )
     if "density_radii" in cfg:
         report["density"] = _jsonable(
-            upper_density_estimate(boxes, [_positive(r, "a density radius") for r in cfg["density_radii"]])
+            upper_density_estimate(boxes, [parse_positive(r, "a density radius") for r in cfg["density_radii"]])
         )
     return report
 

@@ -15,13 +15,16 @@ float is summed from the exact terms in ascending phase order, so it
 depends on those terms alone.
 
 J(h) depends only on h modulo Z_p[u], as psi is trivial on Z_p: J(h - h(0))
-is memoized as a phase -> coefficient map keyed by the p-adic fractional
-parts of the non-constant coefficients, and h(0) is a phase shift.  The
-descent reads a key as integer numerators over p^m and runs one loop over
-the residue classes, each a Taylor shift of those integers.  Weights, and
-the conjugate of a paired ball, apply only when a memo entry is added into
-the accumulator.  The memo belongs to the caller: a transform makes a fresh
-one per call unless it is handed one, as the lattice minimizer does.
+is memoized as a phase -> coefficient map, and h(0) is a phase shift.  A
+memo key is all integers, (p^m, n_1, ..., n_d) with n_j / p^m the p-adic
+fractional part of the u^j coefficient (see _canonical), so a nonzero key
+names its prime.  Every ball's key comes from the phase's integer
+numerators with one modular inverse per call, and the descent runs one
+loop over the residue classes of a key, each a Taylor shift of its
+numerators.  Weights, and the conjugate of a paired ball, apply only when a
+memo entry is added into the accumulator.  The memo belongs to the caller:
+a transform makes a fresh one per call unless it is handed one, as the
+lattice minimizer does, and it also holds each window's ball weights.
 
 Haar measure is normalized so that Z_p has mass 1; the ball p^{-r} Z_p then
 has mass p^r and the sphere |s| = p^r has mass p^r - p^{r-1}.
@@ -32,8 +35,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polycore import CurveFamily, RationalPoly, _bareiss, clear_denominators, parse_rational
-from .polycore import phi_from_frequency, taylor_shift
+from .polycore import CurveFamily, RationalPoly, _bareiss, clear_denominators, parse_rational, phase_integers
+from .polycore import taylor_shift
 
 
 def _require_prime(p):
@@ -146,46 +149,75 @@ class CycNum:
         return f"CycNum(p={self.p}, {dict(self.terms)})"
 
 
-def _reduce(coeffs, p):
-    """The p-adic fractional parts of coeffs, trailing zeros dropped: the
-    canonical representative of a polynomial modulo Z_p[u]."""
-    out = [padic_fractional_phase(c, p) for c in coeffs]
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+def _canonical(pm, nums):
+    """The memo key (p^m, n_1, ..., n_d) of the fractional parts n_j / pm,
+    for pm a power of p and every n_j in [0, pm): trailing zeros dropped and
+    the common power of p divided out, so that p^m is the largest
+    denominator and equal polynomials modulo Z_p[u] get equal keys.  The
+    zero polynomial's key is (1,)."""
+    while nums and not nums[-1]:
+        nums.pop()
+    g = math.gcd(pm, *nums)
+    return (pm // g, *[n // g for n in nums])
+
+
+def _ball_keys(den, ints, p, balls):
+    """For each R in balls, (shift, key) of g = ints / den on the ball
+    p^R Z_p: the p-adic fractional parts (padic_fractional_phase) of the
+    coefficients ints[j] p^{Rj} / den of g(p^R u), the constant one as
+    shift and the others as a _canonical key.
+
+    With den = p^e d and d prime to p, d is inverted once modulo p^K, K the
+    largest e - Rj; ints[j] d^{-1} p^{K-e+Rj} mod p^K is then the j-th part
+    over p^K, and 0 once that power reaches p^K (a p-integral coefficient)."""
+    e, d = 0, den
+    while d % p == 0:
+        d //= p
+        e += 1
+    top = len(ints) - 1
+    K = max(e - R * j for R in balls for j in (0, top))  # e - Rj is linear in j
+    pk = p**K
+    inv = pow(d, -1, pk)
+    units = [n * inv % pk for n in ints]
+    out = []
+    for R in balls:
+        nums = [u * p ** min(K - e + R * j, K) % pk for j, u in enumerate(units)]
+        out.append((Fraction(nums[0], pk), _canonical(pk, nums[1:])))
+    return out
 
 
 def _descend(key, p, memo, depth=0):
     """J(h) = int_{Z_p} psi(h(u)) du as a dict phase -> coefficient, for the
-    h with h(0) = 0 whose other coefficients are key (fractional parts, as
-    _reduce gives them); memo maps keys to values already descended, and
-    J(c + h) = psi(c) J(h) lets every node reuse them whatever its constant.
+    h with h(0) = 0 whose other coefficients are n_j / p^m for the key
+    (p^m, n_1, ..., n_d) (see _canonical); memo maps keys to values already
+    descended, and J(c + h) = psi(c) J(h) lets every node reuse them
+    whatever its constant.
 
-    Stationary-phase descent on integer numerators.  With p^m the largest
-    denominator in key, p^m h has integer coefficients; their Taylor shift by
-    a residue c gives p^m h(c + u), whose constant mod p^m is the phase of
-    class c and whose others, times p^j over p^m, key h(c + p u) - h(c).  The
-    class adds psi(h(c)) J(h(c + p u) - h(c)) / p.  For m >= 2 a class where
-    p^m h'(c) is a unit mod p is skipped: the linear term averages a full set
-    of p-th roots of unity to zero.  For m = 1 every child key is empty.
-    Each level lowers m; a descent deeper than 400 levels raises ValueError.
+    Stationary-phase descent on integer numerators: the Taylor shift of
+    (0, n_1, ..., n_d) by a residue c gives p^m h(c + u), whose constant mod
+    p^m is the phase of class c and whose others s_j, as s_j p^j mod p^m,
+    key h(c + p u) - h(c).  The class adds psi(h(c)) J(h(c + p u) - h(c)) / p.
+    For m >= 2 a class where p^m h'(c) is a unit mod p is skipped: the
+    linear term averages a full set of p-th roots of unity to zero.  For
+    m = 1 every child key is (1,).  Each level lowers m; a descent deeper
+    than 400 levels raises ValueError.
     """
     got = memo.get(key)
     if got is not None:
         return got
+    pm = key[0]
     out = {}
-    if not key:
+    if pm == 1:
         out[_ZERO] = Fraction(1)
     elif depth > 400:
         raise ValueError("p-adic descent deeper than 400 levels: the phase's denominators are too large")
     else:
-        pm, nums = clear_denominators((_ZERO,) + key)  # the denominators are p-powers: lcm = max = p^m
         for c in range(p):
-            shifted = taylor_shift(nums, c)
+            shifted = taylor_shift((0, *key[1:]), c)
             if pm > p and shifted[1] % p:
                 continue
             shift = Fraction(shifted[0] % pm, pm)
-            child = _reduce([Fraction(s * p**j, pm) for j, s in enumerate(shifted[1:], 1)], p)
+            child = _canonical(pm, [s * p**j % pm for j, s in enumerate(shifted[1:], 1)])
             for theta, coef in _descend(child, p, memo, depth + 1).items():
                 theta += shift
                 if theta >= 1:
@@ -195,42 +227,42 @@ def _descend(key, p, memo, depth=0):
     return out
 
 
-def _add_ball(acc, phase, p, R, weight, memo, paired=False):
-    """Add weight * int_{p^R Z_p} psi(phase(s)) ds to acc (phase ->
-    coefficient), and its conjugate too when paired.
+def _add_balls(acc, den, ints, p, weights, memo, paired=False):
+    """Add weight * J(g(p^R u)) to acc (phase -> coefficient) for every
+    R: weight of weights, and its conjugate too when paired; g = ints / den.
 
-    Substituting s = p^R u turns the ball integral into p^{-R} times the
-    unit-ball average J of phase(p^R u), which _descend evaluates modulo
-    Z_p[u] with memo; the constant term shifts its phases, and the weight
-    applies only here.
+    Substituting s = p^R u turns int_{p^R Z_p} psi(g(s)) ds into p^{-R}
+    times the unit-ball average J of g(p^R u), so a weight that includes
+    p^{-R} adds the ball integral.  _descend evaluates J modulo Z_p[u] with
+    memo; the constant term shifts its phases, and the weight applies only
+    here.
     """
-    pr = Fraction(p) ** R
-    scaled = [c * pr**j for j, c in enumerate(phase.coeffs)] or [_ZERO]
-    shift = padic_fractional_phase(scaled[0], p)
-    weight = weight / pr
-    for theta, coef in _descend(_reduce(scaled[1:], p), p, memo).items():
-        theta += shift
-        if theta >= 1:
-            theta -= 1
-        coef *= weight
-        acc[theta] = acc.get(theta, 0) + coef
-        if paired:
-            theta = 1 - theta if theta else theta
+    for weight, (shift, key) in zip(weights.values(), _ball_keys(den, ints, p, weights)):
+        for theta, coef in _descend(key, p, memo).items():
+            theta += shift
+            if theta >= 1:
+                theta -= 1
+            coef *= weight
             acc[theta] = acc.get(theta, 0) + coef
+            if paired:
+                theta = 1 - theta if theta else theta
+                acc[theta] = acc.get(theta, 0) + coef
 
 
 def sphere_character_sum(f, lam, r, p):
     """int_{C_r} psi(lam * f(s)) ds over the sphere C_r = {|s| = p^r}, exact
     (cyclotomic stationary-phase descent): the ball p^{-r} Z_p minus the ball
-    p^{1-r} Z_p."""
+    p^{1-r} Z_p.  A value that reduces to a rational is returned as exactly
+    that rational's complex, as mu_hat_padic returns its Fraction."""
     _require_prime(p)
     if not isinstance(r, int) or isinstance(r, bool):
         raise ValueError(f"r must be an integer; got {r!r}")
-    phase = f * parse_rational(lam)
-    acc, memo = {}, {}
-    _add_ball(acc, phase, p, -r, 1, memo)
-    _add_ball(acc, phase, p, 1 - r, -1, memo)
-    return CycNum(p, acc).to_complex()
+    den, ints = clear_denominators((f * parse_rational(lam)).coeffs or (_ZERO,))
+    acc = {}
+    _add_balls(acc, den, ints, p, {-r: Fraction(p) ** r, 1 - r: -Fraction(p) ** (r - 1)}, {})
+    total = CycNum(p, acc)
+    rat = total.rational_value()
+    return total.to_complex() if rat is None else complex(rat)
 
 
 def ess_part(f, p):
@@ -279,34 +311,42 @@ def check_window_padic(family, window):
 def mu_hat_padic(family, window, lam, memo=None):
     """Normalized transform (1/L) sum_{r=a}^{T} p^{-r} * 2 Re int_{C_r} psi(phase).
 
-    phase = sum_i lam_i f_i(s), the phase polynomial of phi_from_frequency.
-    Each sphere integral is the ball p^{-r} Z_p minus the ball p^{1-r} Z_p,
-    so the sum is one over the balls p^R Z_p, R = -T .. 1-a, each evaluated
-    once with weight p^R [a <= -R] - p^{R-1} [1-R <= T], divided by L.
-    Every ball adds its value and its conjugate to one accumulator, which
-    therefore holds 2 Re directly.  Returns an exact Fraction whenever the
-    cyclotomic value reduces to a rational (lam = 0 gives exactly 1), else a
-    float.  lam and -lam give conjugate terms, whose sum is the same set of
-    phases and coefficients; as the float is summed in phase order, the
-    value is even in lam exactly, floats included.
+    phase = sum_i lam_i f_i(s), read as integer numerators over one
+    denominator (polycore.phase_integers).  Each sphere integral is the ball
+    p^{-r} Z_p minus the ball p^{1-r} Z_p, so the sum is one over the balls
+    p^R Z_p, R = -T .. 1-a, each evaluated once with weight p^R [a <= -R] -
+    p^{R-1} [1-R <= T], divided by L.  Every ball adds its value and its
+    conjugate to one accumulator, which therefore holds 2 Re directly.
+    Returns an exact Fraction whenever the cyclotomic value reduces to a
+    rational (lam = 0 gives exactly 1), else a float.  lam and -lam give
+    conjugate terms, whose sum is the same set of phases and coefficients;
+    as the float is summed in phase order, the value is even in lam exactly,
+    floats included.
 
-    memo holds the unit-ball averages already descended, keyed by reduced
-    polynomials modulo Z_p[u] (see _descend).  By default it is a fresh dict
-    that lives for this call and is shared by its balls.  A caller that
-    evaluates many frequencies, such as the lattice minimizer, may pass one
-    dict to all of them and owns it: it is only ever filled, every entry is
-    exact, and it stays valid across families, windows and primes (a
-    nonzero fractional part has a p-power denominator, so a key names its
-    prime).  The value returned does not depend on what memo holds.
+    memo holds the unit-ball averages already descended, keyed by integer
+    numerators (p^m, n_1, ..., n_d) of polynomials modulo Z_p[u] (see
+    _canonical), and, under the window, the window's ball weights.  By
+    default it is a fresh dict that lives for this call and is shared by its
+    balls.  A caller that evaluates many frequencies, such as the lattice
+    minimizer, may pass one dict to all of them and owns it: it is only ever
+    filled, every entry is exact, and it stays valid across families,
+    windows and primes (a nonzero key's p^m names its prime, and a window
+    its own).  The value returned does not depend on what memo holds.
     """
     p, a, T = window.p, window.a, window.T
     check_window_padic(family, window)
-    phase = phi_from_frequency(family, lam)
-    acc = {}
+    den, ints = phase_integers(family, lam)
     memo = {} if memo is None else memo
-    for R in range(-T, 2 - a):
-        weight = (Fraction(p) ** R if a <= -R else 0) - (Fraction(p) ** (R - 1) if 1 - R <= T else 0)
-        _add_ball(acc, phase, p, R, weight / window.L, memo, paired=True)
+    weights = memo.get(window)
+    if weights is None:
+        # (p^R [a <= -R] - p^{R-1} [1-R <= T]) / (L p^R): the sphere weights
+        # times the ball's p^{-R} (see _add_balls), over L
+        L = window.L
+        weights = memo[window] = {
+            R: ((1 if a <= -R else 0) - (Fraction(1, p) if 1 - R <= T else 0)) / L for R in range(-T, 2 - a)
+        }
+    acc = {}
+    _add_balls(acc, den, ints, p, weights, memo, paired=True)
     total = CycNum(p, acc)
     rat = total.rational_value()
     if rat is not None:

@@ -62,6 +62,20 @@ def parse_float(value, name):
     raise ValueError(f"{name} must be a number; got {value!r}")
 
 
+def parse_positive(value, name):
+    """value as a float if it is a finite positive number ("1e-9" and 1e-9
+    alike, see parse_float); anything else, a bool, None, "abc", zero, a
+    negative number, nan and inf among them, raises a ValueError naming
+    the setting."""
+    try:
+        x = parse_float(value, name)
+    except ValueError:
+        x = math.nan
+    if not 0 < x < math.inf:
+        raise ValueError(f"{name} must be a finite positive number; got {value!r}")
+    return x
+
+
 class RationalPoly:
     """Dense univariate polynomial over Q, coefficients ascending (a0, a1, ...)."""
 
@@ -400,13 +414,6 @@ def phase_integers(family, lam):
         raise ValueError(f"frequency has {len(lam)} components, family has {family.m}")
     big_l, nums = clear_denominators(lam)
     return big_l * family._den, [sum(map(operator.mul, nums, col)) for col in family._columns]
-
-
-def phi_from_frequency(family, lam):
-    """The phase polynomial g = sum_i lam_i f_i (exact), from phase_integers.
-    Over R the phase is Phi(t) = g(e^t); over Q_p it is g itself."""
-    den, ints = phase_integers(family, lam)
-    return RationalPoly(Fraction(n, den) for n in ints)
 
 
 def _solve(mat, rhs):

@@ -244,8 +244,10 @@ def minimize_mu_hat(family, window, budget=None, seed=0, tol=1e-6):
 
     The p-adic cells reduce, modulo Z_p[u], to far fewer unit-ball averages
     than they visit, so one descent memo (see padic.mu_hat_padic) serves a
-    whole call; each cell is still one transform call, with exactly the
-    value that a call with its own memo gives.
+    whole call: its keys are integer numerators that name their prime, and
+    it also holds the window's ball weights, built once per call here.
+    Each cell is still one transform call, with exactly the value that a
+    call with its own memo gives.
     """
     if not 0 < tol <= 1e-3:
         raise ValueError("tol must lie in (0, 1e-3]")

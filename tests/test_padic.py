@@ -17,6 +17,7 @@ from oracles import (
     cyc_reduced_dense,
     echelon_reduce_fraction,
     padic_vdc_check,
+    phase_fraction,
     residue_sphere_sum,
 )
 
@@ -34,10 +35,24 @@ from oscillabound.padic import (
     vp,
 )
 from oscillabound import polycore
-from oscillabound.polycore import CurveFamily, RationalPoly, check_independence, parse_curve_family
+from oscillabound.polycore import (
+    CurveFamily,
+    RationalPoly,
+    check_independence,
+    clear_denominators,
+    parse_curve_family,
+    phase_integers,
+)
 
 X = RationalPoly([0, 1])
 X2 = RationalPoly([0, 0, 1])
+
+
+def _add_ball(acc, h, p, R, weight, memo, paired=False):
+    """Add weight * int_{p^R Z_p} psi(h(s)) ds to acc, through the one-ball
+    path of padic._add_balls (whose weights include the ball's p^{-R})."""
+    den, ints = clear_denominators(h.coeffs or (Fraction(0),))
+    padic._add_balls(acc, den, ints, p, {R: weight / Fraction(p) ** R}, memo, paired)
 
 
 def _random_rational_with_valuation(rng, p, vlo=-2, vhi=2):
@@ -124,6 +139,22 @@ def test_sphere_exact_vs_residue_method():
         exact = sphere_character_sum(f, lam, r, p)
         residue = residue_sphere_sum([lam * c for c in f.coeffs], p, r)
         assert abs(exact - residue) < 1e-9
+
+
+def test_sphere_sums_are_exact_when_rational():
+    # the linear phase lam*s on the sphere |s| = p^r, lam = u p^v with u a
+    # unit: the ball p^{-r} Z_p adds its mass p^r when v >= r, so the sphere
+    # is [v >= r] p^r - [v >= r - 1] p^{r-1}, exactly (a float sum of the
+    # roots of unity used to miss it: 5.6e-17 - 1.1e-16j for 0 at p = 3,
+    # lam = 1/3, r = 1)
+    for p in (2, 3, 5, 7):
+        for v in range(-2, 3):
+            for u in (1, -1, p + 1):
+                lam = u * Fraction(p) ** v
+                for r in range(-1, 4):
+                    want = (Fraction(p) ** r if v >= r else 0) - (Fraction(p) ** (r - 1) if v >= r - 1 else 0)
+                    got = sphere_character_sum(X, lam, r, p)
+                    assert type(got) is complex and got == complex(want), (p, lam, r, got, want)
 
 
 def test_ess_part():
@@ -344,8 +375,8 @@ def test_ball_terms_are_invariant_under_integral_shifts(case):
     the descent's memo keys rest on -- and the exact terms show it."""
     p, h, q, R, weight, paired = case
     plain, shifted = {}, {}
-    padic._add_ball(plain, h, p, R, weight, {}, paired)
-    padic._add_ball(shifted, h + q, p, R, weight, {}, paired)
+    _add_ball(plain, h, p, R, weight, {}, paired)
+    _add_ball(shifted, h + q, p, R, weight, {}, paired)
     assert CycNum(p, plain).terms == CycNum(p, shifted).terms
 
 
@@ -441,6 +472,73 @@ def test_shared_memo_gives_fresh_values():
     assert memo
 
 
+def test_shared_memo_across_interleaved_windows():
+    """One memo shared by windows of one prime with different a and T,
+    visited in turn cell by cell, holds each window's weights and gives
+    every value exactly as a fresh memo does."""
+    rng = random.Random(41)
+    fam = _MEMO_FAMILIES[1]
+    for p in (3, 5):
+        axis = spectral._padic_axis_values(p)
+        windows = [PadicWindow(a, T, p) for a, T in ((1, 4), (2, 3), (1, 2), (2, 5), (3, 4))]
+        memo = {}
+        for _ in range(25):
+            cell = tuple(rng.choice(axis) for _ in range(fam.m))
+            for w in windows:
+                shared = mu_hat_padic(fam, w, cell, memo=memo)
+                fresh = mu_hat_padic(fam, w, cell)
+                assert type(shared) is type(fresh), (p, w, cell)
+                if isinstance(fresh, float):
+                    assert shared.hex() == fresh.hex(), (p, w, cell, shared, fresh)
+                else:
+                    assert shared == fresh, (p, w, cell, shared, fresh)
+        assert all(w in memo for w in windows)
+
+
+def _p_rational(p):
+    """Rationals whose denominators mix a power of p (up to p^3) with a part
+    prime to p, zero among them."""
+    prime_to_p = st.integers(1, 40).filter(lambda d: d % p)
+    den = st.builds(lambda k, d: p**k * d, st.integers(0, 3), prime_to_p)
+    return st.builds(Fraction, st.integers(-(p**4), p**4), den)
+
+
+@st.composite
+def _ball_key_cases(draw):
+    """p, a family of 1-3 components of degree 1-4 (constant terms
+    included), a frequency and 1-4 ball indices R."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.lists(_p_rational(p), min_size=draw(st.integers(2, 5)), max_size=5))
+        if row[-1] == 0:
+            row[-1] = Fraction(1, p)
+        rows.append(row)
+    lam = tuple(draw(_p_rational(p)) for _ in rows)
+    balls = draw(st.lists(st.integers(-6, 3), min_size=1, max_size=4, unique=True))
+    return p, CurveFamily([RationalPoly(r) for r in rows]), lam, balls
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_ball_key_cases())
+def test_ball_keys_are_the_fractional_phases(case):
+    """Each ball's integer key holds, over its largest denominator, the
+    fractional parts padic_fractional_phase gives for the Fraction
+    coefficients of phase(p^R u), and its shift is the constant term's."""
+    p, fam, lam, balls = case
+    den, ints = phase_integers(fam, lam)
+    phase = phase_fraction([f.coeffs for f in fam.polys], lam)
+    for R, (shift, key) in zip(balls, padic._ball_keys(den, ints, p, balls)):
+        want = [padic_fractional_phase(c * Fraction(p) ** (R * j), p) for j, c in enumerate(phase)]
+        assert shift == want[0], (p, R, shift, want)
+        while len(want) > 1 and not want[-1]:
+            want.pop()
+        pm, nums = key[0], key[1:]
+        assert [Fraction(n, pm) for n in nums] == want[1:], (p, R, key, want)
+        assert all(0 <= n < pm for n in nums) and math.gcd(pm, *nums) == 1
+        assert pm == max((c.denominator for c in want[1:]), default=1)
+
+
 # (family, p, a, T, lambda, mu_hat_padic value): exact values and float bits
 # pinned for any rework of the descent to reproduce
 _PINNED = [
@@ -498,8 +596,7 @@ def test_mu_hat_padic_pinned_values(monkeypatch):
     descend = padic._descend
 
     def spy(key, p, memo, depth=0):
-        if key:
-            depths.add(vp(max(c.denominator for c in key), p))
+        depths.add(vp(key[0], p))
         return descend(key, p, memo, depth)
 
     monkeypatch.setattr(padic, "_descend", spy)
@@ -527,7 +624,7 @@ def test_padic_vdc_check():
         assert ok, (p, coeffs, lam, lhs, rhs)
         # the exact descent integrates the same ball
         acc = {}
-        padic._add_ball(acc, f * lam, p, r, 1, {})
+        _add_ball(acc, f * lam, p, r, 1, {})
         assert abs(abs(CycNum(p, acc).to_complex()) - lhs) < 1e-9, (p, coeffs, lam, r)
 
 

@@ -24,6 +24,7 @@ from oracles import (
 )
 
 from oscillabound import polycore, realosc, spectral
+from oscillabound.cayleylab import curve_difference_oracle
 from oscillabound.polycore import (
     ISOLATION_WIDTH,
     CurveFamily,
@@ -34,9 +35,9 @@ from oscillabound.polycore import (
     isolate_positive_roots,
     parse_curve_family,
     parse_integer,
+    parse_positive,
     parse_rational,
     phase_integers,
-    phi_from_frequency,
     vandermonde_interpolation,
 )
 
@@ -89,6 +90,27 @@ def test_parse_integer_names_the_setting_for_unreadable_values():
             assert str(exc) == f"seed must be an integer; got {value!r}", exc
         else:
             raise AssertionError(f"{value!r} read as an integer")
+
+
+def test_parse_positive_is_the_one_finite_positive_rule():
+    # the CLI's tol and density radii and the library's curve oracle all
+    # read through it; the oracle used to say "tol must be a number" for a
+    # bool or None
+    assert [parse_positive(v, "tol") for v in (1e-9, "1e-9", Fraction(1, 2), 3)] == [1e-9, 1e-9, 0.5, 3.0]
+    for value in (0, -1, math.nan, math.inf, -math.inf, True, False, None, "abc", [1e-9], 10**400):
+        want = f"tol must be a finite positive number; got {value!r}"
+        try:
+            parse_positive(value, "tol")
+        except ValueError as exc:
+            assert str(exc) == want, exc
+        else:
+            raise AssertionError(f"{value!r} read as a positive number")
+        try:
+            curve_difference_oracle(parse_curve_family([["0", "1"], ["0", "0", "1"]]), tol=value)
+        except ValueError as exc:
+            assert str(exc) == want, exc
+        else:
+            raise AssertionError(f"the curve oracle accepted tol {value!r}")
 
 
 def test_rational_poly_arithmetic():
@@ -433,14 +455,15 @@ def test_check_independence():
         assert check_independence(fam) == check_independence(shifted)
 
 
-def test_phi_from_frequency():
+def test_phase_integers_examples():
     fam = parse_curve_family([["0", "1"], ["0", "0", "1"]])
-    phi = phi_from_frequency(fam, (Fraction(2), Fraction(3)))
-    assert phi == RationalPoly([0, 2, 3])
-    zero = phi_from_frequency(fam, (0, 0))
-    assert zero.is_zero()
+    den, ints = phase_integers(fam, (Fraction(2), Fraction(3)))
+    assert [Fraction(n, den) for n in ints] == [0, 2, 3]
+    den, ints = phase_integers(fam, (0, 0))
+    assert den > 0 and ints == [0, 0, 0]
     shifted = parse_curve_family([["3", "1"], ["1/2", "0", "1"]])
-    assert phi_from_frequency(shifted, (2, "-1/2")) == RationalPoly([Fraction(23, 4), 2, Fraction(-1, 2)])
+    den, ints = phase_integers(shifted, (2, "-1/2"))
+    assert [Fraction(n, den) for n in ints] == [Fraction(23, 4), 2, Fraction(-1, 2)]
 
 
 _PHASE_COEFF = st.fractions(min_value=-40, max_value=40, max_denominator=36)
@@ -477,7 +500,6 @@ def test_phase_integers_match_the_fraction_oracle(case):
     den, ints = phase_integers(fam, lam)
     assert den > 0 and len(ints) == fam.n + 1
     assert all(Fraction(n, den) == c for n, c in zip(ints, want))
-    assert phi_from_frequency(fam, lam) == RationalPoly(want)
     for bad in (lam + (Fraction(1),), lam[1:]):
         try:
             phase_integers(fam, bad)
