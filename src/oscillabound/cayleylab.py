@@ -383,8 +383,9 @@ class CliqueInstance:
 def clique_search(instance, max_size=None):
     """Largest pairwise-adjacent vertex set in the sample (exact search,
     Bron-Kerbosch with pivoting); a lower bound on the sample's clique
-    number.  max_size stops the search early once reached; it must be at
-    least 1, else ValueError."""
+    number.  max_size stops the search early once reached; it must be an
+    integer (see parse_integer) of at least 1, else ValueError."""
+    max_size = None if max_size is None else parse_integer(max_size, "max_size")
     if max_size is not None and max_size < 1:
         raise ValueError(f"max_size must be at least 1; got {max_size!r}")
     pts = instance.points
@@ -472,9 +473,12 @@ def periodic_coloring_verify(f, n, edge_samples, seed=0):
 
     n must clear the sampled threshold; a valid n makes the coloring proper,
     so the expected return is 0 and anything else is a counterexample.
-    n must be an integer (7.9 raises; see parse_integer), and edge_samples
-    at least 1: a check of no edge proves nothing."""
+    n, edge_samples and seed must be integers (7.9 raises; see
+    parse_integer), and edge_samples at least 1: a check of no edge proves
+    nothing."""
     n = parse_integer(n, "n")
+    edge_samples = parse_integer(edge_samples, "edge_samples")
+    seed = parse_integer(seed, "seed")
     if edge_samples < 1:
         raise ValueError(f"edge_samples must be at least 1; got {edge_samples!r}")
     n_min, M, eps, delta = coloring_threshold(f)

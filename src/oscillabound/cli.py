@@ -112,8 +112,9 @@ def _window_of(cfg):
 
 
 def _tol_of(cfg, flags, default):
-    """The --tol flag, else the config's tol, else default (see polycore.parse_positive)."""
-    return parse_positive(flags.tol if flags.tol is not None else cfg.get("tol", default), "tol")
+    """The --tol flag, else the config's tol, else default, as it stands:
+    the library call that uses it reads it."""
+    return flags.tol if flags.tol is not None else cfg.get("tol", default)
 
 
 def _row_of(value, size, message):
@@ -199,15 +200,14 @@ def _cmd_certify(cfg, flags):
 
 def _search(cfg, flags, search):
     """Run minimize_mu_hat or independence_pipeline on the config.  A flag
-    beats the config, seed and budget must be integers (a missing budget
-    means the default), tol defaults to 1e-6, and --csv writes the trace,
-    with tol in the error column over R and 0.0 over Q_p, as muhat writes."""
+    beats the config, and the library reads seed (default 0), budget (a
+    missing one means the default) and tol (default 1e-6).  --csv writes
+    the trace, with tol in the error column over R and 0.0 over Q_p, as
+    muhat writes."""
     w = _window_of(cfg)
     fam = _family_of(cfg)
-    seed = flags.seed if flags.seed is not None else parse_integer(cfg.get("seed", 0), "seed")
-    budget = flags.budget
-    if budget is None and cfg.get("budget") is not None:
-        budget = parse_integer(cfg["budget"], "budget")
+    seed = flags.seed if flags.seed is not None else cfg.get("seed", 0)
+    budget = flags.budget if flags.budget is not None else cfg.get("budget")
     tol = _tol_of(cfg, flags, 1e-6)
     res = search(fam, w, budget=budget, seed=seed, tol=tol)
     if flags.csv:
@@ -260,8 +260,7 @@ def _cmd_clique(cfg, flags):
     fam = _family_of(cfg)
     oracle = curve_difference_oracle(fam, tol=_tol_of(cfg, flags, 1e-9))
     inst = CliqueInstance(cfg["points"], oracle)
-    max_size = cfg.get("max_size")
-    found = clique_search(inst, max_size=None if max_size is None else parse_integer(max_size, "max_size"))
+    found = clique_search(inst, max_size=cfg.get("max_size"))
     return {"size": len(found), "clique": [list(p) for p in found]}
 
 
@@ -287,7 +286,7 @@ def _series_function(spec):
 @_command("color-check")
 def _cmd_color_check(cfg, flags):
     f = _series_function(cfg["function"])
-    seed = flags.seed if flags.seed is not None else parse_integer(cfg.get("seed", 0), "seed")
+    seed = flags.seed if flags.seed is not None else cfg.get("seed", 0)
     n_min, M, eps, delta = coloring_threshold(f)
     n = parse_integer(cfg.get("n", n_min), "n")
     edges = parse_integer(cfg.get("edges", 100_000), "edges")

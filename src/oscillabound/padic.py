@@ -47,6 +47,15 @@ def _require_prime(p):
         raise ValueError(f"p = {p} is not prime")
 
 
+def _split(n, p):
+    """(e, d) with n = p^e d and d prime to p, for a nonzero integer n."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e, n
+
+
 def vp(x, p):
     """p-adic valuation of a rational (math.inf for 0); p >= 2."""
     if p < 2:
@@ -54,15 +63,7 @@ def vp(x, p):
     x = parse_rational(x)
     if x == 0:
         return math.inf
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return _split(x.numerator, p)[0] - _split(x.denominator, p)[0]
 
 
 _ZERO = Fraction(0)
@@ -77,15 +78,11 @@ def padic_fractional_phase(x, p):
     if p < 2:
         raise ValueError(f"p = {p} must be at least 2")
     x = parse_rational(x)
-    den = x.denominator
-    if den % p:
+    n, d = _split(x.denominator, p)
+    if not n:
         return _ZERO
-    pn = p
-    den //= p
-    while den % p == 0:
-        den //= p
-        pn *= p
-    return Fraction(x.numerator * pow(den, -1, pn) % pn, pn)
+    pn = p**n
+    return Fraction(x.numerator * pow(d, -1, pn) % pn, pn)
 
 
 class CycNum:
@@ -170,10 +167,7 @@ def _ball_keys(den, ints, p, balls):
     With den = p^e d and d prime to p, d is inverted once modulo p^K, K the
     largest e - Rj; ints[j] d^{-1} p^{K-e+Rj} mod p^K is then the j-th part
     over p^K, and 0 once that power reaches p^K (a p-integral coefficient)."""
-    e, d = 0, den
-    while d % p == 0:
-        d //= p
-        e += 1
+    e, d = _split(den, p)
     top = len(ints) - 1
     K = max(e - R * j for R in balls for j in (0, top))  # e - Rj is linear in j
     pk = p**K

@@ -59,6 +59,8 @@ from .polycore import (
     compute_a0_real,
     high_freq_constants,
     isolate_positive_roots,
+    parse_float,
+    parse_positive,
     parse_rational,
     phase_integers,
 )
@@ -147,9 +149,7 @@ def vdc_bound(k, eta):
     eta must be finite and positive (an infinite eta would bound by 0)."""
     if k < 1:
         raise ValueError("derivative order must be >= 1")
-    eta = float(eta)
-    if not 0 < eta < math.inf:
-        raise ValueError(f"eta must be a finite positive number; got {eta!r}")
+    eta = parse_positive(eta, "eta")
     return 12.0 * k / eta ** (1.0 / k)
 
 
@@ -443,10 +443,9 @@ def osc_integral(phase, a, T, tol_abs):
     Phi(t) = g(e^t) with g a RationalPoly or the pair (den, scaled) of
     polycore.phase_integers (the transform passes the pair; a RationalPoly
     is converted to it here).  Raises ValueError unless Window(a, T) is
-    valid and 0 < tol_abs < inf."""
+    valid and tol_abs is finite and positive (see parse_positive)."""
     Window(a, T)
-    if not 0 < tol_abs < math.inf:
-        raise ValueError(f"tol_abs must lie in (0, inf); got {tol_abs!r}")
+    tol_abs = parse_positive(tol_abs, "tol_abs")
     den, scaled = clear_denominators(phase.coeffs) if isinstance(phase, RationalPoly) else phase
     if not any(scaled[1:]):
         # the same float as float(g(0)): int / int is correctly rounded
@@ -472,19 +471,27 @@ def check_window_real(family, window):
         raise ValueError(f"window start {window.a} must exceed a0 = {a0}")
 
 
+def parse_tol(tol):
+    """tol as a float in (0, 1e-3], read by parse_float ("1e-4" is 1e-4): the
+    one tolerance rule of the real transform, the minimizer and the pipeline."""
+    tol = parse_float(tol, "tol")
+    if not 0 < tol <= 1e-3:
+        raise ValueError("tol must lie in (0, 1e-3]")
+    return tol
+
+
 def mu_hat_real_with_error(family, window, lam, tol=1e-9):
     """Normalized transform (1/(T-a)) int_a^T cos(2*pi*Phi) dt within tol,
     as (value, error_estimate).
 
     Phi(t) = g(e^t) with g = sum_i lam_i f_i; exact integer phase
     construction (phase_integers), then the piecewise oscillatory
-    integrator above.  Raises ValueError unless 0 < tol <= 1e-3 and the
-    window starts above a0, and QuadratureError (with the partial estimate
-    attached) if refinement cannot reach tol.
+    integrator above.  Raises ValueError unless tol lies in (0, 1e-3] (see
+    parse_tol) and the window starts above a0, and QuadratureError (with the
+    partial estimate attached) if refinement cannot reach tol.
     """
     window = _as_window(window)
-    if not (0 < tol <= 1e-3):
-        raise ValueError("tol must lie in (0, 1e-3]")
+    tol = parse_tol(tol)
     check_window_real(family, window)
     value, err = osc_integral(phase_integers(family, lam), window.a, window.T, tol * window.length)
     if err > tol * window.length * 1.5:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .padic import PadicWindow, certified_bound_padic, check_window_padic, echelon_reduce, mu_hat_padic
 from .polycore import parse_integer
-from .realosc import QuadratureError, _as_window, certified_constant_real, check_window_real, mu_hat_real
+from .realosc import QuadratureError, _as_window, certified_constant_real, check_window_real, mu_hat_real, parse_tol
 
 _GRID_STAGE = 4096  # coarse-grid candidates before refinement starts
 _N_STARTS = 5  # compass searches, seeded from the best grid cells
@@ -224,8 +224,11 @@ def minimize_mu_hat(family, window, budget=None, seed=0, tol=1e-6):
     followed by compass pattern searches from the five best cells.  A
     PadicWindow means Q_p at window.p: exhaustive enumeration of the lattice
     {0} U {u p^v : u unit mod p^2, -6 <= v <= 2} per axis.  Either way tol
-    must lie in (0, 1e-3] and budget must be a positive integer (read by
-    polycore.parse_integer: 7.0 is 7; 3.5, True and nan are not).
+    must lie in (0, 1e-3] (realosc.parse_tol), seed must be an integer and
+    budget a positive one, or None for the default (both read by
+    polycore.parse_integer: 7.0 is 7; 3.5, True and nan are not).  The
+    lattice order does not depend on the seed, so over Q_p the seed is
+    checked and then changes nothing.
 
     The candidate stream is a fixed sequence for a given (family, window,
     seed); the budget is a prefix length, so the reported best value is
@@ -249,8 +252,7 @@ def minimize_mu_hat(family, window, budget=None, seed=0, tol=1e-6):
     Each cell is still one transform call, with exactly the value that a
     call with its own memo gives.
     """
-    if not 0 < tol <= 1e-3:
-        raise ValueError("tol must lie in (0, 1e-3]")
+    tol, seed = parse_tol(tol), parse_integer(seed, "seed")
     cache = {}
 
     def evaluate(lam):
@@ -330,8 +332,10 @@ def independence_pipeline(family, window, budget=None, seed=0, tol=1e-6):
     empirical minimum dips below floor - tol, which only a wrong certificate
     or quadrature can cause.  empirical_ratio_bound is None unless the
     empirical minimum is negative, as the Hoffman bound needs m < 0; the
-    certified fields stand either way.
+    certified fields stand either way.  tol is read (see realosc.parse_tol)
+    before any certificate work.
     """
+    tol = parse_tol(tol)
     cert = certificate(family, window)
     w, certified, length = cert.window, cert.C, cert.length
     report = minimize_mu_hat(family, w, budget=budget, seed=seed, tol=tol)

@@ -138,6 +138,12 @@ def test_config_search_tiny_box_not_found():
     assert not res.found
 
 
+def test_config_search_on_an_empty_box_set_finds_nothing():
+    # no probe point lies in the set, so there is nothing to scan from
+    res = config_search(PARABOLA, (1.0, 2.0), BoxSet([], dim=2), "1/4")
+    assert not res.found and res.s is None and res.residual == math.inf
+
+
 def test_config_search_stripe_demo():
     stripes = BoxSet(
         [[("0", "3"), ("-1", "1")]],
@@ -337,6 +343,14 @@ def test_clique_monotone_in_sample():
     assert bigger >= base
 
 
+def test_duplicate_points_are_never_adjacent():
+    # under an oracle that admits every difference, two copies of one point
+    # are still one vertex's worth of clique
+    inst = CliqueInstance([(1, 1), (1, 1), (2, 2)], lambda d: True)
+    assert not inst.adjacent((1.0, 1.0), (1.0, 1.0))
+    assert clique_search(inst) == ((1.0, 1.0), (2.0, 2.0))
+
+
 def test_parabola_triangle_free_sample():
     oracle = curve_difference_oracle(PARABOLA)
     rng = random.Random(83)
@@ -378,6 +392,13 @@ def test_periodic_coloring_verify():
         pass
     else:
         raise AssertionError("sub-threshold n accepted")
+
+
+def test_periodic_coloring_verify_reads_its_integers():
+    # "3" edges used to fail in a comparison with a bare TypeError
+    f = lambda t: 2 + np.cos(2 * np.pi * np.asarray(t))
+    assert periodic_coloring_verify(f, "7", "300", seed="4") == periodic_coloring_verify(f, 7, 300, seed=4)
+    assert periodic_coloring_verify(f, 7, "3") == periodic_coloring_verify(f, 7, 3.0) == periodic_coloring_verify(f, 7, 3)
 
 
 def test_periodic_coloring_verify_needs_an_edge():

@@ -162,6 +162,17 @@ def test_isolate_positive_roots_examples():
         assert hi - lo <= Fraction(1, 10**12)
 
 
+def test_isolate_positive_roots_on_an_empty_interval():
+    # (2, 1), (1, 1) and (2, 0) hold no point at all, though the ends of
+    # (2, 0) straddle the root 1 of x^2 - 1 and those of (5, 0) both roots
+    # of (x - 1)(x - 2)
+    assert isolate_positive_roots([-1, 0, 1], 2, 1) == []
+    assert isolate_positive_roots([-1, 0, 1], 1, 1) == []
+    assert isolate_positive_roots([-1, 0, 1], 2, 0) == []
+    assert isolate_positive_roots([2, -3, 1], 5, 0) == []
+    assert isolate_positive_roots([-1, 0, 1], 0, 2) == [(1, 1)]
+
+
 def test_isolate_positive_roots_random():
     rng = random.Random(23)
     for _ in range(30):

@@ -160,6 +160,15 @@ def test_mu_hat_validation_guards():
     assert err.partial == 1j and err.error == 2.0
 
 
+def test_mu_hat_real_reads_a_string_tol():
+    # "1e-4" from a config used to fail with a bare TypeError
+    lam = (Fraction(1, 3), Fraction(-1, 2))
+    want = mu_hat_real_with_error(FAM_XX2, Window(1, 2), lam, tol=1e-4)
+    got = mu_hat_real_with_error(FAM_XX2, Window(1, 2), lam, tol="1e-4")
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert mu_hat_real(FAM_XX2, Window(1, 2), lam, tol="1e-4").hex() == want[0].hex()
+
+
 def test_osc_integral_constant_phase():
     phi = RationalPoly([Fraction(1, 3)])
     val, err = osc_integral(phi, 0.0, 2.0, 1e-12)

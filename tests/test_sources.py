@@ -11,12 +11,22 @@ import re
 import warnings
 from fractions import Fraction
 
+import numpy as np
+
 import oscillabound
 from oscillabound import cli
-from oscillabound.cayleylab import BoxSet, multivariate_reduce, upper_density_estimate
-from oscillabound.padic import padic_fractional_phase, vp
+from oscillabound.cayleylab import (
+    BoxSet,
+    CliqueInstance,
+    clique_search,
+    multivariate_reduce,
+    periodic_coloring_verify,
+    upper_density_estimate,
+)
+from oscillabound.padic import PadicWindow, padic_fractional_phase, vp
 from oscillabound.polycore import CurveFamily, RationalPoly, vandermonde_interpolation
-from oscillabound.realosc import Window, superlevel_decompose
+from oscillabound.realosc import Window, osc_integral, superlevel_decompose, vdc_bound
+from oscillabound.spectral import independence_pipeline, minimize_mu_hat
 
 
 def test_sources_compile_without_warnings():
@@ -53,6 +63,9 @@ def test_readme_quick_start_runs():
 def test_input_guards_raise_their_value_errors():
     unit = BoxSet([[("0", "1")]])
     x = RationalPoly([0, 1])
+    fam, q3 = CurveFamily([x, x * x]), PadicWindow(1, 4, 3)
+    one_point = CliqueInstance([(0, 0)], lambda d: False)
+    f = lambda t: 2 + np.cos(2 * np.pi * np.asarray(t))
     guards = [
         (lambda: BoxSet([]), "an empty box set needs an explicit dim"),
         (lambda: BoxSet([[("0", "1")], [("0", "1"), ("0", "1")]]), "boxes must share one dimension"),
@@ -70,6 +83,21 @@ def test_input_guards_raise_their_value_errors():
         (lambda: padic_fractional_phase(Fraction(1, 3), 0), "p = 0 must be at least 2"),
         (lambda: superlevel_decompose(RationalPoly([5]), 1, Window(0, 1)), "phase must be nonconstant"),
         (lambda: superlevel_decompose(x, 0, Window(0, 1)), "level must be positive"),
+        # each setting is read by the call that uses it, as the CLI's config reads it
+        *[
+            (lambda s=s, search=search: search(fam, q3, budget=1, seed=s), f"seed must be an integer; got {s!r}")
+            for s in (None, True, 1.5, "abc")
+            for search in (minimize_mu_hat, independence_pipeline)
+        ],
+        # tol is read before the window check, which (x, x^2) fails at a = 0 over Q_3
+        (lambda: independence_pipeline(fam, PadicWindow(0, 4, 3), tol="abc"), "tol must be a number; got 'abc'"),
+        (lambda: clique_search(one_point, max_size=True), "max_size must be an integer; got True"),
+        (lambda: clique_search(one_point, max_size=2.5), "max_size must be an integer; got 2.5"),
+        (lambda: periodic_coloring_verify(f, 7, True), "edge_samples must be an integer; got True"),
+        (lambda: periodic_coloring_verify(f, 7, 2.5), "edge_samples must be an integer; got 2.5"),
+        (lambda: periodic_coloring_verify(f, 7, 10, seed=None), "seed must be an integer; got None"),
+        (lambda: vdc_bound(1, True), "eta must be a finite positive number; got True"),
+        (lambda: osc_integral(x, 0.0, 1.0, True), "tol_abs must be a finite positive number; got True"),
     ]
     for call, message in guards:
         try:

@@ -280,6 +280,20 @@ def test_tol_is_checked_for_both_fields(monkeypatch):
         raise AssertionError("an empirical minimum of -1000 passed the floor")
 
 
+def test_the_search_reads_its_own_settings():
+    # a config's spellings mean what the CLI's do; a string tol used to reach
+    # the pipeline's floor - tol
+    w = PadicWindow(1, 4, 3)
+    assert independence_pipeline(FAM, w, budget="5", seed="2", tol="1e-4") == independence_pipeline(
+        FAM, w, budget=5, seed=2, tol=1e-4
+    )
+    assert minimize_mu_hat(FAM, (1, 2), budget=4, seed="3", tol="1e-4") == minimize_mu_hat(
+        FAM, (1, 2), budget=4, seed=3, tol=1e-4
+    )
+    # the lattice order does not depend on the seed
+    assert minimize_mu_hat(FAM, w, budget=20, seed=0) == minimize_mu_hat(FAM, w, budget=20, seed=5)
+
+
 def test_pipeline_real_consistency_alarm(monkeypatch):
     # a real transform far below the certified floor (about -7.3e5 on [1, 2])
     # sets off the alarm too, and the CLI reports it with exit 2
