@@ -9,6 +9,7 @@ sample cliques are witnesses, never certificates of nonexistence.
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -321,44 +322,49 @@ def multivariate_reduce(polys, ell=None):
 
 
 def curve_difference_oracle(family, tol=_MEMBERSHIP_TOL):
-    """Membership test for +-V with V = {(f_1(s), ..., f_m(s))}: solve the
-    first coordinate for s (closed form when linear, numpy roots otherwise)
-    and verify the remaining coordinates to the tolerance.
+    """Membership test for +-V with V = {(f_1(s), ..., f_m(s))}, a float
+    test to tol: solve the first coordinate for s (closed form when f_1 is
+    linear, numpy roots otherwise) and verify the remaining coordinates to
+    the tolerance.  The zero vector and a difference with a coordinate that
+    is not finite (nan or inf) are never members.
 
-    The coefficients are converted to floats once, here.  The remaining
-    coordinates are evaluated by Horner's rule in the order of the float
-    path of RationalPoly.__call__, so every answer keeps its bits.  tol
-    must be a finite positive number, read by polycore.parse_positive as
-    the CLI reads it: at 0, nan or inf no point would be adjacent to
-    another."""
+    The family is read once, here.  A call converts each coordinate to a
+    float once and evaluates the remaining coordinates by Horner's rule in
+    the order of the float path of RationalPoly.__call__, so every answer
+    keeps its bits.  tol must be a finite positive number, read by
+    polycore.parse_positive as the CLI reads it: at 0, nan or inf no point
+    would be adjacent to another."""
     tol = parse_positive(tol, "tol")
+    m = family.m
     f1 = family.polys[0]
     desc = [float(c) for c in reversed(f1.coeffs)]  # np.roots wants descending
     rest = [[float(c) for c in reversed(f.coeffs)] for f in family.polys[1:]]
+    linear = f1.degree == 1
+    lead, const = desc[0], desc[-1]
 
-    def roots_of_first(target):
-        if f1.degree == 1:
-            return [(target - desc[1]) / desc[0]]
+    def real_roots_of_first(target):
         shifted = list(desc)
         shifted[-1] -= target
         rr = np.roots(shifted)
         return [float(z.real) for z in rr if abs(z.imag) <= 1e-9 * (1 + abs(z))]
 
-    def horner(cs, s):
-        acc = 0.0
-        for c in cs:
-            acc = acc * s + c
-        return acc
-
     def oracle(w):
-        if len(w) != family.m:
-            raise ValueError(f"point dimension {len(w)} != curve dimension {family.m}")
-        if all(abs(float(v)) <= tol for v in w):
-            return False  # 0 is never in the symmetric difference set
+        if len(w) != m:
+            raise ValueError(f"point dimension {len(w)} != curve dimension {m}")
+        w = [float(v) for v in w]
+        if not all(map(math.isfinite, w)) or max(map(abs, w)) <= tol:
+            return False  # on no curve, and 0 is never in the symmetric difference set
+        tail = w[1:]
         for sign in (1.0, -1.0):
-            ww = [sign * float(v) for v in w]
-            for s in roots_of_first(ww[0]):
-                if all(abs(horner(cs, s) - t) <= tol for cs, t in zip(rest, ww[1:])):
+            target = sign * w[0]
+            for s in ((target - const) / lead,) if linear else real_roots_of_first(target):
+                for cs, t in zip(rest, tail):
+                    acc = 0.0
+                    for c in cs:
+                        acc = acc * s + c
+                    if not abs(acc - sign * t) <= tol:
+                        break
+                else:
                     return True
         return False
 
@@ -377,7 +383,7 @@ class CliqueInstance:
     def adjacent(self, u, v):
         if u == v:
             return False
-        return self.oracle(tuple(a - b for a, b in zip(u, v)))
+        return self.oracle(tuple(map(operator.sub, u, v)))
 
 
 def clique_search(instance, max_size=None):

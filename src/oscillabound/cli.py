@@ -32,7 +32,7 @@ from .cayleylab import (
 )
 from .padic import PadicWindow, mu_hat_padic
 from .polycore import check_independence, parse_curve_family, parse_float, parse_integer, parse_positive, parse_rational
-from .realosc import QuadratureError, Window, certified_constant_real, mu_hat_real_with_error
+from .realosc import QuadratureError, Window, certified_constant_real, mu_hat_real_with_error, parse_tol
 from .spectral import PipelineConsistencyError, certificate, independence_pipeline, minimize_mu_hat
 
 _COMMANDS = {}
@@ -153,7 +153,9 @@ def _cmd_muhat(cfg, flags):
     w = _window_of(cfg)
     fam = _family_of(cfg)
     lams = _lambdas_of(cfg, fam.m)
+    tol = _tol_of(cfg, flags, 1e-9)
     if isinstance(w, PadicWindow):
+        parse_tol(tol)  # one tol rule in both fields; the p-adic value is exact and does not use it
         rows = [(lam, mu_hat_padic(fam, w, lam), 0.0) for lam in lams]
         # the exact value when it is rational, and always its float
         samples = [
@@ -161,7 +163,6 @@ def _cmd_muhat(cfg, flags):
             for _, v, _ in rows
         ]
     else:
-        tol = _tol_of(cfg, flags, 1e-9)
         rows = [(lam, *mu_hat_real_with_error(fam, w, lam, tol=tol)) for lam in lams]
         samples = [{"value": value, "error": error} for _, value, error in rows]
     if flags.csv:

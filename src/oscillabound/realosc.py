@@ -60,6 +60,7 @@ from .polycore import (
     high_freq_constants,
     isolate_positive_roots,
     parse_float,
+    parse_integer,
     parse_positive,
     parse_rational,
     phase_integers,
@@ -146,7 +147,9 @@ class CertifiedBound:
 
 def vdc_bound(k, eta):
     """Oscillation bound 12*k/eta^(1/k) for phases with |psi^(k)| >= eta;
-    eta must be finite and positive (an infinite eta would bound by 0)."""
+    k must be an integer of at least 1 (see parse_integer), and eta finite
+    and positive (an infinite eta would bound by 0)."""
+    k = parse_integer(k, "k")
     if k < 1:
         raise ValueError("derivative order must be >= 1")
     eta = parse_positive(eta, "eta")

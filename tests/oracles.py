@@ -638,6 +638,43 @@ def box_distance(boxes, period, x):
         default=math.inf,
     )
 
+
+def horner_float(desc, s):
+    """sum_j desc[j] s^(d-j) in floats, by Horner's rule from the leading
+    coefficient; desc is in descending order."""
+    acc = 0.0
+    for c in desc:
+        acc = acc * s + c
+    return acc
+
+
+def curve_difference_member(rows, w, tol):
+    """Is the finite vector w in +-V, V = {(f_1(s), ..., f_m(s))}, to tol?
+
+    rows holds each f_i's rational coefficients in ascending order, the last
+    one nonzero.  The zero vector (every |w_i| <= tol) is not.  Otherwise,
+    for each sign, try every real s with f_1(s) = +-w_1: (+-w_1 - a_0)/a_1
+    when f_1 is linear, else each numpy root whose imaginary part is at most
+    1e-9 (1 + |z|), read as its real part.  w is in when some s gives
+    |f_i(s) - (+-w_i)| <= tol for every i >= 2, f_i evaluated in floats by
+    horner_float."""
+    if all(abs(float(v)) <= tol for v in w):
+        return False
+    first = [float(c) for c in reversed(rows[0])]
+    rest = [[float(c) for c in reversed(row)] for row in rows[1:]]
+    for sign in (1.0, -1.0):
+        ww = [sign * float(v) for v in w]
+        if len(first) == 2:
+            roots = [(ww[0] - first[1]) / first[0]]
+        else:
+            shifted = first[:-1] + [first[-1] - ww[0]]
+            roots = [float(z.real) for z in np.roots(shifted) if abs(z.imag) <= 1e-9 * (1 + abs(z))]
+        for s in roots:
+            if all(abs(horner_float(cs, s) - t) <= tol for cs, t in zip(rest, ww[1:])):
+                return True
+    return False
+
+
 if __name__ == "__main__":
     # Freeze run: numbers printed here get copied into the test files.
     val = simpson_mu_hat({1: Fraction(1, 100)}, 1.0, 2.0)
@@ -668,3 +705,4 @@ if __name__ == "__main__":
                     if v < best[0]:
                         best = (v, (lam1, lam2))
     print("coarse-grid minimum for f=(x,x^2), window (1,2):", best)
+

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import box_distance, box_member
+from oracles import box_distance, box_member, curve_difference_member, horner_float
 
 from oscillabound.cayleylab import (
     BoxSet,
@@ -23,7 +23,7 @@ from oscillabound.cayleylab import (
     periodic_coloring_verify,
     upper_density_estimate,
 )
-from oscillabound.polycore import check_independence, parse_curve_family
+from oscillabound.polycore import CurveFamily, check_independence, parse_curve_family
 
 PARABOLA = parse_curve_family([["0", "1"], ["0", "0", "1"]])
 
@@ -473,3 +473,65 @@ def test_curve_oracle_matches_direct_evaluation():
             answers.append(oracle(w))
             assert answers[-1] == direct(w), (rows, w)
         assert 100 < sum(answers) < len(answers) - 100
+
+
+_curve_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def _curve_differences(draw):
+    """A family of m = 1..3 components with a linear or a nonlinear f_1, a
+    tolerance, and a vector near +-V: a point F(s) of either sign, a
+    difference F(s) - F(r) of two curve points, or the zero vector, each
+    coordinate moved by 0, +-tol/10, +-tol or +-2 tol."""
+    m = draw(st.integers(1, 3))
+    rows = []
+    for i in range(m):
+        degree = draw(st.sampled_from((1, 2, 3)) if i == 0 else st.integers(1, 4))
+        rows.append(draw(st.lists(_curve_coeffs, min_size=degree, max_size=degree)) + [draw(_curve_coeffs.filter(bool))])
+    tol = draw(st.sampled_from((1e-9, 1e-6)))
+    descs = [[float(c) for c in reversed(row)] for row in rows]
+    s, r = draw(st.floats(-4, 4)), draw(st.floats(-4, 4))
+    kind = draw(st.sampled_from(("point", "difference", "zero")))
+    if kind == "point":
+        sign = draw(st.sampled_from((1.0, -1.0)))
+        base = [sign * horner_float(d, s) for d in descs]
+    elif kind == "difference":
+        base = [horner_float(d, s) - horner_float(d, r) for d in descs]
+    else:
+        base = [0.0] * m
+    moves = draw(st.lists(st.sampled_from((0.0, 0.1, -0.1, 1.0, -1.0, 2.0, -2.0)), min_size=m, max_size=m))
+    return rows, tol, tuple(v + k * tol for v, k in zip(base, moves))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_curve_differences())
+@example(([[0, 1], [0, 0, 1]], 1e-9, (0.0, 0.0)))
+@example(([[0, 1], [0, 0, 1]], 1e-9, (-2.0, -4.0)))
+@example(([[0, 1], [0, 0, 1]], 2.0**-20, (1.0, 1.0 + 2.0**-20)))  # off by exactly tol
+@example(([[-1, 1], [0, 0, 1]], 1e-9, (0.0, 1.0)))  # F(1): a point of V with f_1 = 0
+@example(([[0, 0, 1], [0, 0, 0, 1]], 1e-9, (4.0, -8.0)))
+@example(([[Fraction(1, 3), -2, 1], [0, -1, 0, Fraction(1, 7)], [2, 0, 0, 0, Fraction(-3, 5)]], 1e-9, (0.0, 0.0, 1e-10)))
+def test_curve_oracle_matches_the_formula_oracle(case):
+    # the library decides every finite difference as the plain formulas do,
+    # to the bit: same roots, same Horner order, same comparison with tol
+    rows, tol, w = case
+    oracle = curve_difference_oracle(CurveFamily(rows), tol=tol)
+    assert oracle(w) == curve_difference_member(rows, w, tol), case
+
+
+def test_a_difference_that_is_not_finite_is_never_adjacent():
+    # (x) admitted nan and inf as differences, so a sample holding a nan
+    # point gave a 3-clique; for (x^2, x^3) np.roots raised LinAlgError
+    for rows in ([["0", "1"]], [["0", "0", "1"], ["0", "0", "0", "1"]]):
+        family = parse_curve_family(rows)
+        oracle = curve_difference_oracle(family)
+        for bad in (math.nan, math.inf, -math.inf):
+            for i in range(family.m):
+                w = [1.0] * family.m
+                w[i] = bad
+                assert oracle(tuple(w)) is False, (rows, w)
+        origin, one = (0,) * family.m, (1,) * family.m
+        for bad in ("nan", "-inf"):
+            inst = CliqueInstance([origin, (bad,) + origin[1:], one], oracle)
+            assert clique_search(inst) == ((0.0,) * family.m, (1.0,) * family.m), (rows, bad)

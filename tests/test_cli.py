@@ -153,6 +153,17 @@ def test_validation_errors_exit_1():
         assert _run(["muhat", good])[0] == 1
 
 
+def test_muhat_reads_tol_in_both_fields():
+    # over Q_p the value is exact, but a tol that would fail over R fails there too
+    real = {"family": FAMILY, "window": [1, 4], "lambda": ["1", "0"]}
+    padic = {**real, "field": {"padic": 3}, "lambda": ["1/3", "0"]}
+    for cfg in (real, padic):
+        _assert_rejected("muhat", {**cfg, "tol": "abc"}, "tol must be a number; got 'abc'")
+        _assert_rejected("muhat", cfg, "tol must lie in (0, 1e-3]", "--tol=5")
+        with tempfile.TemporaryDirectory() as tmp:
+            assert _run(["muhat", _write_config(tmp, "c.json", {**cfg, "tol": "1e-6"})])[0] == 0
+
+
 def test_muhat_enforces_the_transform_guards():
     # (x - 2, x^2 - 2x) has a0 = ln 2, so the window [0.1, 0.5] is invalid
     shifted = [["-2", "1"], ["0", "-2", "1"]]
@@ -436,6 +447,15 @@ def test_clique_command():
     assert code == 0
     assert payload["report"]["size"] == 2
     assert payload["report"]["clique"] == [[0.0, 0.0], [1.0, 1.0]]
+
+
+def test_clique_leaves_out_a_point_that_is_not_finite():
+    # the nan point was adjacent to both others, so this reported a 3-clique
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write_config(tmp, "c.json", {"family": [["0", "1"]], "points": [[0], ["nan"], [1]]})
+        code, _, payload = _run(["clique", path])
+    assert code == 0
+    assert payload["report"]["clique"] == [[0.0], [1.0]]
 
 
 def test_color_check_command():

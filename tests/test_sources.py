@@ -97,6 +97,9 @@ def test_input_guards_raise_their_value_errors():
         (lambda: periodic_coloring_verify(f, 7, 2.5), "edge_samples must be an integer; got 2.5"),
         (lambda: periodic_coloring_verify(f, 7, 10, seed=None), "seed must be an integer; got None"),
         (lambda: vdc_bound(1, True), "eta must be a finite positive number; got True"),
+        (lambda: vdc_bound(True, 4.0), "k must be an integer; got True"),
+        (lambda: vdc_bound(1.5, 4.0), "k must be an integer; got 1.5"),
+        (lambda: vdc_bound(0, 4.0), "derivative order must be >= 1"),
         (lambda: osc_integral(x, 0.0, 1.0, True), "tol_abs must be a finite positive number; got True"),
     ]
     for call, message in guards:
