@@ -4,9 +4,10 @@ sidecar of transform samples.  A command that works over both fields
 (muhat, certify, minimize, pipeline) reads the field from the config.
 
 Exit codes: 0 success, 1 validation or configuration error, 2 internal
-consistency failure (the empirical minimum broke a certified floor -- the
-regression alarm).  Identical config and seed produce byte-identical
-reports.
+consistency failure, the regression alarm: the empirical minimum broke a
+certified floor, or color-check found a monochromatic edge at an n its
+threshold admits (its diagnostics give n, n_min, edges and violations).
+Identical config and seed produce byte-identical reports.
 """
 
 import argparse
@@ -292,6 +293,13 @@ def _cmd_color_check(cfg, flags):
     n = parse_integer(cfg.get("n", n_min), "n")
     edges = parse_integer(cfg.get("edges", 100_000), "edges")
     violations = periodic_coloring_verify(f, n, edges, seed=seed)
+    if violations:
+        # periodic_coloring_verify ran, so the threshold admits n: an edge
+        # it finds monochromatic refutes the threshold, not the config
+        raise PipelineConsistencyError(
+            "a coloring the threshold admits has monochromatic edges",
+            {"n": n, "n_min": n_min, "edges": edges, "violations": violations},
+        )
     return {
         "n": n,
         "n_min": n_min,

@@ -22,9 +22,10 @@ names its prime.  Every ball's key comes from the phase's integer
 numerators with one modular inverse per call, and the descent runs one
 loop over the residue classes of a key, each a Taylor shift of its
 numerators.  Weights, and the conjugate of a paired ball, apply only when a
-memo entry is added into the accumulator.  The memo belongs to the caller:
-a transform makes a fresh one per call unless it is handed one, as the
-lattice minimizer does, and it also holds each window's ball weights.
+memo entry is added into the accumulator.  The memo holds descents only and
+belongs to the caller: a transform makes a fresh one per call unless it is
+handed one, as the lattice minimizer does.  A transform's ball weights
+depend on its window alone, and each PadicWindow builds them once.
 
 Haar measure is normalized so that Z_p has mass 1; the ball p^{-r} Z_p then
 has mass p^r and the sphere |s| = p^r has mass p^r - p^{r-1}.
@@ -34,6 +35,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 
 from .polycore import CurveFamily, RationalPoly, _bareiss, clear_denominators, parse_rational, phase_integers
 from .polycore import taylor_shift
@@ -276,7 +279,8 @@ def ess_part(f, p):
 @dataclass(frozen=True)
 class PadicWindow:
     """Summation window a..T (integers, T > a) for the sphere decomposition
-    over Q_p, p prime."""
+    over Q_p, p prime.  L and ball_weights are built on first use, once per
+    window object; equality, hash and repr see a, T and p alone."""
 
     a: int
     T: int
@@ -289,9 +293,19 @@ class PadicWindow:
             raise ValueError("window needs T > a")
         _require_prime(self.p)
 
-    @property
+    @cached_property
     def L(self):
         return 2 * (self.T - self.a + 1) * (1 - Fraction(1, self.p))
+
+    @cached_property
+    def ball_weights(self):
+        """Read-only map R -> ([a <= -R] - [1-R <= T] / p) / L for R = -T ..
+        1-a: the weight p^R [a <= -R] - p^{R-1} [1-R <= T] of mu_hat_padic's
+        ball p^R Z_p, times the ball's p^{-R} (see _add_balls), over L."""
+        a, T, p, L = self.a, self.T, self.p, self.L
+        return MappingProxyType(
+            {R: ((1 if a <= -R else 0) - (Fraction(1, p) if 1 - R <= T else 0)) / L for R in range(-T, 2 - a)}
+        )
 
 
 def check_window_padic(family, window):
@@ -317,30 +331,22 @@ def mu_hat_padic(family, window, lam, memo=None):
     as the float is summed in phase order, the value is even in lam exactly,
     floats included.
 
-    memo holds the unit-ball averages already descended, keyed by integer
-    numerators (p^m, n_1, ..., n_d) of polynomials modulo Z_p[u] (see
-    _canonical), and, under the window, the window's ball weights.  By
-    default it is a fresh dict that lives for this call and is shared by its
-    balls.  A caller that evaluates many frequencies, such as the lattice
-    minimizer, may pass one dict to all of them and owns it: it is only ever
-    filled, every entry is exact, and it stays valid across families,
-    windows and primes (a nonzero key's p^m names its prime, and a window
-    its own).  The value returned does not depend on what memo holds.
+    The weights are window.ball_weights, built once per window object.
+    memo holds the unit-ball averages already descended, and nothing else,
+    keyed by integer numerators (p^m, n_1, ..., n_d) of polynomials modulo
+    Z_p[u] (see _canonical).  By default it is a fresh dict that lives for
+    this call and is shared by its balls.  A caller that evaluates many
+    frequencies, such as the lattice minimizer, may pass one dict to all of
+    them and owns it: it is only ever filled, every entry is exact, and it
+    stays valid across families, windows and primes (a nonzero key's p^m
+    names its prime).  The value returned does not depend on what memo
+    holds.
     """
-    p, a, T = window.p, window.a, window.T
+    p = window.p
     check_window_padic(family, window)
     den, ints = phase_integers(family, lam)
-    memo = {} if memo is None else memo
-    weights = memo.get(window)
-    if weights is None:
-        # (p^R [a <= -R] - p^{R-1} [1-R <= T]) / (L p^R): the sphere weights
-        # times the ball's p^{-R} (see _add_balls), over L
-        L = window.L
-        weights = memo[window] = {
-            R: ((1 if a <= -R else 0) - (Fraction(1, p) if 1 - R <= T else 0)) / L for R in range(-T, 2 - a)
-        }
     acc = {}
-    _add_balls(acc, den, ints, p, weights, memo, paired=True)
+    _add_balls(acc, den, ints, p, window.ball_weights, {} if memo is None else memo, paired=True)
     total = CycNum(p, acc)
     rat = total.rational_value()
     if rat is not None:

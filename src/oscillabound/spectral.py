@@ -108,8 +108,9 @@ def certificate(family, window):
 
 
 class PipelineConsistencyError(RuntimeError):
-    """Empirical minimum fell below the certified floor: one of the two is
-    wrong, and everything downstream is suspect."""
+    """Empirical minimum fell below the certified floor, or a sampled edge
+    refuted a coloring the threshold admits: one of the two sides is wrong,
+    and everything downstream is suspect."""
 
     def __init__(self, message, diagnostics):
         super().__init__(message + " | " + repr(diagnostics))
@@ -247,10 +248,11 @@ def minimize_mu_hat(family, window, budget=None, seed=0, tol=1e-6):
 
     The p-adic cells reduce, modulo Z_p[u], to far fewer unit-ball averages
     than they visit, so one descent memo (see padic.mu_hat_padic) serves a
-    whole call: its keys are integer numerators that name their prime, and
-    it also holds the window's ball weights, built once per call here.
-    Each cell is still one transform call, with exactly the value that a
-    call with its own memo gives.
+    whole call: it holds descents only, keyed by integer numerators that
+    name their prime, while every cell reads the window's ball weights,
+    built once per window object (PadicWindow.ball_weights).  Each cell is
+    still one transform call, with exactly the value that a call with its
+    own memo gives.
     """
     tol, seed = parse_tol(tol), parse_integer(seed, "seed")
     cache = {}

@@ -476,6 +476,17 @@ def test_color_check_command():
             assert code == 0 and (payload["report"]["n"], payload["report"]["edges"]) == (7, 500), payload
 
 
+def test_color_check_exits_2_when_its_edges_refute_the_admitted_coloring():
+    """f = 1 + cos(2 pi 20000 t) samples as the constant 2, so the threshold
+    admits n = 5, yet f vanishes at t = 1/40000 and sampled edges join
+    points of one colour: the threshold is refuted, the exit-2 case."""
+    cfg = {"function": {"constant": 1, "cos": [[20000, 1]]}, "edges": 20000}
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _, payload = _run(["color-check", _write_config(tmp, "c.json", cfg)])
+    assert code == 2 and payload["error"] == "consistency failure", payload
+    assert payload["diagnostics"] == {"n": 5, "n_min": 5, "edges": 20000, "violations": 510}
+
+
 def test_seed_and_budget_must_be_integers():
     padic = {"family": FAMILY, "window": [1, 4], "field": {"padic": 3}, "budget": 7}
     color = {"function": {"constant": 2, "cos": [[1, 1.0]]}, "n": 7, "edges": 500}

@@ -472,10 +472,22 @@ def test_shared_memo_gives_fresh_values():
     assert memo
 
 
+def _is_descent_key(key, p):
+    """key is a _canonical memo key of prime p: integers (p^m, n_1, ..., n_d)
+    with every n_j in [0, p^m)."""
+    return (
+        type(key) is tuple
+        and all(type(n) is int for n in key)
+        and key[0] >= 1
+        and p ** vp(key[0], p) == key[0]
+        and all(0 <= n < key[0] for n in key[1:])
+    )
+
+
 def test_shared_memo_across_interleaved_windows():
     """One memo shared by windows of one prime with different a and T,
-    visited in turn cell by cell, holds each window's weights and gives
-    every value exactly as a fresh memo does."""
+    visited in turn cell by cell, holds descents only and gives every value
+    exactly as a fresh memo does."""
     rng = random.Random(41)
     fam = _MEMO_FAMILIES[1]
     for p in (3, 5):
@@ -492,7 +504,99 @@ def test_shared_memo_across_interleaved_windows():
                     assert shared.hex() == fresh.hex(), (p, w, cell, shared, fresh)
                 else:
                     assert shared == fresh, (p, w, cell, shared, fresh)
-        assert all(w in memo for w in windows)
+        assert all(_is_descent_key(key, p) for key in memo)
+
+
+def test_ball_weights_follow_the_sphere_decomposition():
+    """Each window's ball weights are the sphere decomposition's: sphere r
+    is the ball p^{-r} Z_p minus the ball p^{1-r} Z_p, weighted p^{-r} / L,
+    and the ball p^R Z_p integrates to p^{-R} J, so ball R collects 1 from
+    sphere -R and -1/p from sphere 1-R, over L.  At lam = 0 every J is 1 and
+    each ball adds itself and its conjugate, so the weights sum to 1/2.  The
+    map is read-only and built once per window object."""
+    for p in (2, 3, 5, 7):
+        for a in range(-3, 6):
+            for span in range(1, 9):
+                w = PadicWindow(a, a + span, p)
+                want = {}
+                for r in range(a, a + span + 1):
+                    want[-r] = want.get(-r, 0) + 1 / w.L
+                    want[1 - r] = want.get(1 - r, 0) - Fraction(1, p) / w.L
+                assert dict(w.ball_weights) == want, (a, span, p)
+                assert list(w.ball_weights) == list(range(-a - span, 2 - a))
+                assert sum(w.ball_weights.values()) == Fraction(1, 2), (a, span, p)
+                assert w.ball_weights is w.ball_weights
+    try:
+        w.ball_weights[0] = Fraction(1)
+    except TypeError:
+        pass
+    else:
+        raise AssertionError("ball_weights accepted an assignment")
+    assert w == PadicWindow(w.a, w.T, w.p) and hash(w) == hash(PadicWindow(w.a, w.T, w.p))
+    assert repr(w) == f"PadicWindow(a={w.a}, T={w.T}, p={w.p})"
+
+
+def test_certify_on_a_long_window_builds_no_ball_weights():
+    """The certificate reads L alone: a window of a million spheres gets no
+    weight map until a transform asks for one."""
+    fam = parse_curve_family([["0", "1"], ["0", "0", "1"]])
+    w = PadicWindow(1, 10**6, 3)
+    cert = spectral.certificate(fam, w)
+    assert cert.C == Fraction(192 * (10**6 - 1)) / w.L
+    assert "ball_weights" not in vars(w)
+
+
+def test_lattice_minimizer_memo_holds_descents_only(monkeypatch):
+    """The memo minimize_mu_hat shares across its cells over Q_3 holds
+    descent keys alone, and every cell gets that one memo."""
+    memos = []
+    transform = spectral.mu_hat_padic
+
+    def spy(family, window, lam, memo=None):
+        memos.append(memo)
+        return transform(family, window, lam, memo=memo)
+
+    monkeypatch.setattr(spectral, "mu_hat_padic", spy)
+    fam = parse_curve_family([["0", "1"], ["0", "0", "1"]])
+    spectral.minimize_mu_hat(fam, PadicWindow(1, 4, 3), budget=300)
+    assert len(memos) == 300 and all(m is memos[0] for m in memos)
+    assert memos[0] and all(_is_descent_key(key, 3) for key in memos[0])
+
+
+@st.composite
+def _unit_substitution_cases(draw):
+    """Monomials c_i x^{d_i} of distinct degrees <= 5, a window above the
+    essential part (0 for a monomial), lam with p-power denominators and a
+    p-adic unit u = n / d (neither divisible by p)."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    degrees = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3, unique=True))
+    coeff = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 4))
+    fam = CurveFamily([RationalPoly([0] * d + [draw(coeff)]) for d in degrees])
+    a = draw(st.integers(1, 3))
+    window = PadicWindow(a, a + draw(st.integers(1, 2)), p)
+    component = st.builds(lambda n, k: Fraction(n, p**k), st.integers(-(p**4), p**4), st.integers(0, 4))
+    lam = tuple(draw(component) for _ in degrees)
+    unit = st.integers(-(p**3), p**3).filter(lambda n: n % p)
+    u = Fraction(draw(unit), abs(draw(unit)))
+    return fam, window, lam, u
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_unit_substitution_cases())
+def test_mu_hat_padic_is_invariant_under_a_unit_substitution(case):
+    """s = u s' with u a p-adic unit maps every sphere |s| = p^r onto itself
+    and keeps Haar measure, so for monomial components c_i x^{d_i} the
+    transform at lam equals the one at (u^{d_1} lam_1, ..., u^{d_m} lam_m):
+    the same Fraction, or a float with the same bits.  Both calls use one
+    window object, and so one weight map."""
+    fam, window, lam, u = case
+    got = mu_hat_padic(fam, window, lam)
+    moved = mu_hat_padic(fam, window, tuple(u**f.degree * v for f, v in zip(fam.polys, lam)))
+    assert type(got) is type(moved), (lam, u, got, moved)
+    if isinstance(got, float):
+        assert got.hex() == moved.hex(), (lam, u, got, moved)
+    else:
+        assert got == moved, (lam, u, got, moved)
 
 
 def _p_rational(p):

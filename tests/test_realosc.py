@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from oracles import adaptive_cc_dfs, phase_fraction, simpson_mu_hat
 
 from oscillabound import realosc
-from oscillabound.polycore import RationalPoly, parse_curve_family, phase_integers
+from oscillabound.polycore import CurveFamily, RationalPoly, parse_curve_family, phase_integers
 from oscillabound.realosc import (
     HIGH,
     LOW,
@@ -107,6 +107,32 @@ def test_mu_hat_real_is_even_normalized_and_bounded(case):
     minus = mu_hat_real(fam, window, tuple(-v for v in lam), tol=tol)
     assert -1.0 <= plus <= 1.0 and -1.0 <= minus <= 1.0
     assert plus == minus, (lam, plus, minus)
+
+
+@st.composite
+def _monomial_shift_cases(draw):
+    d = draw(st.sampled_from((1, 2, 3, 5)))
+    c = draw(st.sampled_from((Fraction(1), Fraction(-3, 2))))
+    a = draw(st.floats(0.2, 5))
+    window = Window(a, a + draw(st.sampled_from((0.01, 0.5, 2, 5, 10))))
+    lam = Fraction(draw(st.integers(-999, 999).filter(bool)), 10 ** draw(st.integers(0, 6)))
+    return d, c, window, lam, draw(st.integers(2, 20)), draw(st.sampled_from((1e-3, 1e-6, 1e-9)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_monomial_shift_cases())
+def test_one_term_transform_depends_on_lam_e_da_and_the_length(case):
+    """For f = c x^d the integrand cos(2 pi lam c e^{dt}) is unchanged when
+    the window moves by ln(k)/d and lam is divided by k, so the two values
+    agree within the errors mu_hat_real_with_error reports; 1e-12 covers the
+    rounding of the moved window's ends."""
+    d, c, window, lam, k, tol = case
+    fam = CurveFamily([RationalPoly([0] * d + [c])])
+    shift = math.log(k) / d
+    moved = Window(window.a + shift, window.T + shift)
+    value, err = mu_hat_real_with_error(fam, window, (lam,), tol=tol)
+    value_moved, err_moved = mu_hat_real_with_error(fam, moved, (lam / k,), tol=tol)
+    assert abs(value - value_moved) <= err + err_moved + 1e-12, (case, value, value_moved, err, err_moved)
 
 
 def test_mu_hat_frozen_simpson_value():
