@@ -211,8 +211,9 @@ def _candidate_points(box_set):
 def config_search(family, window, box_set, step):
     """Scan for x1, x2 in the set with x1 - x2 = (f_1(s), ..., f_m(s)).
 
-    s runs over integer multiples of the rational step inside [e^a, e^T]
-    (so witnesses at rational parameters are hit exactly), with a shrinking
+    s runs over the positive integer multiples of the rational step inside
+    [e^a, e^T] (so witnesses at rational parameters are hit exactly; s = 0
+    lies in no window, even when e^a underflows to 0.0), with a shrinking
     local refinement pass around the nearest miss; x2 runs over deterministic
     rational probe points of the set.  A Found result is exact: membership
     is rational and the residual is literally zero.  NotFound certifies
@@ -244,7 +245,7 @@ def config_search(family, window, box_set, step):
                 best = gap
         return None, best
 
-    k_lo = math.ceil(s_lo / step)
+    k_lo = max(1, math.ceil(s_lo / step))
     k_hi = math.floor(s_hi / step)
     nearest_gap, nearest_s = None, None
     for k in range(k_lo, k_hi + 1):

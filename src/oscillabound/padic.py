@@ -72,22 +72,6 @@ def vp(x, p):
 _ZERO = Fraction(0)
 
 
-def padic_fractional_phase(x, p):
-    """{x}_p as a Fraction r/p^n in [0,1); 0 for p-integral x; p >= 2.
-
-    x is p-integral exactly when p does not divide its denominator; else
-    the denominator is p^n * d with d prime to p, and r = num * d^-1 mod p^n.
-    """
-    if p < 2:
-        raise ValueError(f"p = {p} must be at least 2")
-    x = parse_rational(x)
-    n, d = _split(x.denominator, p)
-    if not n:
-        return _ZERO
-    pn = p**n
-    return Fraction(x.numerator * pow(d, -1, pn) % pn, pn)
-
-
 class CycNum:
     """A finite rational combination of p-power roots of unity, kept exact.
 
@@ -163,9 +147,10 @@ def _canonical(pm, nums):
 
 def _ball_keys(den, ints, p, balls):
     """For each R in balls, (shift, key) of g = ints / den on the ball
-    p^R Z_p: the p-adic fractional parts (padic_fractional_phase) of the
-    coefficients ints[j] p^{Rj} / den of g(p^R u), the constant one as
-    shift and the others as a _canonical key.
+    p^R Z_p: the p-adic fractional parts of the coefficients
+    ints[j] p^{Rj} / den of g(p^R u), the constant one as shift and the
+    others as a _canonical key.  The part {x}_p of x = n / (p^k d), d prime
+    to p, is (n d^{-1} mod p^k) / p^k, and 0 when k <= 0.
 
     With den = p^e d and d prime to p, d is inverted once modulo p^K, K the
     largest e - Rj; ints[j] d^{-1} p^{K-e+Rj} mod p^K is then the j-th part

@@ -91,9 +91,6 @@ class RationalPoly:
     def degree(self):
         return len(self.coeffs) - 1  # -1 for the zero polynomial
 
-    def is_zero(self):
-        return not self.coeffs
-
     def __call__(self, x):
         acc = 0 if not isinstance(x, float) else 0.0
         for c in reversed(self.coeffs):

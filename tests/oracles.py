@@ -477,6 +477,19 @@ def _vp(x, p):
     return v
 
 
+def padic_fractional_phase(x, p):
+    """{x}_p, the p-adic fractional part of a rational x, as a Fraction in [0, 1).
+
+    Write x = num / (p^n d) with d prime to p.  For n = 0, x is p-integral and
+    {x}_p = 0; else {x}_p = (num * d^-1 mod p^n) / p^n, the one fraction with
+    denominator p^n in [0, 1) that differs from x by a p-adic integer.
+    """
+    x = Fraction(x)
+    pn = p ** _vp(x.denominator, p)
+    d = x.denominator // pn
+    return Fraction(x.numerator * pow(d, -1, pn) % pn, pn)
+
+
 def _constancy_level(coeffs, p, R):
     """Smallest K with psi(phase(p^R u)) constant on classes u mod p^K."""
     k = 0

@@ -2,6 +2,7 @@
 difference-set configuration search, multivariate-to-curve reduction, clique
 search on curve difference sets, and the two-level periodic coloring."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -156,6 +157,19 @@ def test_config_search_stripe_demo():
     assert stripes.contains(res.x1) and stripes.contains(res.x2)
     diff = tuple(a - b for a, b in zip(res.x1, res.x2))
     assert diff == (res.s, res.s**2)
+
+
+def test_config_search_never_reports_s_zero():
+    # e^-800 underflows to 0.0, and the scan used to start at s = 0, which
+    # lies in no window (log 0 = -inf) and, for a family without constant
+    # terms, pairs x1 = x2, which is no edge
+    stripes = BoxSet(*STRIPES)
+    for a in (-800, -700):
+        res = config_search(PARABOLA, (a, 1), stripes, "1/4")
+        assert res.found and res.s == Fraction(1, 4) and res.x1 != res.x2, (a, res)
+    shifted = parse_curve_family([["1", "1"], ["0", "0", "1"]])
+    res = config_search(shifted, (-800, 1.0), BoxSet([[(None, None), (None, None)]]), "1/4")
+    assert res.found and res.s > 0, res
 
 
 # [0,1]^2 and the band R x [-3,-1], both repeated with period 9 on the
@@ -343,6 +357,34 @@ def test_clique_monotone_in_sample():
     assert bigger >= base
 
 
+@st.composite
+def _graphs_on_a_line(draw):
+    """(n, edges): points 2^i, i < n, have pairwise distinct distances
+    |2^j - 2^i|, so a set of those distances draws any graph on them."""
+    n = draw(st.integers(1, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, {2**j - 2**i for (i, j), k in zip(pairs, keep) if k}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_graphs_on_a_line())
+def test_clique_search_matches_a_brute_force_maximum_clique(case):
+    """clique_search returns a clique of the brute-force clique number
+    omega, found over every vertex subset, and under max_size one of size
+    min(max_size, omega)."""
+    n, edges = case
+    inst = CliqueInstance([(2**i,) for i in range(n)], lambda d: abs(d[0]) in edges)
+
+    def is_clique(pts):
+        return all(inst.adjacent(u, v) for u, v in itertools.combinations(pts, 2))
+
+    omega = max(r for r in range(n + 1) for s in itertools.combinations(inst.points, r) if is_clique(s))
+    for max_size, want in ((None, omega), (1, 1), (2, min(2, omega))):
+        found = clique_search(inst, max_size=max_size)
+        assert len(found) == want and is_clique(found), (n, sorted(edges), max_size, found)
+
+
 def test_duplicate_points_are_never_adjacent():
     # under an oracle that admits every difference, two copies of one point
     # are still one vertex's worth of clique
@@ -392,6 +434,21 @@ def test_periodic_coloring_verify():
         pass
     else:
         raise AssertionError("sub-threshold n accepted")
+
+
+def test_a_scalar_only_function_is_sampled_point_by_point():
+    # math.cos raises TypeError on an array, so each sample is read alone;
+    # the answers are the numpy twin's
+    scalar = lambda t: 2 + math.cos(2 * math.pi * t)
+    vector = lambda t: 2 + np.cos(2 * np.pi * np.asarray(t))
+    try:
+        scalar(np.zeros(2))
+    except TypeError:
+        pass
+    else:
+        raise AssertionError("math.cos read an array")
+    assert coloring_threshold(scalar) == coloring_threshold(vector) == (6, 3.0, 0.9, 0.5)
+    assert periodic_coloring_verify(scalar, 7, 2000, seed=3) == periodic_coloring_verify(vector, 7, 2000, seed=3)
 
 
 def test_periodic_coloring_verify_reads_its_integers():

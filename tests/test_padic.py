@@ -16,6 +16,7 @@ from oracles import (
     brute_force_sphere_sum,
     cyc_reduced_dense,
     echelon_reduce_fraction,
+    padic_fractional_phase,
     padic_vdc_check,
     phase_fraction,
     residue_sphere_sum,
@@ -30,7 +31,6 @@ from oscillabound.padic import (
     echelon_reduce,
     ess_part,
     mu_hat_padic,
-    padic_fractional_phase,
     sphere_character_sum,
     vp,
 )
@@ -233,22 +233,35 @@ def test_sphere_radius_must_be_an_integer():
 
 
 def test_valuation_base_below_two_is_rejected():
-    """vp and padic_fractional_phase divide by p until it stops dividing, so
-    p = 1 would never return: run them in a child process under a timeout."""
+    """vp divides by p until it stops dividing, so p = 1 would never
+    return: run it in a child process under a timeout."""
     code = (
-        "from oscillabound.padic import vp, padic_fractional_phase\n"
-        "for fn in (vp, padic_fractional_phase):\n"
-        "    for p in (1, 0, -2):\n"
-        "        try:\n"
-        "            fn(3, p)\n"
-        "        except ValueError:\n"
-        "            print('rejected', fn.__name__, p)\n"
+        "from oscillabound.padic import vp\n"
+        "for p in (1, 0, -2):\n"
+        "    try:\n"
+        "        vp(3, p)\n"
+        "    except ValueError:\n"
+        "        print('rejected vp', p)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(oscillabound.__file__)))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split("\n").count("rejected vp 1") == 1
-    assert len(out.stdout.split()) == 3 * 6, out.stdout
+    assert len(out.stdout.split()) == 3 * 3, out.stdout
+
+
+def test_mu_hat_padic_refuses_a_float_outside_the_range(monkeypatch):
+    # lambda = (1, 36) on (x, x^2) over Q_3 has an irrational value, read as
+    # a float; a complex value of 1.5 must raise, not clip to 1
+    fam, window, lam = CurveFamily([X, X2]), PadicWindow(1, 4, 3), (Fraction(1), Fraction(36))
+    assert isinstance(mu_hat_padic(fam, window, lam), float)
+    monkeypatch.setattr(CycNum, "to_complex", lambda self: 1.5 + 0j)
+    try:
+        mu_hat_padic(fam, window, lam)
+    except ArithmeticError as exc:
+        assert str(exc) == "conjugate-pair value left the certified range", exc
+    else:
+        raise AssertionError("a value of 1.5 was returned")
 
 
 def test_mu_hat_worked_value():
@@ -627,8 +640,9 @@ def _ball_key_cases(draw):
 @given(_ball_key_cases())
 def test_ball_keys_are_the_fractional_phases(case):
     """Each ball's integer key holds, over its largest denominator, the
-    fractional parts padic_fractional_phase gives for the Fraction
-    coefficients of phase(p^R u), and its shift is the constant term's."""
+    fractional parts the oracle padic_fractional_phase gives for the
+    Fraction coefficients of phase(p^R u), and its shift is the constant
+    term's."""
     p, fam, lam, balls = case
     den, ints = phase_integers(fam, lam)
     phase = phase_fraction([f.coeffs for f in fam.polys], lam)

@@ -118,7 +118,7 @@ def test_rational_poly_arithmetic():
     one_minus = RationalPoly([1, -1])
     assert one_plus * one_minus == RationalPoly([1, 0, -1])
     assert one_plus + one_minus == RationalPoly([2])
-    assert (one_plus - one_plus).is_zero()
+    assert one_plus - one_plus == RationalPoly([])
     cubic = RationalPoly([-1, 0, 0, 1])  # x^3 - 1
     assert RationalPoly([-1, 1]) * RationalPoly([1, 1, 1]) == cubic
     assert cubic(Fraction(2)) == Fraction(7)
@@ -419,6 +419,17 @@ def test_min_eigenvalue_lower_matches_charpoly_oracle(mat):
     got = polycore._min_eigenvalue_lower(gram)
     assert got == min_eigenvalue_lower_charpoly(gram)
     assert 0 < got <= min(gram[i][i] for i in range(n))
+
+
+def test_min_eigenvalue_lower_refuses_a_singular_gram_matrix():
+    # no positive lower bound exists, so the bisection never leaves 0
+    for gram in ([[Fraction(0)]], [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]):
+        try:
+            polycore._min_eigenvalue_lower(gram)
+        except ArithmeticError as exc:
+            assert str(exc) == "Gram matrix is numerically singular", exc
+        else:
+            raise AssertionError(f"singular {gram} got a positive bound")
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

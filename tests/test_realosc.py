@@ -186,6 +186,19 @@ def test_mu_hat_validation_guards():
     assert err.partial == 1j and err.error == 2.0
 
 
+def test_mu_hat_real_refuses_a_value_outside_the_unit_interval():
+    # a quadrature value of 2 (T - a) normalizes to 2, which no transform of
+    # a probability measure takes: it raises instead of clipping to 1
+    fake = lambda phase, a, T, tol_abs: (2 * (T - a), 0.0)
+    with mock.patch.object(realosc, "osc_integral", fake):
+        try:
+            mu_hat_real_with_error(FAM_XX2, Window(1, 2), (1, 1))
+        except ArithmeticError as exc:
+            assert str(exc) == "mu_hat left [-1,1]: 2.0", exc
+        else:
+            raise AssertionError("a normalized value of 2 was returned")
+
+
 def test_mu_hat_real_reads_a_string_tol():
     # "1e-4" from a config used to fail with a bare TypeError
     lam = (Fraction(1, 3), Fraction(-1, 2))
