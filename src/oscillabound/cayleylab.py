@@ -227,8 +227,11 @@ def config_search(family, window, box_set, step):
     a, T = float(window[0]), float(window[1])
     if not a < T:
         raise ValueError(f"window needs a < T; got {window!r}")
+    try:
+        s_hi = Fraction(math.exp(T))
+    except OverflowError:
+        raise ValueError(f"window end T = {T} is too large: e^T overflows a float") from None
     s_lo = Fraction(math.exp(a))
-    s_hi = Fraction(math.exp(T))
     cands = _candidate_points(box_set)
     if not cands:
         return ConfigResult(found=False)

@@ -27,6 +27,15 @@ the error estimate, and Omega is grown until that charge fits the tolerance.
 This evaluates frequencies with |lambda| ~ 1e6 (phase counts ~ 1e60) at
 fixed cost.
 
+One-term phases.  When g = c0 + c x^j has one nonconstant term, y = 2*pi*|c|
+e^{jt} turns the integral into cosine and sine integrals, and osc_integral
+returns e^{2*pi*i*c0} ((Ci(y_T) - Ci(y_a)) + i sgn(c) (Si(y_T) - Si(y_a))) / j
+(DLMF 6.2) without cutting the window: power series for Cin and Si at y <= 4,
+the continued fraction of E1(iy) above.  Its error covers the truncation,
+the rounding of each y and the rotation by e^{2*pi*i*c0} (see
+_one_term_integral), about 1e-15 to 1e-13.  A phase whose e^{ja} or e^{jT}
+overflows, or whose y_a is not a normal float, takes the quadrature above.
+
 Phase data.  Every Phi^(k) comes from one integer vector: the transform
 takes g as the pair (den, scaled) of polycore.phase_integers, with
 scaled = den * g built from the family's integer matrix without a Fraction,
@@ -48,6 +57,7 @@ reports a larger error.
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -76,6 +86,8 @@ _CC_N = 16
 _BATCH = 32  # panels evaluated together by _adaptive_cc
 _EPS = 2.3e-16  # float64 phase-evaluation granularity
 _SPOT_POINTS = 32  # interior samples per interval in IntervalDecomposition.spot_check
+_CISI_SPLIT = 4.0  # Ci and Si from power series at y <= 4, from a continued fraction above
+_EULER = 0.5772156649015329  # Euler's constant, correctly rounded
 _exp = math.exp  # one global lookup per term in _PhaseTable.at's loop
 
 
@@ -441,19 +453,136 @@ def _capped(integrate, lo, hi, tol):
     return (0.0 + 0.0j, hi - lo) if err > hi - lo else (val, err)
 
 
+# --- one-term phases in closed form ------------------------------------------
+
+
+def _cin_si_series(y):
+    """(Cin(y), Si(y), error) for 0 <= y <= _CISI_SPLIT from the power series
+    Cin(y) = sum_{k>=1} (-1)^(k+1) y^2k / (2k (2k)!) and Si(y) = sum_{k>=0}
+    (-1)^k y^(2k+1) / ((2k+1) (2k+1)!), one loop over m with y^m / (m m!).
+    Both series alternate with falling terms there, so the truncation is at
+    most the last term taken; each term carries at most 2m roundings."""
+    cin = si = size = 0.0
+    power = term = 1.0
+    m = 0
+    while term > 2.0**-64:
+        m += 1
+        power *= y / m
+        term = power / m
+        size += term
+        signed = -term if (m - 1) & 2 else term  # signs + + - - + + ... over m = 1, 2, 3, ...
+        if m & 1:
+            si += signed
+        else:
+            cin += signed
+    return cin, si, term + 2 * m * _EPS * size
+
+
+def _e1_imaginary(y):
+    """(E1(iy), error) for y > _CISI_SPLIT from the continued fraction of
+    e^{iy} E1(iy) by the modified Lentz method (cisi in Numerical Recipes,
+    section 6.8); Ci(y) = -Re E1(iy) and Si(y) = pi/2 + Im E1(iy).  The
+    error charges the last step's distance from 1 and 4 roundings per step,
+    relative to the fraction's value."""
+    b = complex(1.0, y)
+    c = 1e300
+    d = h = 1.0 / b
+    for n in range(2, 100):
+        step = -((n - 1) ** 2)
+        b += 2.0
+        d = 1.0 / (step * d + b)
+        c = b + step / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < _EPS:
+            break
+    return complex(math.cos(y), -math.sin(y)) * h, abs(h) * (abs(delta - 1.0) + 4 * n * _EPS)
+
+
+def _ci_si_differences(ya, yT, span):
+    """(Ci(yT) - Ci(ya), Si(yT) - Si(ya), error) for floats 0 < ya < yT with
+    span = ln(yT / ya).  With both below _CISI_SPLIT the Ci difference is
+    span - (Cin(yT) - Cin(ya)), so Euler's constant and the logarithms cancel
+    exactly; with both above it, pi/2 cancels from the Si difference."""
+    if yT <= _CISI_SPLIT:
+        cin_a, si_a, err_a = _cin_si_series(ya)
+        cin_T, si_T, err_T = _cin_si_series(yT)
+        return span - (cin_T - cin_a), si_T - si_a, err_a + err_T + 2 * (span + 1) * _EPS
+    e1_T, err_T = _e1_imaginary(yT)
+    if ya > _CISI_SPLIT:
+        e1_a, err_a = _e1_imaginary(ya)
+        return e1_a.real - e1_T.real, e1_T.imag - e1_a.imag, err_a + err_T
+    cin_a, si_a, err_a = _cin_si_series(ya)
+    log_a = math.log(ya)
+    ci_a = _EULER + log_a - cin_a
+    return -e1_T.real - ci_a, (math.pi / 2 - si_a) + e1_T.imag, err_a + err_T + (abs(log_a) + 4) * _EPS
+
+
+def _one_term_integral(den, scaled, j, a, T):
+    """int_a^T exp(2*pi*i*(c0 + c e^{jt})) dt in closed form, as (value,
+    error), for the phase (den, scaled) whose one nonconstant term is
+    scaled[j] = den * c; None when e^{ja} or e^{jT} leaves the float range or
+    y_a is not a normal float.
+
+    With y = 2*pi*|c| e^{jt} (so dt = dy / (j y)) the integral is
+    e^{2*pi*i*c0} ((Ci(y_T) - Ci(y_a)) + i sgn(c) (Si(y_T) - Si(y_a))) / j
+    (DLMF 6.2).  c0 is reduced exactly to r = c0 - round(c0), |r| <= 1/2,
+    from the integers, and the value reads |c| and the sign of r, so lam and
+    -lam give real parts with the same bits.  The error sums:
+      * the truncation and rounding that _ci_si_differences reports;
+      * the rounding of each y: y = tau * |c| * exp(j t) is off by a
+        relative delta_t <= (|j t| + 8) * _EPS (the rounding of c, tau, j*t,
+        exp and two products), and since |dCi/dy|, |dSi/dy| <= 1/y and
+        |dCin/dy| <= 2/y this moves the difference by at most 3 * delta_t per
+        end.  At a huge y this is also the whole argument-reduction error of
+        cos y and sin y: the float y is off by delta_t * y radians;
+      * 8 * _EPS * |value| for the division by j and the rotation by
+        2*pi*r, whose angle is off by a few roundings of at most pi."""
+    n = scaled[j]
+    try:
+        ea, eT = _exp(j * a), _exp(j * T)
+    except OverflowError:
+        return None
+    scale = math.tau * (abs(n) / den)
+    ya, yT = scale * ea, scale * eT
+    if not (ya >= sys.float_info.min and yT < math.inf):
+        return None
+    dci, dsi, err = _ci_si_differences(ya, yT, j * (T - a))
+    err += 3 * (abs(j * a) + abs(j * T) + 16) * _EPS
+    value = complex(dci / j, (dsi if n > 0 else -dsi) / j)
+    s0 = abs(scaled[0])
+    rem = s0 - (2 * s0 + den) // (2 * den) * den  # |c0| - round(|c0|), times den
+    if rem:
+        r = rem / den if scaled[0] > 0 else -rem / den
+        value *= complex(math.cos(math.tau * r), math.sin(math.tau * r))
+    return value, err / j + 8 * _EPS * abs(value)
+
+
 def osc_integral(phase, a, T, tol_abs):
     """int_a^T exp(2*pi*i*Phi(t)) dt with an error estimate <= tol_abs, for
     Phi(t) = g(e^t) with g a RationalPoly or the pair (den, scaled) of
     polycore.phase_integers (the transform passes the pair; a RationalPoly
     is converted to it here).  Raises ValueError unless Window(a, T) is
-    valid and tol_abs is finite and positive (see parse_positive)."""
+    valid and tol_abs is finite and positive (see parse_positive).
+
+    A phase with one nonconstant term, c0 + c e^{jt}, is integrated in
+    closed form by _one_term_integral (the cosine and sine integrals), with
+    an error of rounding alone, typically 1e-15 to 1e-13, which may exceed a
+    tol_abs it cannot reach.  When e^{ja} or e^{jT} overflows, or
+    2*pi*|c| e^{ja} is not a normal float, it falls back to the piecewise
+    quadrature that every other phase takes."""
     Window(a, T)
     tol_abs = parse_positive(tol_abs, "tol_abs")
     den, scaled = clear_denominators(phase.coeffs) if isinstance(phase, RationalPoly) else phase
-    if not any(scaled[1:]):
+    terms = [j for j in range(1, len(scaled)) if scaled[j]]
+    if not terms:
         # the same float as float(g(0)): int / int is correctly rounded
         c0 = scaled[0] / den if scaled else 0.0
         return complex(math.cos(math.tau * c0), math.sin(math.tau * c0)) * (T - a), 0.0
+    if len(terms) == 1:
+        closed = _one_term_integral(den, scaled, terms[0], a, T)
+        if closed is not None:
+            return closed
     table = _PhaseTable((den, scaled))
     knots = [a] + _breakpoints(scaled, a, T) + [T]
     piece = functools.partial(_integrate_piece, table)
@@ -488,10 +617,13 @@ def mu_hat_real_with_error(family, window, lam, tol=1e-9):
     as (value, error_estimate).
 
     Phi(t) = g(e^t) with g = sum_i lam_i f_i; exact integer phase
-    construction (phase_integers), then the piecewise oscillatory
-    integrator above.  Raises ValueError unless tol lies in (0, 1e-3] (see
-    parse_tol) and the window starts above a0, and QuadratureError (with the
-    partial estimate attached) if refinement cannot reach tol.
+    construction (phase_integers), then osc_integral: the closed form in
+    the cosine and sine integrals when g has one nonconstant term (error of
+    rounding alone, about 1e-15 to 1e-13 times T - a), the piecewise
+    oscillatory integrator above otherwise and when that form's exponentials
+    leave the float range.  Raises ValueError unless tol lies in (0, 1e-3]
+    (see parse_tol) and the window starts above a0, and QuadratureError
+    (with the partial estimate attached) if refinement cannot reach tol.
     """
     window = _as_window(window)
     tol = parse_tol(tol)

@@ -216,6 +216,13 @@ def test_config_search_validation():
             assert "a < T" in str(exc), exc
         else:
             raise AssertionError(f"window {window!r} accepted")
+    # e^800 overflows a float: the scan range cannot be built
+    try:
+        config_search(PARABOLA, (1.0, 800.0), big, "1/4")
+    except ValueError as exc:
+        assert "e^T overflows" in str(exc), exc
+    else:
+        raise AssertionError("window (1, 800) accepted")
 
 
 def test_config_search_finds_a_witness_in_the_refinement_pass():

@@ -413,10 +413,12 @@ def test_config_search_command():
         rep = payload["report"]
         assert rep["found"] and rep["s"] == "3" and rep["residual"] == 0.0
         assert rep["x1"] == ["3", "9"] and rep["x2"] == ["0", "0"]
-        # the window is read as every command reads it: "16" is not [1, 6], nor [true, 2] [1, 2]
-        for window in ("16", [True, 2], [1]):
+        # the window is read as every command reads it: "16" is not [1, 6], nor [true, 2] [1, 2];
+        # and e^800 overflows a float
+        cases = (("16", "two bounds"), ([True, 2], "two bounds"), ([1], "two bounds"), ([1, 800], "e^T overflows"))
+        for window, detail in cases:
             code, _, payload = _run(["config-search", _write_config(tmp, "c.json", dict(base, window=window))])
-            assert code == 1 and "two bounds" in payload["detail"], (window, payload)
+            assert code == 1 and detail in payload["detail"], (window, payload)
         code, _, payload = _run(["config-search", _write_config(tmp, "c.json", dict(base, field={"padic": 3}))])
         assert code == 1 and "real window" in payload["detail"], payload
 

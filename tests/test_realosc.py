@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import mpmath
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,13 @@ from hypothesis import strategies as st
 from oracles import adaptive_cc_dfs, phase_fraction, simpson_mu_hat
 
 from oscillabound import realosc
-from oscillabound.polycore import CurveFamily, RationalPoly, parse_curve_family, phase_integers
+from oscillabound.polycore import (
+    CurveFamily,
+    RationalPoly,
+    clear_denominators,
+    parse_curve_family,
+    phase_integers,
+)
 from oscillabound.realosc import (
     HIGH,
     LOW,
@@ -434,7 +441,9 @@ def test_scalar_reads_keep_the_generator_sum_bits(fam, lam, t):
 # (family, window, lambda, value.hex(), error.hex()) of mu_hat_real_with_error
 # at tol 1e-3: the three criterion-6 families on [1, 2], [1, 6] and [1, 26],
 # breakpoints inside the window, |lambda| near 1e6, zero components, and
-# (x^2, x^3, x^5) phases whose Phi' or Phi'' has two sign changes
+# (x^2, x^3, x^5) phases whose Phi' or Phi'' has two sign changes.  The five
+# lambdas with one nonzero component take the closed form; QUADRATURE_PINS
+# keeps what the quadrature read for them
 BIT_PINS = (
     (FAM_XX2, (1, 2), (0.37, -0.021), "0x1.d469cc4859a00p-7", "0x1.b9ae043d90919p-29"),
     (FAM_XX2, (1, 2), (-3.5, 0.25), "0x1.b2aa76c025853p-4", "0x1.fe89e3d4998cap-29"),
@@ -442,17 +451,17 @@ BIT_PINS = (
     (FAM_XX2, (1, 6), (1, Fraction(-1, 100)), "0x1.de9d261a365a0p-6", "0x1.3bc317e3a098ep-14"),
     (FAM_XX2, (1, 6), (0.0025, 7e-06), "0x1.0667a4b859c1ap-1", "0x1.f695de3318930p-26"),
     (FAM_XX2, (1, 6), (-0.004, 1e-05), "0x1.a8fa1c2e5eb3ap-2", "0x1.9ffe208eb07bap-20"),
-    (FAM_XX2, (1, 6), (1000000.0, 0), "0x1.62912c9bafc73p-27", "0x1.a84679fc74cdep-53"),
+    (FAM_XX2, (1, 6), (1000000.0, 0), "0x1.62912c9bafc74p-27", "0x1.c96beef1af6b5p-49"),
     (FAM_XX2, (1, 6), (999983, -1000003), "0x1.235f417d10228p-29", "0x1.7832845e1d691p-54"),
     (FAM_XX2, (1, 26), (1e-09, -3e-12), "0x1.c4ffea63ac64ap-2", "0x1.e4e01e02e2cc6p-17"),
-    (FAM_XX2, (1, 26), (0, 1e-20), "0x1.aa5d153766f09p-1", "0x1.525beb3294e26p-16"),
+    (FAM_XX2, (1, 26), (0, 1e-20), "0x1.aa5c844e13feep-1", "0x1.86d4ecc157c43p-49"),
     (FAM_XX2, (1, 26), (4e-12, -1e-23), "0x1.d65f645144f63p-1", "0x1.b9852a4363894p-13"),
     (FAM_XX3, (1, 2), (0.5, -0.01), "-0x1.205f939e3f16dp-4", "0x1.11868561ca159p-25"),
     (FAM_XX3, (1, 2), (-2.0, 0.05), "-0x1.1dc6a14785c61p-5", "0x1.610cbb65deca4p-25"),
     (FAM_XX3, (1, 6), (1, Fraction(-1, 3000)), "0x1.2227aa50b317cp-5", "0x1.173ecfaf85a40p-20"),
-    (FAM_XX3, (1, 6), (0, 2e-05), "0x1.70eec2d8840eep-2", "0x1.139315d4a7f17p-13"),
+    (FAM_XX3, (1, 6), (0, 2e-05), "0x1.70f7c3fc5fa3ap-2", "0x1.6ee966c34e1d8p-49"),
     (FAM_XX3, (1, 6), (-123.0, 0.0004), "-0x1.7e70ff598d4f5p-12", "0x1.0077ac159c344p-22"),
-    (FAM_XX3, (1, 26), (7e-08, 0), "0x1.0b84df202ddf4p-1", "0x1.54be7d8a2469dp-12"),
+    (FAM_XX3, (1, 26), (7e-08, 0), "0x1.0b7659c920693p-1", "0x1.4df0e4da62543p-49"),
     (FAM_XX3, (1, 26), (-1e-06, 1e-30), "0x1.aa1d56017aed1p-2", "0x1.5939b980b3a18p-12"),
     (FAM_XX3, (1, 26), (3e-11, -2e-34), "0x1.ab443189629c1p-1", "0x1.a4c056b610692p-26"),
     (FAM_X235, (1, 2), (0.01, -0.002, 1e-05), "0x1.f499d43133df4p-1", "0x1.40d00e8a311f9p-29"),
@@ -462,7 +471,7 @@ BIT_PINS = (
     (FAM_X235, (1, 6), (0, -3e-05, 2e-09), "0x1.61f414e8ad398p-2", "0x1.572750febbbd3p-21"),
     (FAM_X235, (1, 6), (-0.5, 0, 1e-10), "0x1.043152347eaadp-8", "0x1.0ec535f7ad896p-16"),
     (FAM_X235, (1, 26), (2e-20, -1e-28, 3e-50), "0x1.94862675cff1bp-1", "0x1.3b9d742c57368p-15"),
-    (FAM_X235, (1, 26), (0, 0, 1e-55), "0x1.e853bd7551809p-1", "0x1.f0ffd78ae6741p-14"),
+    (FAM_X235, (1, 26), (0, 0, 1e-55), "0x1.e854ebd55c473p-1", "0x1.95ec61cd92efcp-49"),
     (
         FAM_X235, (1, 26), (Fraction(1, 10**15), Fraction(-1, 10**17), Fraction(1, 10**35)),
         "0x1.cc8545f1fb840p-2", "0x1.0f656d566be17p-15",
@@ -479,6 +488,94 @@ def test_transform_bits_are_pinned():
     for family, window, lam, value, error in BIT_PINS:
         got = mu_hat_real_with_error(family, window, lam, tol=1e-3)
         assert (got[0].hex(), got[1].hex()) == (value, error), (window, lam)
+
+
+# (family, window, lambda, value.hex(), error.hex()) that the piecewise
+# quadrature gave for the one-term BIT_PINS before they took the closed form
+QUADRATURE_PINS = (
+    (FAM_XX2, (1, 6), (1000000.0, 0), "0x1.62912c9bafc73p-27", "0x1.a84679fc74cdep-53"),
+    (FAM_XX2, (1, 26), (0, 1e-20), "0x1.aa5d153766f09p-1", "0x1.525beb3294e26p-16"),
+    (FAM_XX3, (1, 6), (0, 2e-05), "0x1.70eec2d8840eep-2", "0x1.139315d4a7f17p-13"),
+    (FAM_XX3, (1, 26), (7e-08, 0), "0x1.0b84df202ddf4p-1", "0x1.54be7d8a2469dp-12"),
+    (FAM_X235, (1, 26), (0, 0, 1e-55), "0x1.e853bd7551809p-1", "0x1.f0ffd78ae6741p-14"),
+)
+
+
+def test_closed_form_pins_lie_within_the_quadrature_errors():
+    for family, window, lam, value, error in QUADRATURE_PINS:
+        got = mu_hat_real_with_error(family, window, lam, tol=1e-3)[0]
+        assert abs(got - float.fromhex(value)) <= float.fromhex(error), (window, lam, got)
+
+
+@st.composite
+def _one_term_phases(draw):
+    """(coefficients of c0 + c x^d, a, T) with both signs of c, a nonzero c0
+    and d = 1..5, the window placed so that y = 2 pi |c| e^{dt} runs from
+    y_a to y_T: both at most realosc._CISI_SPLIT = 10^0.602 ("series"),
+    y_a below and y_T above ("mixed"), or both above ("fraction"), with y_a
+    from 1e-15 to 1e6 and y_T up to 1e25."""
+    d = draw(st.integers(1, 5))
+    sign = draw(st.sampled_from((1, -1)))
+    c = Fraction(sign * draw(st.integers(1, 10**6)), 10 ** draw(st.integers(0, 12)))
+    c0 = Fraction(draw(st.integers(-(10**6), 10**6).filter(bool)), draw(st.integers(1, 1000)))
+    regime = draw(st.sampled_from(("series", "mixed", "fraction")))
+    if regime == "fraction":
+        log_ya = draw(st.floats(0.7, 6))
+    else:
+        log_ya = draw(st.floats(-15, 0.5))
+    if regime == "series":
+        log_yT = draw(st.floats(log_ya + 0.01, 0.6))
+    else:
+        log_yT = draw(st.floats(max(0.7, log_ya + 0.01), 25))
+    scale = math.log(2 * math.pi * abs(c))
+    a = (log_ya * math.log(10) - scale) / d
+    T = (log_yT * math.log(10) - scale) / d
+    return [c0] + [0] * (d - 1) + [c], a, T
+
+
+def _one_term_oracle(coeffs, a, T):
+    """e^{2 pi i c0} ((Ci(y_T) - Ci(y_a)) + i sgn(c) (Si(y_T) - Si(y_a))) / d
+    at 40 digits from the exact coefficients and the float window."""
+    c0, c, d = coeffs[0], coeffs[-1], len(coeffs) - 1
+    with mpmath.workdps(40):
+        scale = 2 * mpmath.pi * abs(mpmath.mpf(c.numerator) / c.denominator)
+        y = [scale * mpmath.exp(d * mpmath.mpf(t)) for t in (a, T)]
+        sign = 1 if c > 0 else -1
+        w = (mpmath.ci(y[1]) - mpmath.ci(y[0]) + 1j * sign * (mpmath.si(y[1]) - mpmath.si(y[0]))) / d
+        return complex(mpmath.expjpi(2 * mpmath.mpf(c0.numerator) / c0.denominator) * w)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_one_term_phases())
+def test_one_term_transform_matches_mpmath_cosine_and_sine_integrals(case):
+    coeffs, a, T = case
+    tol = 1e-9
+    with mock.patch.object(realosc, "_PhaseTable", side_effect=AssertionError("the quadrature ran")):
+        value, err = osc_integral(RationalPoly(coeffs), a, T, tol * (T - a))
+    assert abs(value - _one_term_oracle(coeffs, a, T)) <= err <= tol * (T - a), (case, value, err)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 5),
+    st.builds(Fraction, st.integers(-(10**6), 10**6).filter(bool), st.sampled_from((1, 10**3, 10**6, 10**9))),
+    st.builds(Fraction, st.integers(-100, 100), st.integers(1, 7)),
+    st.sampled_from(((1.0, 2.0), (1.0, 6.0), (0.5, 3.0), (-2.0, 1.5))),
+)
+def test_quadrature_agrees_with_the_closed_form_on_one_term_phases(d, c, c0, window):
+    """One-term phases no longer reach the quadrature through osc_integral;
+    Phi' and Phi'' have no root, so the window is one piece, and the piece
+    integrator must reach tol and agree with the closed form within the sum
+    of both errors."""
+    a, T = window
+    tol = 1e-6 * (T - a)
+    den, scaled = clear_denominators([c0] + [Fraction(0)] * (d - 1) + [c])
+    table = realosc._PhaseTable((den, scaled))
+    with np.errstate(over="ignore"):
+        quad, quad_err = realosc._capped(functools.partial(realosc._integrate_piece, table), a, T, tol)
+    closed, closed_err = osc_integral((den, scaled), a, T, tol)
+    assert quad_err <= 1.5 * tol, (d, c, c0, window, quad_err)
+    assert abs(quad - closed) <= quad_err + closed_err, (d, c, c0, window, quad, closed)
 
 
 def test_superlevel_decompose_two_sided():

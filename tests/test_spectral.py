@@ -11,6 +11,8 @@ import random
 import tempfile
 from fractions import Fraction
 
+import mpmath
+
 from oscillabound import cli, realosc, spectral
 from oscillabound.padic import PadicWindow
 from oscillabound.polycore import compute_a0_real, parse_curve_family
@@ -145,7 +147,13 @@ def test_minimize_real_evaluates_each_sign_pair_once(monkeypatch):
     assert rep.evaluations == len(calls) == 373
     # the same minimum as evaluating lambda and -lambda separately
     assert rep.best_lambda == (Fraction(2206159, 65239690),)
-    assert rep.best_value == -0.047210002197041835
+    assert rep.best_value == -0.047202935610043115
+    # the quadrature read -0.047210002197041835 with error 5.85e-5 before
+    # one-term phases took the closed form (Ci(x e^10) - Ci(x)) / 10, x = 2 pi lam e^2
+    assert abs(rep.best_value - -0.047210002197041835) <= 5.85e-5
+    with mpmath.workdps(40):
+        x = 2 * mpmath.pi * mpmath.mpf(2206159) / 65239690 * mpmath.e**2
+        assert abs(rep.best_value - float((mpmath.ci(x * mpmath.e**10) - mpmath.ci(x)) / 10)) <= 1e-12
 
 
 def test_cache_keys_opposite_frequencies_together(monkeypatch):
