@@ -19,6 +19,7 @@ from .polycore import CurveFamily, check_independence, parse_float, parse_intege
 
 _MEMBERSHIP_TOL = 1e-9  # curve-membership tolerance for float samples
 _DENSITY_GRID = 200  # grid cells per axis in upper_density_estimate
+_MAX_PROBES = 10**5  # parameters config_search's scan probes before it gives up
 _COLORING_SAMPLES = 20001  # sample points on one period in coloring_threshold
 _ZERO = Fraction(0)
 
@@ -217,7 +218,8 @@ def config_search(family, window, box_set, step):
     local refinement pass around the nearest miss; x2 runs over deterministic
     rational probe points of the set.  A Found result is exact: membership
     is rational and the residual is literally zero.  NotFound certifies
-    nothing.
+    nothing.  A scan over more than _MAX_PROBES parameters that finds no
+    witness among its first _MAX_PROBES raises ValueError.
     """
     if family.m != box_set.dim:
         raise ValueError("family and box set dimension mismatch")
@@ -249,15 +251,20 @@ def config_search(family, window, box_set, step):
         return None, best
 
     k_lo = max(1, math.ceil(s_lo / step))
-    k_hi = math.floor(s_hi / step)
+    count = math.floor(s_hi / step) - k_lo + 1
     nearest_gap, nearest_s = None, None
-    for k in range(k_lo, k_hi + 1):
+    for k in range(k_lo, k_lo + min(count, _MAX_PROBES)):
         s = k * step
         hit, gap = probe(s)
         if hit is not None:
             return hit
         if nearest_gap is None or gap < nearest_gap:
             nearest_gap, nearest_s = gap, s
+    if count > _MAX_PROBES:
+        raise ValueError(
+            f"window {window!r} at step {step} spans {count} parameters; the scan probes at most "
+            f"{_MAX_PROBES} and found no witness among them"
+        )
     if nearest_s is not None:
         local = step
         for _ in range(12):

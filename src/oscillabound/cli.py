@@ -71,29 +71,14 @@ def _family_of(cfg):
 
 
 def _field_prime(cfg):
-    """None for the real field, else the p that the config's field names.
-
-    Accepts 'real' (or 'R', None, or no field), a prime p, ('padic', p),
-    'padic:p' and {'padic': p}.  p must be an int, or ASCII digits inside
-    the three spelled-out forms; PadicWindow checks that p is prime.
-    """
+    """None for the real field ('real' or no field), else the p of
+    {'padic': p}, read by parse_integer; PadicWindow checks that p is prime."""
     field = cfg.get("field", "real")
-    if field in ("real", "R", None):
+    if field == "real":
         return None
-    p = field if isinstance(field, int) else None
-    if isinstance(field, (tuple, list)) and len(field) == 2 and field[0] == "padic":
-        p = field[1]
-    elif isinstance(field, dict) and "padic" in field:
-        p = field["padic"]
-    elif isinstance(field, str) and field.startswith("padic:"):
-        p = field[len("padic:") :]
-    if isinstance(p, str) and p.isascii() and p.isdigit():
-        p = int(p)
-    if isinstance(p, int) and not isinstance(p, bool):
-        return p
-    raise ValueError(
-        f"field must be 'real', a prime p, ('padic', p) or {{'padic': p}} with p an integer; got {field!r}"
-    )
+    if not isinstance(field, dict) or list(field) != ["padic"]:
+        raise ValueError(f"field must be 'real' or {{'padic': p}}; got {field!r}")
+    return parse_integer(field["padic"], "the field's p")
 
 
 def _window_of(cfg):
@@ -112,10 +97,11 @@ def _window_of(cfg):
     return PadicWindow(a, T, p)
 
 
-def _tol_of(cfg, flags, default):
-    """The --tol flag, else the config's tol, else default, as it stands:
+def _setting(cfg, flags, name, default):
+    """The --name flag, else the config's name, else default, as it stands:
     the library call that uses it reads it."""
-    return flags.tol if flags.tol is not None else cfg.get("tol", default)
+    flag = getattr(flags, name)
+    return flag if flag is not None else cfg.get(name, default)
 
 
 def _row_of(value, size, message):
@@ -128,14 +114,9 @@ def _row_of(value, size, message):
 
 
 def _lambdas_of(cfg, m):
-    if "lambdas" in cfg:
-        rows = cfg["lambdas"]
-        if not isinstance(rows, list) or not rows:
-            raise ValueError(f"'lambdas' must be a non-empty list of frequencies; got {rows!r}")
-    elif "lambda" in cfg:
-        rows = [cfg["lambda"]]
-    else:
-        raise ValueError("config needs 'lambda' (one tuple) or 'lambdas' (a list)")
+    rows = cfg.get("lambdas")
+    if "lambda" in cfg or not isinstance(rows, list) or not rows:
+        raise ValueError(f"frequencies go under 'lambdas', a non-empty list of them; got {rows!r}")
     message = f"each lambda must be a list of {m} rationals, one per family component"
     return [tuple(parse_rational(v) for v in _row_of(row, m, message)) for row in rows]
 
@@ -154,7 +135,7 @@ def _cmd_muhat(cfg, flags):
     w = _window_of(cfg)
     fam = _family_of(cfg)
     lams = _lambdas_of(cfg, fam.m)
-    tol = _tol_of(cfg, flags, 1e-9)
+    tol = _setting(cfg, flags, "tol", 1e-9)
     if isinstance(w, PadicWindow):
         parse_tol(tol)  # one tol rule in both fields; the p-adic value is exact and does not use it
         rows = [(lam, mu_hat_padic(fam, w, lam), 0.0) for lam in lams]
@@ -208,10 +189,8 @@ def _search(cfg, flags, search):
     muhat writes."""
     w = _window_of(cfg)
     fam = _family_of(cfg)
-    seed = flags.seed if flags.seed is not None else cfg.get("seed", 0)
-    budget = flags.budget if flags.budget is not None else cfg.get("budget")
-    tol = _tol_of(cfg, flags, 1e-6)
-    res = search(fam, w, budget=budget, seed=seed, tol=tol)
+    tol = _setting(cfg, flags, "tol", 1e-6)
+    res = search(fam, w, budget=_setting(cfg, flags, "budget", None), seed=_setting(cfg, flags, "seed", 0), tol=tol)
     if flags.csv:
         trace = getattr(res, "report", res).trace  # a PipelineResult holds its MinimizationReport
         err = 0.0 if isinstance(w, PadicWindow) else tol
@@ -235,12 +214,9 @@ def _cmd_config_search(cfg, flags):
         raise ValueError("config-search needs a real window; got a p-adic field")
     w = _window_of(cfg)
     fam = _family_of(cfg)
-    if "boxset_path" in cfg:
-        with open(cfg["boxset_path"]) as fh:
-            box_cfg = json.load(fh)
-    else:
-        box_cfg = cfg["boxset"]
-    boxes = BoxSet.from_json(box_cfg)
+    if "boxset" not in cfg or "boxset_path" in cfg:
+        raise ValueError("config-search reads its box set from 'boxset', an inline object")
+    boxes = BoxSet.from_json(cfg["boxset"])
     res = config_search(fam, (w.a, w.T), boxes, cfg["step"])
     report = {"found": res.found}
     if res.found:
@@ -260,7 +236,7 @@ def _cmd_config_search(cfg, flags):
 @_command("clique")
 def _cmd_clique(cfg, flags):
     fam = _family_of(cfg)
-    oracle = curve_difference_oracle(fam, tol=_tol_of(cfg, flags, 1e-9))
+    oracle = curve_difference_oracle(fam, tol=_setting(cfg, flags, "tol", 1e-9))
     inst = CliqueInstance(cfg["points"], oracle)
     found = clique_search(inst, max_size=cfg.get("max_size"))
     return {"size": len(found), "clique": [list(p) for p in found]}
@@ -288,11 +264,10 @@ def _series_function(spec):
 @_command("color-check")
 def _cmd_color_check(cfg, flags):
     f = _series_function(cfg["function"])
-    seed = flags.seed if flags.seed is not None else cfg.get("seed", 0)
     n_min, M, eps, delta = coloring_threshold(f)
     n = parse_integer(cfg.get("n", n_min), "n")
     edges = parse_integer(cfg.get("edges", 100_000), "edges")
-    violations = periodic_coloring_verify(f, n, edges, seed=seed)
+    violations = periodic_coloring_verify(f, n, edges, seed=_setting(cfg, flags, "seed", 0))
     if violations:
         # periodic_coloring_verify ran, so the threshold admits n: an edge
         # it finds monochromatic refutes the threshold, not the config

@@ -223,6 +223,16 @@ def test_config_search_validation():
         assert "e^T overflows" in str(exc), exc
     else:
         raise AssertionError("window (1, 800) accepted")
+    # [e, e^30] holds about 4e13 multiples of 1/4: the scan stops after
+    # _MAX_PROBES of them, though a witness among those is still returned
+    assert config_search(PARABOLA, (1.0, 30.0), big, "1/4").found
+    try:
+        config_search(PARABOLA, (1.0, 30.0), BoxSet([[("0", "1/2"), ("0", "1/2")]]), "1/4")
+    except ValueError as exc:
+        assert "(1.0, 30.0) at step 1/4 spans 42745898326087 parameters" in str(exc), exc
+        assert "at most 100000" in str(exc), exc
+    else:
+        raise AssertionError("an unbounded scan ran")
 
 
 def test_config_search_finds_a_witness_in_the_refinement_pass():

@@ -38,13 +38,13 @@ FAMILY = [["0", "1"], ["0", "0", "1"]]
 PADIC_REPORTS = (
     (
         "muhat",
-        {"family": FAMILY, "window": [1, 4], "field": {"padic": 3}, "lambda": ["1/9", "1/3"]},
+        {"family": FAMILY, "window": [1, 4], "field": {"padic": 3}, "lambdas": [["1/9", "1/3"]]},
         '{"lambda":["1/9","1/3"],"samples":[{"lambda":["1/9","1/3"],"value_float":0.07204668548901452}],'
         '"value_float":0.07204668548901452}',
     ),
     (
         "muhat",
-        {"family": FAMILY, "window": [1, 4], "field": 3, "lambdas": [["3", "0"], ["1/27", "2/9"], ["0", "0"], ["-1/3", "5"]]},
+        {"family": FAMILY, "window": [1, 4], "field": {"padic": 3}, "lambdas": [["3", "0"], ["1/27", "2/9"], ["0", "0"], ["-1/3", "5"]]},
         '{"samples":[{"lambda":["3","0"],"value":"1/8","value_float":0.125},'
         '{"lambda":["1/27","2/9"],"value_float":0.029747072273245787},'
         '{"lambda":["0","0"],"value":"1","value_float":1.0},'
@@ -52,13 +52,13 @@ PADIC_REPORTS = (
     ),
     (
         "muhat",
-        {"family": FAMILY, "window": [1, 3], "field": "padic:5", "lambda": ["1/5", "2"]},
+        {"family": FAMILY, "window": [1, 3], "field": {"padic": 5}, "lambdas": [["1/5", "2"]]},
         '{"lambda":["1/5","2"],"samples":[{"lambda":["1/5","2"],"value_float":0.060747385618450944}],'
         '"value_float":0.060747385618450944}',
     ),
     (
         "muhat",
-        {"family": FAMILY, "window": [1, 3], "field": ["padic", 5], "lambdas": [["25", "0"], ["1/5", "2"], ["3", "1"]]},
+        {"family": FAMILY, "window": [1, 3], "field": {"padic": 5}, "lambdas": [["25", "0"], ["1/5", "2"], ["3", "1"]]},
         '{"samples":[{"lambda":["25","0"],"value":"7/12","value_float":0.5833333333333334},'
         '{"lambda":["1/5","2"],"value_float":0.060747385618450944},'
         '{"lambda":["3","1"],"value":"0","value_float":0.0}]}',
@@ -70,7 +70,7 @@ PADIC_REPORTS = (
     ),
     (
         "certify",
-        {"family": [["0", "0", "1"], ["0", "0", "0", "1"]], "window": [1, 3], "field": "padic:5"},
+        {"family": [["0", "0", "1"], ["0", "0", "0", "1"]], "window": [1, 3], "field": {"padic": 5}},
         '{"B":2400,"L":"24/5","floor":"-500","floor_float":-500.0,"reduced_degrees":[3,2],'
         '"row_transform":[["0","1"],["1","0"]]}',
     ),
@@ -95,7 +95,7 @@ def _write_config(tmp, name, cfg):
 def test_muhat_zero_frequency():
     with tempfile.TemporaryDirectory() as tmp:
         path = _write_config(
-            tmp, "c.json", {"family": FAMILY, "window": [1, 2], "lambda": ["0", "0"]}
+            tmp, "c.json", {"family": FAMILY, "window": [1, 2], "lambdas": [["0", "0"]]}
         )
         code, _, payload = _run(["muhat", path])
     assert code == 0
@@ -122,7 +122,7 @@ def test_padic_muhat_worked_value():
                 "family": FAMILY,
                 "window": [1, 2],
                 "field": {"padic": 3},
-                "lambda": ["3", "0"],
+                "lambdas": [["3", "0"]],
             },
         )
         code, _, payload = _run(["muhat", path])
@@ -141,7 +141,7 @@ def test_validation_errors_exit_1():
         nonprime = _write_config(
             tmp,
             "p4.json",
-            {"family": FAMILY, "window": [1, 2], "field": {"padic": 4}, "lambda": ["1", "0"]},
+            {"family": FAMILY, "window": [1, 2], "field": {"padic": 4}, "lambdas": [["1", "0"]]},
         )
         assert _run(["bogus", good])[0] == 1
         assert _run(["muhat", os.path.join(tmp, "missing.json")])[0] == 1
@@ -149,14 +149,15 @@ def test_validation_errors_exit_1():
         assert _run(["muhat", not_obj])[0] == 1
         code, _, payload = _run(["muhat", nonprime])
         assert code == 1 and "not prime" in payload["detail"]
-        # muhat without any lambda entry
-        assert _run(["muhat", good])[0] == 1
+        # muhat without lambdas
+        code, _, payload = _run(["muhat", good])
+        assert code == 1 and "'lambdas'" in payload["detail"], payload
 
 
 def test_muhat_reads_tol_in_both_fields():
     # over Q_p the value is exact, but a tol that would fail over R fails there too
-    real = {"family": FAMILY, "window": [1, 4], "lambda": ["1", "0"]}
-    padic = {**real, "field": {"padic": 3}, "lambda": ["1/3", "0"]}
+    real = {"family": FAMILY, "window": [1, 4], "lambdas": [["1", "0"]]}
+    padic = {**real, "field": {"padic": 3}, "lambdas": [["1/3", "0"]]}
     for cfg in (real, padic):
         _assert_rejected("muhat", {**cfg, "tol": "abc"}, "tol must be a number; got 'abc'")
         _assert_rejected("muhat", cfg, "tol must lie in (0, 1e-3]", "--tol=5")
@@ -169,12 +170,12 @@ def test_muhat_enforces_the_transform_guards():
     shifted = [["-2", "1"], ["0", "-2", "1"]]
     with tempfile.TemporaryDirectory() as tmp:
         below_a0 = _write_config(
-            tmp, "a0.json", {"family": shifted, "window": [0.1, 0.5], "lambda": ["1", "1"]}
+            tmp, "a0.json", {"family": shifted, "window": [0.1, 0.5], "lambdas": [["1", "1"]]}
         )
         code, _, payload = _run(["muhat", below_a0])
         assert code == 1 and "a0" in payload["detail"]
         good = _write_config(
-            tmp, "good.json", {"family": FAMILY, "window": [1, 2], "lambda": ["1", "1"]}
+            tmp, "good.json", {"family": FAMILY, "window": [1, 2], "lambdas": [["1", "1"]]}
         )
         code, _, payload = _run(["muhat", good, "--tol", "5"])
         assert code == 1 and "tol" in payload["detail"]
@@ -183,17 +184,17 @@ def test_muhat_enforces_the_transform_guards():
 
 def test_non_integer_p_is_rejected():
     # a non-integer p is rejected, not run at int(p)
-    padic = {"family": FAMILY, "window": [1, 2], "field": {"padic": 3.9}, "lambda": ["3", "0"]}
+    padic = {"family": FAMILY, "window": [1, 2], "field": {"padic": 3.9}, "lambdas": [["3", "0"]]}
     with tempfile.TemporaryDirectory() as tmp:
         bad_p = _write_config(tmp, "p39.json", padic)
         for command in ("minimize", "muhat", "certify"):
             code, _, payload = _run([command, bad_p, "--budget", "3"])
-            assert code == 1 and "integer" in payload["detail"], payload
+            assert code == 1 and "the field's p must be an integer" in payload["detail"], payload
 
 
 def test_padic_window_bounds_must_be_integers():
     with tempfile.TemporaryDirectory() as tmp:
-        base = {"family": FAMILY, "field": {"padic": 3}, "lambda": ["3", "0"]}
+        base = {"family": FAMILY, "field": {"padic": 3}, "lambdas": [["3", "0"]]}
         for window in ([1.9, 4.7], [1, 4.7], ["1.9", "4"], [True, 4]):
             path = _write_config(tmp, "w.json", dict(base, window=window))
             for command in ("muhat", "certify", "minimize", "pipeline"):
@@ -205,7 +206,7 @@ def test_padic_window_bounds_must_be_integers():
 
 def test_window_must_be_a_list_of_two_bounds():
     # "16" is never unpacked into [1, 6], and a bool is never a bound
-    real = {"family": FAMILY, "lambda": ["1", "1"]}
+    real = {"family": FAMILY, "lambdas": [["1", "1"]]}
     padic = dict(real, field={"padic": 3})
     runs = (("muhat", real), ("pipeline", real), ("muhat", padic), ("pipeline", padic))
     with tempfile.TemporaryDirectory() as tmp:
@@ -219,12 +220,15 @@ def test_window_must_be_a_list_of_two_bounds():
 
 def test_lambda_must_be_a_list_of_m_rationals():
     # "12" is never unpacked into the frequency (1, 2), nor into two samples,
-    # and an empty list (or object) of lambdas is no report with no samples
+    # and an empty list (or object) of lambdas is no report with no samples;
+    # frequencies go under "lambdas" alone, and a "lambda" is never ignored
     cases = (
-        {"family": FAMILY, "window": [1, 2], "lambda": "12"},
+        {"family": FAMILY, "window": [1, 2], "lambdas": ["12"]},
         {"family": [["0", "1"]], "window": [1, 2], "lambdas": "12"},
         {"family": FAMILY, "window": [1, 2], "lambdas": []},
         {"family": FAMILY, "window": [1, 2], "lambdas": {}},
+        {"family": FAMILY, "window": [1, 2], "lambda": ["1", "1"]},
+        {"family": FAMILY, "window": [1, 2], "lambda": ["1", "1"], "lambdas": [["1", "1"]]},
     )
     with tempfile.TemporaryDirectory() as tmp:
         for cfg in cases:
@@ -236,7 +240,7 @@ def test_json_booleans_are_not_rationals():
     # [[false, true], [0, 0, true]] is not (x, x^2), nor [true, false] the frequency (1, 0)
     cases = (
         ("certify", {"family": [[False, True], [0, 0, True]], "window": [1, 2]}),
-        ("muhat", {"family": FAMILY, "window": [1, 2], "lambda": [True, False]}),
+        ("muhat", {"family": FAMILY, "window": [1, 2], "lambdas": [[True, False]]}),
     )
     with tempfile.TemporaryDirectory() as tmp:
         for command, cfg in cases:
@@ -252,7 +256,7 @@ def test_certify_enforces_the_window_start():
     )
     with tempfile.TemporaryDirectory() as tmp:
         for cfg in cases:
-            path = _write_config(tmp, "w.json", {**cfg, "lambda": ["1"] * len(cfg["family"])})
+            path = _write_config(tmp, "w.json", {**cfg, "lambdas": [["1"] * len(cfg["family"])]})
             for command in ("certify", "muhat"):
                 code, _, payload = _run([command, path])
                 assert code == 1 and "must exceed" in payload["detail"], (command, cfg, payload)
@@ -279,7 +283,7 @@ def test_muhat_and_certify_dispatch_on_the_field():
             code, raw, _ = _run([command, _write_config(tmp, "c.json", cfg)])
             assert code == 0 and raw.endswith('"report":' + report + "}\n"), (command, cfg, raw)
         # a real config keeps its report: value and error, or C and the window's floor
-        path = _write_config(tmp, "r.json", {"family": FAMILY, "window": [1, 2], "lambda": ["1/3", "-1/2"]})
+        path = _write_config(tmp, "r.json", {"family": FAMILY, "window": [1, 2], "lambdas": [["1/3", "-1/2"]]})
         value, error = mu_hat_real_with_error(parse_curve_family(FAMILY), Window(1, 2), (Fraction(1, 3), Fraction(-1, 2)), tol=1e-9)
         sample = {"lambda": ["1/3", "-1/2"], "value": value, "error": error}
         assert _run(["muhat", path])[2]["report"] == {"samples": [sample], "value": value, "error": error}
@@ -414,11 +418,18 @@ def test_config_search_command():
         assert rep["found"] and rep["s"] == "3" and rep["residual"] == 0.0
         assert rep["x1"] == ["3", "9"] and rep["x2"] == ["0", "0"]
         # the window is read as every command reads it: "16" is not [1, 6], nor [true, 2] [1, 2];
-        # and e^800 overflows a float
-        cases = (("16", "two bounds"), ([True, 2], "two bounds"), ([1], "two bounds"), ([1, 800], "e^T overflows"))
-        for window, detail in cases:
-            code, _, payload = _run(["config-search", _write_config(tmp, "c.json", dict(base, window=window))])
-            assert code == 1 and detail in payload["detail"], (window, payload)
+        # e^800 overflows a float, and [e, e^30] holds about 4e13 multiples of 1/4, none in [0, 1/2]^2
+        unit = {"boxes": [[["0", "1/2"], ["0", "1/2"]]]}
+        cases = (
+            ({"window": "16"}, "two bounds"),
+            ({"window": [True, 2]}, "two bounds"),
+            ({"window": [1]}, "two bounds"),
+            ({"window": [1, 800]}, "e^T overflows"),
+            ({"window": [1, 30], "boxset": unit}, "the scan probes at most 100000"),
+        )
+        for change, detail in cases:
+            code, _, payload = _run(["config-search", _write_config(tmp, "c.json", dict(base, **change))])
+            assert code == 1 and detail in payload["detail"], (change, payload)
         code, _, payload = _run(["config-search", _write_config(tmp, "c.json", dict(base, field={"padic": 3}))])
         assert code == 1 and "real window" in payload["detail"], payload
 
@@ -508,7 +519,7 @@ def test_seed_and_budget_must_be_integers():
                 reports.add(json.dumps(payload["report"], sort_keys=True))
             assert len(reports) == 1, (command, key)
         # a missing budget still means the default: the whole 2-adic lattice
-        cfg = {"family": FAMILY, "window": [1, 4], "field": 2}
+        cfg = {"family": FAMILY, "window": [1, 4], "field": {"padic": 2}}
         code, _, payload = _run(["minimize", _write_config(tmp, "c.json", cfg)])
         assert code == 0 and payload["report"]["evaluations"] == 19**2, payload
 
@@ -650,7 +661,7 @@ def test_minimize_and_pipeline_csv_pin_the_trace():
                 assert len(report["trace"]) == 2
 
 
-def test_config_search_density_report_and_boxset_path():
+def test_config_search_density_report():
     boxset = {"boxes": [[["0", "1"], ["0", "1"]]]}
     cfg = {"family": FAMILY, "window": [1, 2], "step": "1/2", "density_radii": [1, "2"]}
     want = [
@@ -659,11 +670,11 @@ def test_config_search_density_report_and_boxset_path():
     ]
     with tempfile.TemporaryDirectory() as tmp:
         code, _, inline = _run(["config-search", _write_config(tmp, "c.json", dict(cfg, boxset=boxset))])
-        # the box set may also come from its own file
+        # the box set is inline: a file named by "boxset_path" is never read, nor ignored
         path = dict(cfg, boxset_path=_write_config(tmp, "boxes.json", boxset))
-        code_path, _, from_path = _run(["config-search", _write_config(tmp, "p.json", path)])
-    assert code == code_path == 0, (inline, from_path)
-    assert inline["report"] == from_path["report"]
+        for bad in (cfg, path, dict(path, boxset=boxset)):
+            _assert_rejected("config-search", bad, "box set from 'boxset'")
+    assert code == 0, inline
     rep = inline["report"]
     assert rep["found"] is False and rep["density"] == want
     assert 0 < want[0]["value"] < 1 and want[1]["value"] < want[0]["value"]
@@ -704,12 +715,12 @@ def _certificate_configs(draw):
         a = math.floor(4 * compute_a0_real(CurveFamily(polys)) + 1) / 4 + draw(st.sampled_from((0, 0.5, 1, 2.75)))
         return dict(cfg, window=[a, a + draw(st.sampled_from((0.5, 1, 1.75, 3, 5)))])
     a = max(ess_part(f, p) for f in polys) + draw(st.integers(1, 4))
-    return dict(cfg, window=[a, a + draw(st.integers(1, 9))], field=f"padic:{p}")
+    return dict(cfg, window=[a, a + draw(st.integers(1, 9))], field={"padic": p})
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(_certificate_configs())
-@example({"family": FAMILY, "window": [1, 7], "field": "padic:2"})
+@example({"family": FAMILY, "window": [1, 7], "field": {"padic": 2}})
 def test_pipeline_and_certify_report_one_certificate(cfg):
     # the pipeline's C/(T-a) is certify's ratio bound over R and -floor_float
     # over Q_p, to the bit; over Q_2 on [1, 7] both are 96/7 rounded once,
@@ -749,20 +760,28 @@ def test_unreadable_integers_name_the_setting():
 def test_too_deep_a_descent_is_one_json_error():
     # the descent's depth guard used to raise RecursionError, which left
     # main as a traceback with no JSON
-    cfg = {"family": [["0", "0", "1"]], "window": [1, 4], "field": {"padic": 3}, "lambda": [f"1/{3**900}"]}
+    cfg = {"family": [["0", "0", "1"]], "window": [1, 4], "field": {"padic": 3}, "lambdas": [[f"1/{3**900}"]]}
     with tempfile.TemporaryDirectory() as tmp:
         code, raw, payload = _run(["muhat", _write_config(tmp, "c.json", cfg)])
     assert code == 1 and raw.count("\n") == 1 and payload["error"] == "ValueError", raw
     assert payload["detail"].startswith("p-adic descent deeper than 400 levels"), payload
 
 
-def test_string_field_is_only_padic_colon_p():
-    base = {"family": FAMILY, "window": [1, 3], "lambda": ["1/5", "2"]}
-    for field in ("padic:-3", "padicpadic3", "padic-3", "padic: 3", "padic3", "padic:3 ", "padic:", "padic:³"):
-        _assert_rejected("muhat", dict(base, field=field), "field must be")
+def test_field_is_real_or_a_padic_object():
+    base = {"family": FAMILY, "window": [1, 3], "lambdas": [["1/5", "2"]]}
+    fields = ("R", None, 5, "5", ["padic", 5], "padic:5", "padic:-3", "padicpadic3", "padic: 3", "padic:",
+              {"p": 5}, {"padic": 5, "p": 5}, {}, "Real")
+    for field in fields:
+        _assert_rejected("muhat", dict(base, field=field), "field must be 'real' or {'padic': p}")
+    for p in (3.9, True, None, "abc"):
+        _assert_rejected("muhat", dict(base, field={"padic": p}), f"the field's p must be an integer; got {p!r}")
     with tempfile.TemporaryDirectory() as tmp:
-        code, _, payload = _run(["muhat", _write_config(tmp, "c.json", dict(base, field="padic:5"))])
-    assert code == 0 and payload["report"]["value_float"] == 0.060747385618450944, payload
+        # p is read as every integer setting is: 5, 5.0 and "5" are one prime
+        for p in (5, 5.0, "5"):
+            code, _, payload = _run(["muhat", _write_config(tmp, "c.json", dict(base, field={"padic": p}))])
+            assert code == 0 and payload["report"]["value_float"] == 0.060747385618450944, payload
+        code, _, payload = _run(["muhat", _write_config(tmp, "c.json", base)])
+        assert code == 0 and "error" in payload["report"], payload  # no field is the real field
 
 
 def test_color_check_needs_at_least_one_edge():

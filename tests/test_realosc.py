@@ -578,6 +578,33 @@ def test_quadrature_agrees_with_the_closed_form_on_one_term_phases(d, c, c0, win
     assert abs(quad - closed) <= quad_err + closed_err, (d, c, c0, window, quad, closed)
 
 
+def test_one_term_phases_outside_the_float_range_take_the_quadrature():
+    """The closed form returns None, and the quadrature runs, when y_a is
+    below the smallest normal float or y_T overflows while e^{jT} is finite."""
+    original, returned = realosc._one_term_integral, []
+
+    def recording(*args):
+        returned.append(original(*args))
+        return returned[-1]
+
+    x, x2 = parse_curve_family([["0", "1"]]), parse_curve_family([["0", "0", "1"]])
+    with mock.patch.object(realosc, "_one_term_integral", recording):
+        # y_a = 2 pi 1e-320 e^2 is subnormal: the phase is all but constant
+        value, err = mu_hat_real_with_error(x2, Window(1, 2), (Fraction(1, 10**320),))
+        assert value == 1.0 and err <= 1e-300, (value, err)
+        assert returned == [None]
+        # y_T = 2 pi 1e307 e^2 overflows: no quadrature reaches the tolerance
+        try:
+            mu_hat_real_with_error(x, Window(1, 2), (Fraction(10**307),))
+        except QuadratureError:
+            pass
+        else:
+            raise AssertionError("an unreachable tolerance was reported as reached")
+        value, err = osc_integral(phase_integers(x, (Fraction(10**307),)), 1.0, 2.0, 1e-9)
+        assert err >= abs(value), (value, err)
+    assert returned == [None, None, None]
+
+
 def test_superlevel_decompose_two_sided():
     phi = RationalPoly([-5, 1])  # e^t - 5
     dec = superlevel_decompose(phi, Fraction(1, 2), Window(1, 2))

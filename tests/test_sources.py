@@ -5,12 +5,17 @@ every public name has a caller inside the library, or a reason to stay, so
 code that only tests run cannot stay in it;
 the README lists exactly the CLI's commands, so a deleted or renamed
 command cannot stay documented; the README's library quick start runs
-and returns what it documents; and each input guard of the library raises
-its ValueError."""
+and returns what it documents; every config the README and the benchmark
+use runs through the CLI, so a spelling they use cannot be dropped; and
+each input guard of the library raises its ValueError."""
 
 import ast
+import contextlib
+import io
+import json
 import pathlib
 import re
+import tempfile
 import warnings
 from fractions import Fraction
 
@@ -79,7 +84,8 @@ def test_every_public_name_has_a_library_caller():
     assert {name for name in defined if name.rpartition(".")[2] not in used} == set(KEPT_WITHOUT_CALLER)
 
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_readme_lists_every_command():
@@ -95,6 +101,23 @@ def test_readme_quick_start_runs():
     namespace = {}
     exec(compile(block.group(1), "README.md", "exec"), namespace)
     assert namespace["exact"] == Fraction(1, 4)
+
+
+def test_readme_and_benchmark_configs_run_certify():
+    blocks = re.findall(r"^```json\n(.*?)^```", README.read_text(), re.MULTILINE | re.DOTALL)
+    configs = sorted((ROOT / "perfbench" / "configs").glob("*.json"))
+    assert blocks and configs, "no README json block or benchmark config found"
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, block in enumerate(blocks):
+            path = pathlib.Path(tmp, f"readme_{i}.json")
+            path.write_text(block)
+            configs.append(path)
+        for path in configs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["certify", str(path)])
+            assert code == 0, (path.name, out.getvalue())
+            assert "floor" in json.loads(out.getvalue())["report"], path.name
 
 
 def test_input_guards_raise_their_value_errors():

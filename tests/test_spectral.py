@@ -222,11 +222,11 @@ def test_pipeline_consistency_error_payload():
 
 def test_field_forms_and_non_prime_p():
     # the CLI reads a config's field; the library takes the window it builds
-    for field in (3, ("padic", 3), "padic:3", {"padic": 3}):
+    for field in ({"padic": 3}, {"padic": "3"}, {"padic": 3.0}):
         window = cli._window_of({"window": (1, 2), "field": field})
         rep = minimize_mu_hat(FAM, window, budget=3)
         assert rep.grid_spec["field"] == "padic:3"
-    for field in (4, "padic:4"):
+    for field in ({"padic": 4}, {"padic": "4"}):
         try:
             cli._window_of({"window": (1, 3), "field": field})
         except ValueError as exc:
@@ -234,11 +234,19 @@ def test_field_forms_and_non_prime_p():
         else:
             raise AssertionError("non-prime p accepted")
     # a p that is not an integer is an error, never rounded to a nearby prime
-    for field in ({"padic": 3.9}, ("padic", 5.5), ("padic", 5.0), {"padic": "3.9"}, "padic:3.9", 3.0, "3", True):
+    for field in ({"padic": 3.9}, {"padic": 5.5}, {"padic": "3.9"}, {"padic": True}, {"padic": "abc"}):
         try:
             cli._window_of({"window": (1, 2), "field": field})
         except ValueError as exc:
-            assert "integer" in str(exc), exc
+            assert "the field's p must be an integer" in str(exc), exc
+        else:
+            raise AssertionError(f"field {field!r} accepted")
+    # the bare p, ("padic", p) and "padic:p" spellings are gone: each is an error
+    for field in (3, ("padic", 3), "padic:3"):
+        try:
+            cli._window_of({"window": (1, 2), "field": field})
+        except ValueError as exc:
+            assert "field must be 'real' or {'padic': p}" in str(exc), exc
         else:
             raise AssertionError(f"field {field!r} accepted")
 
@@ -247,14 +255,14 @@ def test_padic_window_bounds_must_be_integers():
     # a bound that is not an integer raises; it is never truncated
     for window in ((1.9, 4.7), (1, 4.7), ("1.9", 4), (Fraction(3, 2), 4), (True, 4), (1, 2, 3)):
         try:
-            cli._window_of({"window": window, "field": 3})
+            cli._window_of({"window": window, "field": {"padic": 3}})
         except ValueError:
             pass
         else:
             raise AssertionError(f"window {window!r} accepted")
     # bounds of integral value are exact, whatever their spelling
     for window in ((1, 4), ("1", "4"), (1.0, 4.0), (Fraction(1), 4)):
-        assert cli._window_of({"window": window, "field": 3}) == PadicWindow(1, 4, 3)
+        assert cli._window_of({"window": window, "field": {"padic": 3}}) == PadicWindow(1, 4, 3)
 
 
 def test_padic_window_selects_the_padic_field():
