@@ -173,7 +173,7 @@ def _cmd_certify(cfg, flags):
     fam = _family_of(cfg)
     cert = certificate(fam, _window_of(cfg)) if "window" in cfg else None
     bound = certified_constant_real(fam) if cert is None else cert.bound
-    report = _jsonable(bound)  # C, breakdown and constants
+    report = dataclasses.asdict(bound)  # C, breakdown and constants
     if cert is not None:
         report["window"] = [cert.window.a, cert.window.T]
         report["ratio_bound"] = cert.C / cert.length
@@ -195,7 +195,7 @@ def _search(cfg, flags, search):
         trace = getattr(res, "report", res).trace  # a PipelineResult holds its MinimizationReport
         err = 0.0 if isinstance(w, PadicWindow) else tol
         _write_csv(flags.csv, fam.m, [(lam, val, err) for _, lam, val in trace])
-    return _jsonable(res)
+    return res
 
 
 @_command("minimize")
@@ -227,8 +227,8 @@ def _cmd_config_search(cfg, flags):
             residual=res.residual,
         )
     if "density_radii" in cfg:
-        report["density"] = _jsonable(
-            upper_density_estimate(boxes, [parse_positive(r, "a density radius") for r in cfg["density_radii"]])
+        report["density"] = upper_density_estimate(
+            boxes, [parse_positive(r, "a density radius") for r in cfg["density_radii"]]
         )
     return report
 
@@ -349,7 +349,7 @@ def main(argv=None):
             "command": flags.command,
             "error": "consistency failure",
             "detail": str(exc),
-            "diagnostics": _jsonable(exc.diagnostics),
+            "diagnostics": exc.diagnostics,
         }
         code = 2
     except (OSError, KeyError, IndexError, TypeError, ValueError, ArithmeticError, QuadratureError) as exc:

@@ -27,6 +27,7 @@ _COMPASS_ITERS = 200
 _POINTS_PER_DECADE = 17
 _MAG_LO, _MAG_HI = -6, 6  # log10 magnitude range of the real grid
 _VAL_LO, _VAL_HI = -6, 2  # valuation range of the p-adic lattice
+_MAX_DENOMINATOR = 10**9  # of a compass coordinate and a real grid value
 
 
 def hoffman_ratio_bound(m_val):
@@ -70,6 +71,7 @@ class MinimizationReport:
     grid_spec: dict
     trace: tuple  # (stage, lambda, value) rows, one per strict improvement
     evaluations: int
+    failed: int  # evaluations whose transform raised, each cached as inf
     partial: bool  # budget ran out before the candidate stream ended
 
 
@@ -121,6 +123,39 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def _nearest(n, d):
+    """The fraction nearest n/d (d > 0) with denominator at most
+    _MAX_DENOMINATOR, as a lowest-terms (numerator, denominator) pair: the
+    standard library's nearest-fraction rounding of Fraction(n, d), in
+    integers.
+
+    n/d need not be in lowest terms.  The continued fraction of n/d runs
+    until the next convergent's denominator would pass the bound; the answer
+    is then the last convergent p1/q1 or the semiconvergent with the largest
+    admissible denominator, whichever is closer, and p1/q1 on a tie, as the
+    standard library rules."""
+    if d <= _MAX_DENOMINATOR:
+        g = math.gcd(n, d)
+        return n // g, d // g
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    num, den = n, d
+    while den:
+        a = num // den
+        q2 = q0 + a * q1
+        if q2 > _MAX_DENOMINATOR:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        num, den = den, num - a * den
+    else:
+        return p1, q1  # n/d itself has a denominator within the bound
+    k = (_MAX_DENOMINATOR - q0) // q1
+    # p1/q1 lies den/(q1 d) from n/d and 1/(q1 q) from the semiconvergent
+    # (p0 + k p1)/q, q = q0 + k q1, on n/d's other side
+    if 2 * den * (q0 + k * q1) <= d:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
 @functools.cache
 def _real_axis_values():
     """0 and +-10^(lo + k/17) as small-denominator exact rationals, built
@@ -128,7 +163,7 @@ def _real_axis_values():
     vals = [Fraction(0)]
     steps = (_MAG_HI - _MAG_LO) * _POINTS_PER_DECADE
     for k in range(steps + 1):
-        mag = Fraction(10.0 ** (_MAG_LO + k / _POINTS_PER_DECADE)).limit_denominator(10**9)
+        mag = Fraction(*_nearest(*(10.0 ** (_MAG_LO + k / _POINTS_PER_DECADE)).as_integer_ratio()))
         vals.append(mag)
         vals.append(-mag)
     return tuple(vals)
@@ -170,25 +205,36 @@ def _cache_key(lam):
 
 def _compass_search(evaluate, lam, val):
     """Coordinate pattern search with shrinking steps from (lam, val);
-    yields each (lambda, value) it moves to, every one better than the last."""
-    lam = [Fraction(x) for x in lam]
-    step = [abs(x) * Fraction(3, 4) if x != 0 else Fraction(1, 10**6) for x in lam]
+    yields each (lambda, value) it moves to, every one better than the last.
+
+    Each coordinate and each step is held as an integer (numerator,
+    denominator) pair, and a candidate is rounded by _nearest; only the
+    rounded coordinate becomes a Fraction, for evaluate."""
+    lam = tuple(lam)
+    pairs = [(x.numerator, x.denominator) for x in lam]
+    step = [(3 * abs(n), 4 * d) if n else (1, 10**6) for n, d in pairs]
     for _ in range(_COMPASS_ITERS):
-        best_cand, best_val = None, val
-        for i in range(len(lam)):
-            for sgn in (1, -1):
-                cand = list(lam)
-                cand[i] = (cand[i] + sgn * step[i]).limit_denominator(10**9)
-                v = evaluate(tuple(cand))
+        best, best_val = None, val
+        for i, ((n, d), (s, e)) in enumerate(zip(pairs, step)):
+            for signed in (s * d, -s * d):
+                p, q = _nearest(n * e + signed, d * e)
+                cand = (*lam[:i], Fraction(p, q), *lam[i + 1 :])
+                v = evaluate(cand)
                 if v < best_val:
-                    best_cand, best_val = cand, v
-        if best_cand is None:
-            step = [s / 2 for s in step]
-            if max(step) < Fraction(1, 10**9) * max(1, max(abs(x) for x in lam)):
+                    best, best_val = (i, p, q, cand), v
+        if best is None:
+            step = [(s, 2 * e) for s, e in step]
+            # stop once max(step) < max(1, max |lam_i|) / _MAX_DENOMINATOR
+            top_n, top_d = 1, 1
+            for n, d in pairs:
+                if abs(n) * top_d > top_n * d:
+                    top_n, top_d = abs(n), d
+            if all(s * _MAX_DENOMINATOR * top_d < top_n * e for s, e in step):
                 break
         else:
-            lam, val = best_cand, best_val
-            yield tuple(lam), val
+            i, p, q, lam = best
+            pairs[i], val = (p, q), best_val
+            yield lam, val
 
 
 def _real_candidates(evaluate, m, seed):
@@ -222,7 +268,12 @@ def minimize_mu_hat(family, window, budget=None, seed=0, tol=1e-6):
 
     The window names the field.  A Window or (a, T) means R: a shuffled
     log-magnitude grid (17 points per decade, both signs, zero included)
-    followed by compass pattern searches from the five best cells.  A
+    followed by compass pattern searches from the five best cells.  Each
+    compass sweep tries lam_i +- step_i for every i, each rounded to the
+    nearest fraction with denominator <= 10^9, and moves to the best strict
+    improvement; the first step is 3/4 |lam_i| (1e-6 at zero), every step
+    halves after a sweep without one, and a search stops once max step <
+    1e-9 * max(1, max |lam_i|), or after 200 sweeps.  A
     PadicWindow means Q_p at window.p: exhaustive enumeration of the lattice
     {0} U {u p^v : u unit mod p^2, -6 <= v <= 2} per axis.  Either way tol
     must lie in (0, 1e-3] (realosc.parse_tol), seed must be an integer and
@@ -244,7 +295,8 @@ def minimize_mu_hat(family, window, budget=None, seed=0, tol=1e-6):
     No lattice coordinate is negative, so every cell is its own key, the
     p-adic cache never hits, and each cell counts once.  Only a real
     candidate may fail: its QuadratureError or ArithmeticError is cached as
-    inf.  Raises ValueError if every evaluated candidate failed.
+    inf, and counted in `failed` as well as in `evaluations`.  Raises
+    ValueError if every evaluated candidate failed.
 
     The p-adic cells reduce, modulo Z_p[u], to far fewer unit-ball averages
     than they visit, so one descent memo (see padic.mu_hat_padic) serves a
@@ -255,7 +307,7 @@ def minimize_mu_hat(family, window, budget=None, seed=0, tol=1e-6):
     own memo gives.
     """
     tol, seed = parse_tol(tol), parse_integer(seed, "seed")
-    cache = {}
+    cache, failed = {}, 0
 
     def evaluate(lam):
         key = _cache_key(lam)
@@ -293,9 +345,11 @@ def minimize_mu_hat(family, window, budget=None, seed=0, tol=1e-6):
         }
 
         def transform(lam):
+            nonlocal failed
             try:
                 return mu_hat_real(family, w, lam, tol=tol)
             except (QuadratureError, ArithmeticError):
+                failed += 1
                 return math.inf  # unusable candidate; keep searching elsewhere
 
         stream = _real_candidates(evaluate, family.m, seed)
@@ -321,6 +375,7 @@ def minimize_mu_hat(family, window, budget=None, seed=0, tol=1e-6):
         grid_spec=grid_spec,
         trace=tuple(trace),
         evaluations=len(cache),
+        failed=failed,
         partial=partial,
     )
 

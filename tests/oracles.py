@@ -719,3 +719,30 @@ if __name__ == "__main__":
                         best = (v, (lam1, lam2))
     print("coarse-grid minimum for f=(x,x^2), window (1,2):", best)
 
+
+
+def compass_search_fraction(evaluate, lam, val, iters=200):
+    """Coordinate pattern search in Fraction arithmetic: from (lam, val),
+    try lam_i +- step_i for each i, rounded by limit_denominator(10**9), and
+    move to the best strict improvement of the sweep; after a sweep without
+    one, halve every step and stop once max(step) < 1e-9 * max(1, max
+    |lam_i|).  The first step is 3/4 |lam_i|, or 1e-6 at zero.  Yields each
+    (lambda, value) it moves to."""
+    lam = [Fraction(x) for x in lam]
+    step = [abs(x) * Fraction(3, 4) if x != 0 else Fraction(1, 10**6) for x in lam]
+    for _ in range(iters):
+        best_cand, best_val = None, val
+        for i in range(len(lam)):
+            for sgn in (1, -1):
+                cand = list(lam)
+                cand[i] = (cand[i] + sgn * step[i]).limit_denominator(10**9)
+                v = evaluate(tuple(cand))
+                if v < best_val:
+                    best_cand, best_val = cand, v
+        if best_cand is None:
+            step = [s / 2 for s in step]
+            if max(step) < Fraction(1, 10**9) * max(1, max(abs(x) for x in lam)):
+                break
+        else:
+            lam, val = best_cand, best_val
+            yield tuple(lam), val

@@ -3,15 +3,20 @@ chromatic formulas, budgeted deterministic minimization, and the consistency
 check of empirical minima against certified floors."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
 import os
+import pathlib
 import random
 import tempfile
 from fractions import Fraction
 
 import mpmath
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from oracles import compass_search_fraction
 
 from oscillabound import cli, realosc, spectral
 from oscillabound.padic import PadicWindow
@@ -144,7 +149,10 @@ def test_minimize_real_evaluates_each_sign_pair_once(monkeypatch):
     seen = set(calls)
     assert len(seen) == len(calls)
     assert not any(tuple(-v for v in lam) in seen for lam in calls if any(lam))
-    assert rep.evaluations == len(calls) == 373
+    assert rep.evaluations == len(calls) == 373 and rep.failed == 0
+    # the called lambdas, in order, are those of the compass in oracles.compass_search_fraction
+    joined = "\n".join(" ".join(map(str, lam)) for lam in calls).encode()
+    assert hashlib.sha256(joined).hexdigest() == "177cc7ef46d1e35f2406dd510c653459937fb938efb2c4fe92f1697119dc6ef1"
     # the same minimum as evaluating lambda and -lambda separately
     assert rep.best_lambda == (Fraction(2206159, 65239690),)
     assert rep.best_value == -0.047202935610043115
@@ -189,6 +197,148 @@ def test_minimize_real_all_candidates_failed(monkeypatch):
         assert "all 5 evaluated candidates failed" in str(exc), exc
     else:
         raise AssertionError("a search whose every candidate failed reported a minimum")
+
+
+def test_minimize_real_counts_failed_candidates(monkeypatch):
+    # every third transform raises: each is cached as inf, counted in
+    # evaluations and in failed, and the search goes on
+    calls = []
+
+    def third_fails(family, window, lam, tol):
+        calls.append(lam)
+        if len(calls) % 3 == 0:
+            raise (QuadratureError("requested tolerance not reached") if len(calls) % 2 else ArithmeticError("left"))
+        return realosc.mu_hat_real(family, window, lam, tol=tol)
+
+    monkeypatch.setattr(spectral, "mu_hat_real", third_fails)
+    rep = minimize_mu_hat(parse_curve_family([["0", "0", "1"]]), (1, 6), tol=1e-3, seed=0)
+    assert rep.evaluations == len(calls) > 300 and not rep.partial
+    assert rep.failed == len(calls) // 3
+    assert math.isfinite(rep.best_value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w") as fh:
+            json.dump({"family": [["0", "0", "1"]], "window": [1, 6], "tol": 1e-3, "budget": 30}, fh)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["minimize", path]) == 0
+    assert json.loads(out.getvalue())["report"]["failed"] == 10
+
+
+def test_benchmark_pipelines_have_no_failed_candidate():
+    configs = sorted((pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "configs").glob("*.json"))
+    assert len(configs) == 3
+    for path in configs:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["pipeline", str(path)]) == 0, path.name
+        report = json.loads(out.getvalue())["report"]["report"]
+        assert report["failed"] == 0 and report["evaluations"] > 0, path.name
+
+
+_NUMERATORS = st.one_of(st.just(0), st.integers(-(10**40), 10**40), st.integers(-(10**12), 10**12))
+_DENOMINATORS = st.one_of(st.integers(1, 10**9), st.integers(10**9 + 1, 10**40), st.integers(10**9 + 1, 10**20))
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+@given(_NUMERATORS, _DENOMINATORS)
+@example(0, 1)
+@example(0, 10**40)
+@example(-1, 10**9)
+@example(-(10**40), 10**9 + 1)
+@example(10**40, 3 * 10**39 + 1)
+@example(1, 2 * 10**9)  # a tie between 0 and 1/10^9
+def test_nearest_is_the_standard_library_rounding(n, d):
+    assert spectral._nearest(n, d) == Fraction(n, d).limit_denominator(10**9).as_integer_ratio()
+
+
+def _compared_pair(n, d, bound=10**9):
+    """The last convergent and the widest semiconvergent of n/d below the
+    denominator bound: the two fractions the standard library's rounding
+    compares."""
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while d:
+        a = n // d
+        if q0 + a * q1 > bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+        n, d = d, n - a * d
+    k = (bound - q0) // q1
+    return Fraction(p1, q1), Fraction(p0 + k * p1, q0 + k * q1)
+
+
+def test_nearest_breaks_ties_as_the_standard_library_does():
+    ties = set()
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(st.integers(-(10**30), 10**30), st.integers(10**9 + 1, 10**30))
+    def check(n, d):
+        assume(Fraction(n, d).denominator > 10**9)
+        near, far = _compared_pair(n, d)
+        mid = (near + far) / 2  # equally far from both
+        assume(mid.denominator > 10**9)
+        got = spectral._nearest(mid.numerator, mid.denominator)
+        assert got == mid.limit_denominator(10**9).as_integer_ratio()
+        assert Fraction(*got) in (near, far)
+        # the same tie reached through a numerator and denominator not in lowest terms
+        assert spectral._nearest(7 * mid.numerator, 7 * mid.denominator) == got
+        ties.add(mid)
+
+    check()
+    assert len(ties) >= 50
+
+
+def _synthetic_evaluate(centre, wiggle, digits, log):
+    """A memoized objective with a minimum near centre, a cosine ripple and
+    optional rounding (which makes equal values, so the strict comparison
+    of the compass matters); log records every call."""
+    cache = {}
+
+    def evaluate(lam):
+        log.append(lam)
+        if lam not in cache:
+            v = sum((float(x) - c) ** 2 for x, c in zip(lam, centre)) / (1 + sum(c * c for c in centre))
+            v += wiggle * math.cos(7 * sum(float(x) for x in lam))
+            cache[lam] = v if digits is None else round(v, digits)
+        return cache[lam]
+
+    return evaluate
+
+
+_MAGNITUDES = st.one_of(
+    st.just(0.0),
+    st.floats(1e-6, 1e6),
+    st.floats(1e-6, 1e-3),
+    st.floats(1e3, 1e6),
+)
+
+
+@st.composite
+def _compass_cases(draw):
+    m = draw(st.integers(1, 3))
+    start = []
+    for _ in range(m):
+        x = Fraction(draw(_MAGNITUDES)) * draw(st.sampled_from((1, -1)))
+        start.append(x.limit_denominator(10**9) if draw(st.booleans()) else x)
+    centre = [draw(st.floats(-2e6, 2e6)) for _ in range(m)]
+    return tuple(start), centre, draw(st.sampled_from((0.0, 0.05))), draw(st.sampled_from((None, 3, 12)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_compass_cases())
+@example(((Fraction(0), Fraction(0)), [1.0, -1.0], 0.0, None))
+@example(((Fraction(-1, 10**6), Fraction(10**6), Fraction(0)), [0.5, 0.0, -3.0], 0.05, 3))
+# a strict minimum at the start: after seven halvings the step is exactly
+# 3/4 * lam / 2^7 = 1e-9, which does not stop the search yet
+@example(((Fraction(1, 5859375),), [1 / 5859375], 0.0, None))
+def test_compass_search_matches_the_fraction_oracle(case):
+    start, centre, wiggle, digits = case
+    runs = []
+    for search in (spectral._compass_search, compass_search_fraction):
+        log = []
+        evaluate = _synthetic_evaluate(centre, wiggle, digits, log)
+        val = evaluate(start)
+        moves = list(search(evaluate, start, val))
+        runs.append((moves, log))
+    assert runs[0] == runs[1]
 
 
 def test_pipeline_padic_consistency():
