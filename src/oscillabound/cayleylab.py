@@ -10,12 +10,13 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .polycore import CurveFamily, check_independence, parse_float, parse_integer, parse_positive, parse_rational
+from .polycore import CurveFamily, parse_float, parse_integer, parse_positive, parse_rational
+from .realosc import _as_window
 
 _MEMBERSHIP_TOL = 1e-9  # curve-membership tolerance for float samples
 _DENSITY_GRID = 200  # grid cells per axis in upper_density_estimate
@@ -134,9 +135,11 @@ def upper_density_estimate(box_set, radii):
     count fully in or out; disagreeing cells count half and are charged to
     the reported error.  Features thinner than a grid cell can be missed --
     this is an estimate with a resolution-limited error bar, not a bound.
+    radii is a non-empty increasing list, each read by parse_positive.
     """
-    if not radii or any(r <= 0 for r in radii):
-        raise ValueError("radii must be positive")
+    if not isinstance(radii, (list, tuple)) or not radii:
+        raise ValueError(f"radii must be a non-empty list of radii; got {radii!r}")
+    radii = [parse_positive(r, "a density radius") for r in radii]
     if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError("radii must be increasing")
     m = box_set.dim
@@ -164,7 +167,7 @@ def upper_density_estimate(box_set, radii):
     unit_ball_vol = math.pi ** (m / 2) / math.gamma(m / 2 + 1)
     out = []
     for r in radii:
-        rq = parse_rational(r)
+        rq = Fraction(r)
         set_all, set_any = _cell_all_any(
             in_set([Fraction(2 * j - g, g) * rq for j in range(g + 1)]),
             in_set([Fraction(2 * j + 1 - g, g) * rq for j in range(g)]),
@@ -219,16 +222,15 @@ def config_search(family, window, box_set, step):
     rational probe points of the set.  A Found result is exact: membership
     is rational and the residual is literally zero.  NotFound certifies
     nothing.  A scan over more than _MAX_PROBES parameters that finds no
-    witness among its first _MAX_PROBES raises ValueError.
+    witness among its first _MAX_PROBES raises ValueError, as does an e^T
+    past the float range; realosc._as_window reads the window.
     """
     if family.m != box_set.dim:
         raise ValueError("family and box set dimension mismatch")
     step = parse_rational(step)
     if step <= 0:
         raise ValueError("step must be positive")
-    a, T = float(window[0]), float(window[1])
-    if not a < T:
-        raise ValueError(f"window needs a < T; got {window!r}")
+    a, T = astuple(_as_window(window))
     try:
         s_hi = Fraction(math.exp(T))
     except OverflowError:
@@ -262,7 +264,7 @@ def config_search(family, window, box_set, step):
             nearest_gap, nearest_s = gap, s
     if count > _MAX_PROBES:
         raise ValueError(
-            f"window {window!r} at step {step} spans {count} parameters; the scan probes at most "
+            f"window {(a, T)!r} at step {step} spans {count} parameters; the scan probes at most "
             f"{_MAX_PROBES} and found no witness among them"
         )
     if nearest_s is not None:
@@ -301,7 +303,7 @@ def multivariate_reduce(polys, ell=None):
     one-variable curve family; base-ell digit positions keep distinct
     monomials distinct and send only the constant one to t^0, so 1, F_1,
     ..., F_m are independent iff the substituted family is.  A constant or
-    dependent component raises ValueError.
+    dependent component raises ValueError (a dependent one in CurveFamily).
 
     ell defaults to 1 + the max per-variable degree (the smallest valid
     base); an explicit ell must satisfy that bound.
@@ -323,10 +325,7 @@ def multivariate_reduce(polys, ell=None):
     for p in ps:
         coeffs = {sum(e * w for e, w in zip(exps, weights)): c for exps, c in p.items()}
         rows.append([coeffs.get(j, Fraction(0)) for j in range(max(coeffs) + 1)])
-    family = CurveFamily(rows)
-    if not check_independence(family):
-        raise ValueError("components must be linearly independent together with constants")
-    return family
+    return CurveFamily(rows)
 
 
 # --- cliques ------------------------------------------------------------------

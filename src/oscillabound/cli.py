@@ -32,7 +32,7 @@ from .cayleylab import (
     upper_density_estimate,
 )
 from .padic import PadicWindow, mu_hat_padic
-from .polycore import check_independence, parse_curve_family, parse_float, parse_integer, parse_positive, parse_rational
+from .polycore import parse_curve_family, parse_float, parse_integer, parse_rational
 from .realosc import QuadratureError, Window, certified_constant_real, mu_hat_real_with_error, parse_tol
 from .spectral import PipelineConsistencyError, certificate, independence_pipeline, minimize_mu_hat
 
@@ -61,13 +61,6 @@ def _jsonable(x):
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     return x
-
-
-def _family_of(cfg):
-    fam = parse_curve_family(cfg["family"])
-    if not check_independence(fam):
-        raise ValueError("independence violation: 1, f_1, ..., f_m are linearly dependent")
-    return fam
 
 
 def _field_prime(cfg):
@@ -133,7 +126,7 @@ def _write_csv(path, m, rows):
 @_command("muhat")
 def _cmd_muhat(cfg, flags):
     w = _window_of(cfg)
-    fam = _family_of(cfg)
+    fam = parse_curve_family(cfg["family"])
     lams = _lambdas_of(cfg, fam.m)
     tol = _setting(cfg, flags, "tol", 1e-9)
     if isinstance(w, PadicWindow):
@@ -160,7 +153,7 @@ def _cmd_muhat(cfg, flags):
 def _cmd_certify(cfg, flags):
     if _field_prime(cfg) is not None:
         w = _window_of(cfg)
-        cert = certificate(_family_of(cfg), w)
+        cert = certificate(parse_curve_family(cfg["family"]), w)
         floor = -cert.C / cert.length  # exactly -B/L
         return {
             "B": cert.B,
@@ -170,7 +163,7 @@ def _cmd_certify(cfg, flags):
             "reduced_degrees": [f.degree for f in cert.echelon[1].polys],
             "row_transform": [[str(c) for c in row] for row in cert.echelon[0]],
         }
-    fam = _family_of(cfg)
+    fam = parse_curve_family(cfg["family"])
     cert = certificate(fam, _window_of(cfg)) if "window" in cfg else None
     bound = certified_constant_real(fam) if cert is None else cert.bound
     report = dataclasses.asdict(bound)  # C, breakdown and constants
@@ -188,7 +181,7 @@ def _search(cfg, flags, search):
     the trace, with tol in the error column over R and 0.0 over Q_p, as
     muhat writes."""
     w = _window_of(cfg)
-    fam = _family_of(cfg)
+    fam = parse_curve_family(cfg["family"])
     tol = _setting(cfg, flags, "tol", 1e-6)
     res = search(fam, w, budget=_setting(cfg, flags, "budget", None), seed=_setting(cfg, flags, "seed", 0), tol=tol)
     if flags.csv:
@@ -213,11 +206,11 @@ def _cmd_config_search(cfg, flags):
     if _field_prime(cfg) is not None:
         raise ValueError("config-search needs a real window; got a p-adic field")
     w = _window_of(cfg)
-    fam = _family_of(cfg)
+    fam = parse_curve_family(cfg["family"])
     if "boxset" not in cfg or "boxset_path" in cfg:
         raise ValueError("config-search reads its box set from 'boxset', an inline object")
     boxes = BoxSet.from_json(cfg["boxset"])
-    res = config_search(fam, (w.a, w.T), boxes, cfg["step"])
+    res = config_search(fam, w, boxes, cfg["step"])
     report = {"found": res.found}
     if res.found:
         report.update(
@@ -227,15 +220,13 @@ def _cmd_config_search(cfg, flags):
             residual=res.residual,
         )
     if "density_radii" in cfg:
-        report["density"] = upper_density_estimate(
-            boxes, [parse_positive(r, "a density radius") for r in cfg["density_radii"]]
-        )
+        report["density"] = upper_density_estimate(boxes, cfg["density_radii"])
     return report
 
 
 @_command("clique")
 def _cmd_clique(cfg, flags):
-    fam = _family_of(cfg)
+    fam = parse_curve_family(cfg["family"])
     oracle = curve_difference_oracle(fam, tol=_setting(cfg, flags, "tol", 1e-9))
     inst = CliqueInstance(cfg["points"], oracle)
     found = clique_search(inst, max_size=cfg.get("max_size"))
@@ -292,7 +283,6 @@ def _cmd_reduce(cfg, flags):
     return {
         "family": [[str(c) for c in f.coeffs] for f in fam.polys],
         "degrees": [f.degree for f in fam.polys],
-        "independent": check_independence(fam),
     }
 
 

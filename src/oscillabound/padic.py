@@ -350,14 +350,12 @@ def echelon_reduce(family):
     then hold B.  By Bareiss's identity (Math. Comp. 22, 1968) an eliminated
     row is the previous pivot times its Gaussian row, scaled by the lcm of
     its input row, so dividing by both gives the Gaussian row exactly; B is
-    invertible by construction.  Raises ValueError if the m-th pivot lies at x^0 or beyond,
-    i.e. a combination collapses to a constant (the family is dependent).
+    invertible by construction.  Every pivot lies left of x^0, since a
+    CurveFamily is independent together with constants (see CurveFamily).
     """
     m, n = family.m, family.n
     rows = [row[::-1] + [int(i == j) for j in range(m)] for i, row in enumerate(family.coefficient_matrix())]
     elim, order, pivots = _bareiss(rows)
-    if pivots[-1][0] >= n:
-        raise ValueError("independence violation detected during elimination")
     prev = [1] + [v for _, v in pivots[:-1]]
     gauss = [
         [Fraction(x, d * clear_denominators(rows[i])[0]) for x in row] for row, i, d in zip(elim, order, prev)

@@ -310,7 +310,8 @@ def isolate_positive_roots(poly, lo, hi):
 
 class CurveFamily:
     """A tuple of nonconstant rational polynomials f_1..f_m defining the curve
-    t -> (f_1(e^t), ..., f_m(e^t)).
+    t -> (f_1(e^t), ..., f_m(e^t)), with 1, f_1, ..., f_m linearly independent
+    over Q, the paper's one assumption: a dependent family raises ValueError.
 
     The denominators of every coefficient are cleared once, at construction,
     into one common den and an integer matrix, read by phase_integers."""
@@ -330,6 +331,8 @@ class CurveFamily:
         self._den, flat = clear_denominators([c for row in self.coefficient_matrix() for c in row])
         # column j holds den * (coefficient of x^j) of every component
         self._columns = [flat[j :: self.n + 1] for j in range(self.n + 1)]
+        if not check_independence(self):
+            raise ValueError("independence violation: 1, f_1, ..., f_m are linearly dependent")
 
     @property
     def m(self):
@@ -390,7 +393,8 @@ def _bareiss(rows):
 def check_independence(family):
     """True iff 1, f_1, ..., f_m are linearly independent over Q.
 
-    Exact rank of the coefficient matrix augmented with the row (1, 0, ..., 0).
+    Exact rank of the coefficient matrix augmented with the row (1, 0, ..., 0);
+    CurveFamily raises on False, so a constructed family always passes.
     """
     rows = family.coefficient_matrix()
     aug = rows + [[Fraction(1)] + [Fraction(0)] * family.n]
@@ -534,8 +538,8 @@ def _up(x):
 
 
 def high_freq_constants(family):
-    if not check_independence(family):
-        raise ValueError("family is not independent together with constants")
+    """The HighFreqConstants of family, whose independence (see CurveFamily)
+    makes some m x m column-submatrix of a[:, 1:] invertible."""
     m, n = family.m, family.n
     beta = []
     for ell in range(1, n + 1):

@@ -117,10 +117,14 @@ class Window:
 
 
 def _as_window(w):
+    """The one reader of a real window: a Window, or a list or tuple (a, T) of
+    two numbers, neither a str nor a bool ("12" is not [1, 2]), each read by
+    parse_float; anything else raises a ValueError naming w."""
     if isinstance(w, Window):
         return w
-    a, T = w
-    return Window(float(a), float(T))
+    if not isinstance(w, (list, tuple)) or len(w) != 2 or any(isinstance(v, (str, bool)) for v in w):
+        raise ValueError(f"a real window must be a Window or a pair of numbers (a, T); got {w!r}")
+    return Window(*(parse_float(v, f"a bound of the window {w!r}") for v in w))
 
 
 @dataclass(frozen=True)

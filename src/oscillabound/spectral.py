@@ -43,12 +43,14 @@ def operator_ratio_bound(m_val, R, eps):
     """Ratio bound (-m + 2*eps)/(R - m - eps) for an operator-norm pair.
 
     m < 0 is the spectral minimum, R bounds the operator norm and eps >= 0
-    the defect; requires the denominator R - m - eps > 0.
+    the defect, each finite; requires the denominator R - m - eps > 0.
     """
-    if not m_val < 0:
-        raise ValueError("spectral minimum must be negative")
-    if not eps >= 0:
-        raise ValueError(f"the defect eps must be nonnegative; got {eps!r}")
+    if not -math.inf < m_val < 0:
+        raise ValueError(f"the spectral minimum m must be finite and negative; got {m_val!r}")
+    if not -math.inf < R < math.inf:
+        raise ValueError(f"the operator-norm bound R must be finite; got {R!r}")
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"the defect eps must be finite and nonnegative; got {eps!r}")
     denom = R - m_val - eps
     if not denom > 0:
         raise ValueError(f"need R - m - eps > 0, got {denom}")
@@ -56,11 +58,11 @@ def operator_ratio_bound(m_val, R, eps):
 
 
 def hoffman_chromatic_bound(m_val, M_val):
-    """Chromatic lower bound 1 - M/m from spectral extremes m < 0 < M."""
-    if not m_val < 0:
-        raise ValueError("spectral minimum must be negative")
-    if not M_val > 0:
-        raise ValueError("spectral maximum must be positive")
+    """Chromatic lower bound 1 - M/m from finite spectral extremes m < 0 < M."""
+    if not -math.inf < m_val < 0:
+        raise ValueError(f"the spectral minimum m must be finite and negative; got {m_val!r}")
+    if not 0 < M_val < math.inf:
+        raise ValueError(f"the spectral maximum M must be finite and positive; got {M_val!r}")
     return 1 - M_val / m_val
 
 

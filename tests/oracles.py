@@ -378,6 +378,15 @@ def rank_fraction(rows):
     return rank
 
 
+def independent_fraction(rows):
+    """True iff 1, f_1, ..., f_m are linearly independent over Q, for the
+    ascending coefficient rows of f_1..f_m: the rows, zero-padded, with
+    (1, 0, ..., 0) appended have rank m + 1."""
+    n = max(len(r) for r in rows)
+    padded = [list(r) + [0] * (n - len(r)) for r in rows]
+    return rank_fraction(padded + [[1] + [0] * (n - 1)]) == len(rows) + 1
+
+
 def solve_fraction(mat, rhs):
     """Gauss-Jordan solve of a square system over Q; raises ValueError on a
     singular matrix."""

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import box_distance, box_member, curve_difference_member, horner_float
+from oracles import box_distance, box_member, curve_difference_member, horner_float, independent_fraction
 
 from oscillabound.cayleylab import (
     BoxSet,
@@ -122,6 +122,9 @@ def test_density_full_empty_stripes():
     stripes = BoxSet([[("0", "1"), (None, None)]], period=("3", None))
     last = upper_density_estimate(stripes, [12.0])[0]
     assert abs(last.value - 1 / 3) <= last.error + 0.02
+    # each radius is read as a float, as the CLI's config gives it: "12", 12 and Fraction(12) are 12.0
+    for radii in (["12"], [12], [Fraction(12)], ("12",)):
+        assert upper_density_estimate(stripes, radii) == [last], radii
 
 
 def test_config_search_big_box_hits_origin():
@@ -209,11 +212,19 @@ def test_config_search_validation():
         raise AssertionError("zero step accepted")
     # an empty scan would report NotFound, as if the set had been searched
     big = BoxSet([[("-100", "100"), ("-100", "100")]])
-    for window in ((2.0, 1.0), (1.5, 1.5), (math.nan, 2.0)):
+    # the window is read as every real window is (realosc._as_window)
+    for window, message in (
+        ((2.0, 1.0), "window needs T > a"),
+        ((1.5, 1.5), "window needs T > a"),
+        ((math.nan, 2.0), "window bounds must be finite; got nan, 2.0"),
+        ((-math.inf, 1.0), "window bounds must be finite; got -inf, 1.0"),
+        ("12", "a real window must be a Window or a pair of numbers (a, T); got '12'"),
+        ((True, 2.0), "a real window must be a Window or a pair of numbers (a, T); got (True, 2.0)"),
+    ):
         try:
             config_search(PARABOLA, window, big, "1/4")
         except ValueError as exc:
-            assert "a < T" in str(exc), exc
+            assert str(exc) == message, exc
         else:
             raise AssertionError(f"window {window!r} accepted")
     # e^800 overflows a float: the scan range cannot be built
@@ -328,8 +339,8 @@ def test_multivariate_reduce_random_independence():
     # dependent input is a precondition violation, reported as such
     try:
         multivariate_reduce([{(1, 0): 1}, {(1, 0): 2}])
-    except ValueError:
-        pass
+    except ValueError as exc:
+        assert str(exc) == "independence violation: 1, f_1, ..., f_m are linearly dependent", exc
     else:
         raise AssertionError("dependent input accepted")
 
@@ -561,8 +572,12 @@ def _curve_differences(draw):
     m = draw(st.integers(1, 3))
     rows = []
     for i in range(m):
-        degree = draw(st.sampled_from((1, 2, 3)) if i == 0 else st.integers(1, 4))
-        rows.append(draw(st.lists(_curve_coeffs, min_size=degree, max_size=degree)) + [draw(_curve_coeffs.filter(bool))])
+        while True:  # until 1 and the rows are independent, as CurveFamily requires
+            degree = draw(st.sampled_from((1, 2, 3)) if i == 0 else st.integers(1, 4))
+            row = draw(st.lists(_curve_coeffs, min_size=degree, max_size=degree)) + [draw(_curve_coeffs.filter(bool))]
+            if independent_fraction(rows + [row]):
+                break
+        rows.append(row)
     tol = draw(st.sampled_from((1e-9, 1e-6)))
     descs = [[float(c) for c in reversed(row)] for row in rows]
     s, r = draw(st.floats(-4, 4)), draw(st.floats(-4, 4))

@@ -23,7 +23,6 @@ from oscillabound.padic import ess_part
 from oscillabound.polycore import (
     CurveFamily,
     RationalPoly,
-    check_independence,
     compute_a0_real,
     parse_curve_family,
     parse_rational,
@@ -111,6 +110,27 @@ def test_certify_rejects_dependent_family():
         code, _, payload = _run(["certify", path])
     assert code == 1
     assert "independence violation" in payload["detail"]
+
+
+def test_every_command_rejects_a_dependent_family():
+    # (x, 2x): 2 f_1 - f_2 = 0.  Each command exits 1 with CurveFamily's one
+    # message, before any transform, search or scan runs
+    message = "independence violation: 1, f_1, ..., f_m are linearly dependent"
+    dependent = [["0", "1"], ["0", "2"]]
+    base = {"family": dependent, "window": [1, 2]}
+    configs = {
+        "muhat": dict(base, lambdas=[["1", "-1/2"]]),
+        "certify": base,
+        "minimize": dict(base, budget=50),
+        "pipeline": dict(base, budget=50),
+        "clique": {"family": dependent, "points": [[0, 0], [1, 2], [2, 4]]},
+        "config-search": dict(base, step="1/4", boxset={"boxes": [[["0", "1"], ["0", "1"]]]}),
+        "reduce": {"components": [[[[1, 0], "1"]], [[[1, 0], "2"]]]},  # x and 2x in two variables
+    }
+    for command, cfg in configs.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            code, _, payload = _run([command, _write_config(tmp, "c.json", cfg)])
+        assert (code, payload["error"], payload["detail"]) == (1, "ValueError", message), (command, payload)
 
 
 def test_padic_muhat_worked_value():
@@ -690,8 +710,8 @@ def test_reduce_command():
         code, _, payload = _run(["reduce", path])
     assert code == 0
     rep = payload["report"]
-    assert rep["family"] == [["0", "0", "0", "1"], ["0", "1", "1"]]
-    assert rep["independent"] is True
+    # no "independent" key: multivariate_reduce raises on a dependent family
+    assert rep == {"family": [["0", "0", "0", "1"], ["0", "1", "1"]], "degrees": [3, 2]}
 
 
 _COEFF = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
@@ -707,8 +727,11 @@ def _certificate_configs(draw):
     for _ in range(draw(st.integers(1, 3))):
         deg = draw(st.integers(1, 3))
         poly = RationalPoly(draw(st.lists(_COEFF, min_size=deg, max_size=deg)) + [draw(_LEAD)])
-        if check_independence(CurveFamily(polys + [poly])):
-            polys.append(poly)
+        try:
+            CurveFamily(polys + [poly])
+        except ValueError:
+            continue
+        polys.append(poly)
     cfg = {"family": [[str(c) for c in f.coeffs] for f in polys]}
     p = draw(st.one_of(st.none(), st.sampled_from((2, 3, 5, 7, 11, 13))))
     if p is None:

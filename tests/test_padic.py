@@ -16,6 +16,7 @@ from oracles import (
     brute_force_sphere_sum,
     cyc_reduced_dense,
     echelon_reduce_fraction,
+    independent_fraction,
     padic_fractional_phase,
     padic_vdc_check,
     phase_fraction,
@@ -38,7 +39,6 @@ from oscillabound import polycore
 from oscillabound.polycore import (
     CurveFamily,
     RationalPoly,
-    check_independence,
     clear_denominators,
     parse_curve_family,
     phase_integers,
@@ -622,14 +622,17 @@ def _p_rational(p):
 
 @st.composite
 def _ball_key_cases(draw):
-    """p, a family of 1-3 components of degree 1-4 (constant terms
-    included), a frequency and 1-4 ball indices R."""
+    """p, an independent family of 1-3 components of degree 1-4 (constant
+    terms included), a frequency and 1-4 ball indices R."""
     p = draw(st.sampled_from((2, 3, 5, 7)))
     rows = []
     for _ in range(draw(st.integers(1, 3))):
-        row = draw(st.lists(_p_rational(p), min_size=draw(st.integers(2, 5)), max_size=5))
-        if row[-1] == 0:
-            row[-1] = Fraction(1, p)
+        while True:  # until 1 and the rows are independent, as CurveFamily requires
+            row = draw(st.lists(_p_rational(p), min_size=draw(st.integers(2, 5)), max_size=5))
+            if row[-1] == 0:
+                row[-1] = Fraction(1, p)
+            if independent_fraction(rows + [row]):
+                break
         rows.append(row)
     lam = tuple(draw(_p_rational(p)) for _ in rows)
     balls = draw(st.lists(st.integers(-6, 3), min_size=1, max_size=4, unique=True))
@@ -773,6 +776,9 @@ _NONZERO = st.builds(Fraction, st.integers(1, 5), st.integers(1, 4)).flatmap(
 )
 
 
+INDEPENDENCE = "independence violation: 1, f_1, ..., f_m are linearly dependent"
+
+
 @st.composite
 def _independent_families(draw):
     """Families whose components often share degrees, so that echelon_reduce
@@ -782,8 +788,11 @@ def _independent_families(draw):
     while len(polys) < m:
         deg = draw(st.integers(1, 3))
         poly = RationalPoly(draw(st.lists(_COEFF, min_size=deg, max_size=deg)) + [draw(_NONZERO)])
-        if check_independence(CurveFamily(polys + [poly])):
-            polys.append(poly)
+        try:
+            CurveFamily(polys + [poly])
+        except ValueError:
+            continue
+        polys.append(poly)
     return CurveFamily(polys)
 
 
@@ -805,10 +814,11 @@ def test_echelon_reduce_rejects_dependent_families(fam, data):
     combo = sum((f * c for c, f in zip(coefs, fam.polys)), RationalPoly([data.draw(_COEFF)]))
     polys = list(fam.polys)
     polys.insert(data.draw(st.integers(0, fam.m)), combo)
+    # no dependent family reaches echelon_reduce: CurveFamily rejects it
     try:
         echelon_reduce(CurveFamily(polys))
-    except ValueError:
-        pass
+    except ValueError as exc:
+        assert str(exc) == INDEPENDENCE, exc
     else:
         raise AssertionError("dependent family reduced")
 
@@ -829,17 +839,18 @@ def _families_sharing_degrees(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_families_sharing_degrees())
 def test_echelon_reduce_matches_the_fraction_elimination(rows):
-    fam = CurveFamily([RationalPoly(r) for r in rows])
     try:
         b_old, reduced_old = echelon_reduce_fraction(rows)
     except ValueError:
         b_old = reduced_old = None
+    # the oracle's elimination decides which rows are dependent
     try:
-        b, reduced = echelon_reduce(fam)
+        fam = CurveFamily([RationalPoly(r) for r in rows])
     except ValueError as exc:
-        assert reduced_old is None and "independence violation" in str(exc), rows
+        assert reduced_old is None and str(exc) == INDEPENDENCE, rows
         return
     assert reduced_old is not None, rows
+    b, reduced = echelon_reduce(fam)
     assert [f.degree for f in reduced.polys] == [len(r) - 1 for r in reduced_old], rows
     for w in (PadicWindow(1, 4, 3), PadicWindow(2, 5, 5)):
         assert certified_bound_padic(reduced, w) == certified_bound_padic(CurveFamily(reduced_old), w)

@@ -8,11 +8,12 @@ import random
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     det_fraction,
+    independent_fraction,
     min_eigenvalue_lower_charpoly,
     phase_fraction,
     poly_gcd,
@@ -462,19 +463,85 @@ def test_curve_family_shape():
         raise AssertionError("constant component accepted")
 
 
+INDEPENDENCE = "independence violation: 1, f_1, ..., f_m are linearly dependent"
+
+
+def _rejected_as_dependent(rows):
+    """True if CurveFamily rejects rows with the independence message, False
+    if it builds the family, which then passes check_independence."""
+    try:
+        fam = CurveFamily([RationalPoly(r) for r in rows])
+    except ValueError as exc:
+        assert str(exc) == INDEPENDENCE, (rows, exc)
+        return True
+    assert check_independence(fam), rows
+    return False
+
+
 def test_check_independence():
     assert check_independence(parse_curve_family([["0", "1"], ["0", "0", "1"]]))
-    assert not check_independence(parse_curve_family([["1", "1"], ["2", "2"]]))
-    # shifting a component by a constant never changes independence
+    assert _rejected_as_dependent([["1", "1"], ["2", "2"]])
+    # shifting a component by a constant never changes independence; every
+    # other pair is made dependent, 3 f_1 - 2 in place of f_2
     rng = random.Random(5)
-    for _ in range(20):
+    for i in range(20):
         rows = [[_random_rational(rng) for _ in range(4)] for _ in range(2)]
         for r in rows:
             if all(c == 0 for c in r[1:]):
                 r[rng.randint(1, 3)] = Fraction(1)
-        fam = CurveFamily([RationalPoly(r) for r in rows])
-        shifted = CurveFamily([RationalPoly([r[0] + 7] + r[1:]) for r in rows])
-        assert check_independence(fam) == check_independence(shifted)
+        if i % 2:
+            rows[1] = [3 * rows[0][0] - 2] + [3 * c for c in rows[0][1:]]
+        shifted = [[r[0] + 7] + r[1:] for r in rows]
+        assert _rejected_as_dependent(rows) == _rejected_as_dependent(shifted) == bool(i % 2), rows
+
+
+_DEP_COEFF = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+
+
+@st.composite
+def _rows_maybe_dependent(draw):
+    """Coefficient rows of an independent family of 1-3 components of degree
+    1-4 (the Fraction oracle decides), and often one more row inserted among
+    them: a rational combination of the family's rows plus a constant, left
+    as it is or with one nonconstant coefficient moved by 1."""
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        while True:
+            degree = draw(st.integers(1, 4))
+            row = draw(st.lists(_DEP_COEFF, min_size=degree, max_size=degree)) + [draw(_DEP_COEFF.filter(bool))]
+            if independent_fraction(rows + [row]):
+                break
+        rows.append(row)
+    kind = draw(st.sampled_from(("independent", "combination", "moved")))
+    if kind == "independent":
+        return rows
+    coefs = draw(st.lists(_DEP_COEFF, min_size=len(rows), max_size=len(rows)))
+    if not any(coefs):
+        coefs[0] = Fraction(1)
+    combo = [Fraction(0)] * max(map(len, rows))
+    for c, row in zip(coefs, rows):
+        for j, v in enumerate(row):
+            combo[j] += c * v
+    combo[0] += draw(_DEP_COEFF)
+    if kind == "moved":
+        combo[draw(st.integers(1, len(combo) - 1))] += 1
+        while len(combo) > 1 and not combo[-1]:
+            combo.pop()
+        if len(combo) < 2:
+            return rows
+    rows.insert(draw(st.integers(0, len(rows))), combo)
+    return rows
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_rows_maybe_dependent())
+@example([[0, 1], [0, 2]])
+@example([[1, 1], [2, 2]])
+@example([[0, 1], [0, 0, 1], [5, -1, 3]])
+@example([[0, 1], [0, 0, 1], [5, -1, 3, 1]])
+def test_curve_family_rejects_exactly_the_dependent_families(rows):
+    # the one independence rule, against the rank of the Fraction oracle
+    assert _rejected_as_dependent(rows) == (not independent_fraction(rows)), rows
 
 
 def test_phase_integers_examples():
@@ -493,15 +560,18 @@ _PHASE_COEFF = st.fractions(min_value=-40, max_value=40, max_denominator=36)
 
 @st.composite
 def _phase_cases(draw):
-    """(family rows, lam): 1-3 components of degree 1-5 with non-integer
-    coefficients and constant terms; lam mixes zeros, rationals of either
+    """(family rows, lam): 1-3 independent components of degree 1-5 with
+    non-integer coefficients and constant terms; lam mixes zeros, rationals of either
     sign with denominators up to 1e9, and real-grid and lattice values."""
     rows = []
     for _ in range(draw(st.integers(1, 3))):
-        degree = draw(st.integers(1, 5))
-        row = draw(st.lists(_PHASE_COEFF, min_size=degree + 1, max_size=degree + 1))
-        if row[-1] == 0:
-            row[-1] = draw(st.sampled_from((Fraction(1, 3), Fraction(-7, 2), Fraction(5))))
+        while True:  # until 1 and the rows are independent, as CurveFamily requires
+            degree = draw(st.integers(1, 5))
+            row = draw(st.lists(_PHASE_COEFF, min_size=degree + 1, max_size=degree + 1))
+            if row[-1] == 0:
+                row[-1] = draw(st.sampled_from((Fraction(1, 3), Fraction(-7, 2), Fraction(5))))
+            if independent_fraction(rows + [row]):
+                break
         rows.append(row)
     component = st.one_of(
         st.just(Fraction(0)),
@@ -623,8 +693,13 @@ def _planted_components(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_planted_components())
 def test_a0_matches_fraction_gcd_oracle(components):
-    fam = CurveFamily([RationalPoly(c) for c in components])
-    assert compute_a0_real(fam) == _a0_oracle(components)
+    # components sharing a factor are often dependent: _a0_real reads any
+    # list of them, and compute_a0_real each one CurveFamily accepts
+    polys = [RationalPoly(c) for c in components]
+    want = _a0_oracle(components)
+    assert polycore._a0_real(polys) == want
+    if independent_fraction(components):
+        assert compute_a0_real(CurveFamily(polys)) == want
 
 
 def test_alpha_is_the_sum_of_the_unit_solutions():

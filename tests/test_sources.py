@@ -13,6 +13,7 @@ import ast
 import contextlib
 import io
 import json
+import math
 import pathlib
 import re
 import tempfile
@@ -27,14 +28,21 @@ from oscillabound.cayleylab import (
     BoxSet,
     CliqueInstance,
     clique_search,
+    config_search,
     multivariate_reduce,
     periodic_coloring_verify,
     upper_density_estimate,
 )
 from oscillabound.padic import PadicWindow, vp
 from oscillabound.polycore import CurveFamily, RationalPoly, vandermonde_interpolation
-from oscillabound.realosc import Window, osc_integral, superlevel_decompose, vdc_bound
-from oscillabound.spectral import independence_pipeline, minimize_mu_hat
+from oscillabound.realosc import Window, mu_hat_real, osc_integral, superlevel_decompose, vdc_bound
+from oscillabound.spectral import (
+    hoffman_chromatic_bound,
+    hoffman_ratio_bound,
+    independence_pipeline,
+    minimize_mu_hat,
+    operator_ratio_bound,
+)
 
 
 def test_sources_compile_without_warnings():
@@ -121,7 +129,7 @@ def test_readme_and_benchmark_configs_run_certify():
 
 
 def test_input_guards_raise_their_value_errors():
-    unit = BoxSet([[("0", "1")]])
+    unit, square = BoxSet([[("0", "1")]]), BoxSet([[("0", "1"), ("0", "1")]])
     x = RationalPoly([0, 1])
     fam, q3 = CurveFamily([x, x * x]), PadicWindow(1, 4, 3)
     one_point = CliqueInstance([(0, 0)], lambda d: False)
@@ -132,12 +140,45 @@ def test_input_guards_raise_their_value_errors():
         (lambda: BoxSet([[("1", "0")]]), "box with lo > hi"),
         (lambda: BoxSet([[("0", "1")]], period=("1", "1")), "period vector must match dimension"),
         (lambda: BoxSet([[("0", "1")]], period=("0",)), "periods must be positive"),
-        (lambda: upper_density_estimate(unit, [1.0, -2.0]), "radii must be positive"),
+        (lambda: upper_density_estimate(unit, [1.0, -2.0]), "a density radius must be a finite positive number; got -2.0"),
+        *[
+            (lambda r=r: upper_density_estimate(unit, [r]), f"a density radius must be a finite positive number; got {r!r}")
+            for r in (math.inf, "2x", True)
+        ],
+        *[
+            (lambda r=r: upper_density_estimate(unit, r), f"radii must be a non-empty list of radii; got {r!r}")
+            for r in ([], "12")
+        ],
+        # "2" is the radius 2.0, as the CLI reads it
+        (lambda: upper_density_estimate(unit, [2.0, "2"]), "radii must be increasing"),
         (lambda: upper_density_estimate(unit, [2.0, 1.0]), "radii must be increasing"),
         (lambda: multivariate_reduce([{(-1, 0): 1}, {(0, 1): 1}]), "exponents must be nonnegative"),
         (lambda: multivariate_reduce([{(1, 0): 1}, {(1,): 1}]), "components must share one variable count"),
         (lambda: x.t_derivative(-1), "derivative order must be >= 0"),
         (lambda: CurveFamily([]), "empty curve family"),
+        (lambda: CurveFamily([x, x * 2]), "independence violation: 1, f_1, ..., f_m are linearly dependent"),
+        # a real window is a Window or a pair of numbers: "12" is not [1, 2], nor (True, 2) [1, 2]
+        *[
+            (call, f"a real window must be a Window or a pair of numbers (a, T); got {w!r}")
+            for w in ("12", (True, 2.0), (1.0, False))
+            for call in (
+                lambda w=w: mu_hat_real(fam, w, (1, 2)),
+                lambda w=w: minimize_mu_hat(fam, w, budget=1),
+                lambda w=w: independence_pipeline(fam, w, budget=1),
+                lambda w=w: config_search(fam, w, square, "1/4"),
+            )
+        ],
+        (lambda: mu_hat_real(fam, (None, 2.0), (1, 2)), "a bound of the window (None, 2.0) must be a number; got None"),
+        # e^-inf is 0.0, so the scan once ran, and found s = 1/4 in [0, 1]^2
+        (lambda: config_search(fam, (-math.inf, 1.0), square, "1/4"), "window bounds must be finite; got -inf, 1.0"),
+        # an infinite input gave nan, inf, or a ratio bound of 0
+        (lambda: hoffman_ratio_bound(-math.inf), "the spectral minimum m must be finite and negative; got -inf"),
+        (lambda: operator_ratio_bound(-math.inf, 1, 0), "the spectral minimum m must be finite and negative; got -inf"),
+        (lambda: operator_ratio_bound(-1.0, math.inf, 0), "the operator-norm bound R must be finite; got inf"),
+        (lambda: operator_ratio_bound(-1.0, -math.inf, 0), "the operator-norm bound R must be finite; got -inf"),
+        (lambda: operator_ratio_bound(-1.0, 1, math.inf), "the defect eps must be finite and nonnegative; got inf"),
+        (lambda: hoffman_chromatic_bound(-math.inf, 1), "the spectral minimum m must be finite and negative; got -inf"),
+        (lambda: hoffman_chromatic_bound(-1, math.inf), "the spectral maximum M must be finite and positive; got inf"),
         (lambda: vandermonde_interpolation([1, 2], 3), "need exactly n target values"),
         (lambda: vp(3, 1), "p = 1 must be at least 2"),
         (lambda: superlevel_decompose(RationalPoly([5]), 1, Window(0, 1)), "phase must be nonconstant"),
