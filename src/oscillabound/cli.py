@@ -78,14 +78,20 @@ def _window_of(cfg):
     """The Window, or for a p-adic field the PadicWindow, of the config.
 
     The window must be a list of exactly two bounds [a, T] (see _row_of).
-    A p-adic bound must be integral once parsed ("1", 1.0 and Fraction(1)
-    all mean 1); 1.9 raises instead of being truncated.
+    A real bound is a number or a string that Fraction reads ("1/2", "0.5"
+    and "5e-1" alike), and must be finite as a float; anything else raises
+    a ValueError naming the window.  A p-adic bound must be integral once
+    parsed ("1", 1.0 and Fraction(1) all mean 1); 1.9 raises instead of
+    being truncated.
     """
     p = _field_prime(cfg)
     window = _row_of(cfg["window"], 2, "window must be a list of two bounds [a, T]")
     if p is None:
-        a, T = (parse_rational(v) for v in window)
-        return Window(float(a), float(T))
+        try:
+            a, T = (float(Fraction(v)) for v in window)
+        except (TypeError, ValueError, ArithmeticError):  # None, "abc", nan; inf and "1e400" overflow
+            raise ValueError(f"the bounds of the window {window!r} must be finite numbers") from None
+        return Window(a, T)
     a, T = (parse_integer(v, "a p-adic window bound") for v in window)
     return PadicWindow(a, T, p)
 

@@ -21,7 +21,16 @@ fractional part of the u^j coefficient (see _canonical), so a nonzero key
 names its prime.  Every ball's key comes from the phase's integer
 numerators with one modular inverse per call, and the descent runs one
 loop over the residue classes of a key, each a Taylor shift of its
-numerators.  Weights, and the conjugate of a paired ball, apply only when a
+numerators.  A key of degree <= 2 at odd p closes in one step, as a
+quadratic Gauss sum (Igusa, An Introduction to the Theory of Local Zeta
+Functions, 2000; Ireland and Rosen, ch. 6): for h(u) = (n_1 u + n_2 u^2)
+/ p^k with n_2 a unit, the stationary class c0 = -n_1 (2 n_2)^{-1} mod p^k
+gives psi(h(c0)) p^{-k/2} for k even and p^{-(k+1)/2} times the p terms
+psi(h(c0) + n_2 y^2 / p), y mod p, for k odd; for k = 1 every class
+counts, and for k >= 2 with p | n_2 no class is stationary and J = 0.
+These are the descent's own terms, so no float moves.  At p = 2 and for
+degree >= 3 the descent runs, and its quadratic children close in one
+step.  Weights, and the conjugate of a paired ball, apply only when a
 memo entry is added into the accumulator.  The memo holds descents only and
 belongs to the caller: a transform makes a fresh one per call unless it is
 handed one, as the lattice minimizer does.  A transform's ball weights
@@ -168,12 +177,50 @@ def _ball_keys(den, ints, p, balls):
     return out
 
 
+def _stationary_ball(key, p):
+    """J(h) in closed form for a key (p^m, n_1[, n_2]) of degree <= 2 at an
+    odd prime p, as the very term map the descent builds: the same phases
+    and the same coefficients.
+
+    Write p^k = p^m.  If n_2 is a unit, c0 = -n_1 (2 n_2)^{-1} mod p^k
+    makes h'(c0) integral, so h(c0 + u) = h(c0) + n_2 u^2 / p^k modulo
+    Z_p[u], and h is constant modulo 1 on each ball t + p^{ceil(k/2)} Z_p.
+    The descent follows c0 one digit a level and keeps the balls of
+    t = c0 + p^{floor(k/2)} y, y < p^{k mod 2}, each with weight
+    p^{-ceil(k/2)}: for k even one term psi(h(c0)) p^{-k/2}, and for k odd
+    the p terms psi(h(c0) + n_2 y^2 / p) p^{-(k+1)/2}, a quadratic Gauss
+    sum.  For k = 1 these are all p classes, whatever n_2 is (c0 = 0 when
+    p divides n_2).  Otherwise (k >= 2 and p | n_2, so n_1 is a unit) no
+    class is stationary and J(h) has no term.  A phase that several balls
+    share gets the sum of their weights, as in the descent.
+    """
+    pm, n1, n2 = (*key, 0)[:3]
+    if n2 % p:
+        c0 = -n1 * pow(2 * n2, -1, pm) % pm
+    elif pm == p:
+        c0 = 0
+    else:
+        return {}
+    k = _split(pm, p)[0]
+    step, count = p ** (k // 2), p ** (k % 2)
+    hits = {}  # phase numerator over p^k -> how many classes give it
+    for t in range(c0, c0 + step * count, step):
+        e = (n1 * t + n2 * t * t) % pm
+        hits[e] = hits.get(e, 0) + 1
+    return {Fraction(e, pm): Fraction(n, step * count) for e, n in hits.items()}
+
+
 def _descend(key, p, memo, depth=0):
     """J(h) = int_{Z_p} psi(h(u)) du as a dict phase -> coefficient, for the
     h with h(0) = 0 whose other coefficients are n_j / p^m for the key
     (p^m, n_1, ..., n_d) (see _canonical); memo maps keys to values already
     descended, and J(c + h) = psi(c) J(h) lets every node reuse them
     whatever its constant.
+
+    A key of degree <= 2 at odd p closes in one step (_stationary_ball),
+    with the term map the descent below would build.  At p = 2, and for
+    degree >= 3, the descent runs, and its quadratic children close in one
+    step.
 
     Stationary-phase descent on integer numerators: the Taylor shift of
     (0, n_1, ..., n_d) by a residue c gives p^m h(c + u), whose constant mod
@@ -191,6 +238,8 @@ def _descend(key, p, memo, depth=0):
     out = {}
     if pm == 1:
         out[_ZERO] = Fraction(1)
+    elif len(key) <= 3 and p > 2:
+        out = _stationary_ball(key, p)
     elif depth > 400:
         raise ValueError("p-adic descent deeper than 400 levels: the phase's denominators are too large")
     else:

@@ -331,7 +331,7 @@ class CurveFamily:
         self._den, flat = clear_denominators([c for row in self.coefficient_matrix() for c in row])
         # column j holds den * (coefficient of x^j) of every component
         self._columns = [flat[j :: self.n + 1] for j in range(self.n + 1)]
-        if not check_independence(self):
+        if not _is_independent(self):
             raise ValueError("independence violation: 1, f_1, ..., f_m are linearly dependent")
 
     @property
@@ -390,12 +390,10 @@ def _bareiss(rows):
     return a, order, pivots
 
 
-def check_independence(family):
-    """True iff 1, f_1, ..., f_m are linearly independent over Q.
-
-    Exact rank of the coefficient matrix augmented with the row (1, 0, ..., 0);
-    CurveFamily raises on False, so a constructed family always passes.
-    """
+def _is_independent(family):
+    """True iff 1, f_1, ..., f_m are linearly independent over Q: the exact
+    rank of the coefficient matrix augmented with the row (1, 0, ..., 0).
+    CurveFamily's constructor is its one caller, and raises on False."""
     rows = family.coefficient_matrix()
     aug = rows + [[Fraction(1)] + [Fraction(0)] * family.n]
     return len(_bareiss(aug)[2]) == family.m + 1

@@ -221,13 +221,18 @@ def _adaptive_cc(values_at, lo, hi, tol_abs, phase_at=None, rel=0.0):
     that version as the reference).  The sums are kept in place and the
     stack holds O(_BATCH * depth) panels.  Raises QuadratureError once more
     than _MAX_PANELS panels are taken or one is deeper than _MAX_DEPTH, with
-    the width still unresolved added to its error.
+    the width still unresolved added to its error.  The accepted panels
+    partition [lo, hi] and each moves Phi by at most half a period, so when
+    |Phi(hi) - Phi(lo)| exceeds _MAX_PANELS / 2 periods (with a margin for
+    rounding; a NaN span never does) that error is raised before any panel.
     """
     total = 0.0 + 0.0j
     err_total = 0.0
     width_all = hi - lo
     panels = 0
     fa, fb = phase_at(np.array([lo, hi])).tolist() if phase_at is not None else (0.0, 0.0)
+    if abs(fb - fa) > 0.5 * _MAX_PANELS * (1.0 + 1e-9):
+        raise QuadratureError("quadrature failed to converge", partial=total, error=width_all)
     stack = [(lo, hi, 0, fa, fb)]  # panels (a, b, depth, phase at a, phase at b)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while stack:

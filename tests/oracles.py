@@ -755,3 +755,41 @@ def compass_search_fraction(evaluate, lam, val, iters=200):
         else:
             lam, val = best_cand, best_val
             yield tuple(lam), val
+
+
+def descend_plain(key, p, memo=None):
+    """The unit-ball average J(h) = int_{Z_p} psi(h(u)) du as a dict phase ->
+    coefficient, by the plain stationary-phase descent alone, for the key
+    (p^m, n_1, ..., n_d): h(u) = sum_j n_j u^j / p^m, every n_j in [0, p^m),
+    no common power of p and no trailing zero.
+
+    Residue class c mod p adds psi(h(c)) J(h(c + p u) - h(c)) / p, the
+    child's coefficients reduced modulo 1 into a key of the same form.  For
+    m >= 2 a class where p^m h'(c) is a unit mod p is skipped; for m = 1
+    every class is kept.  Phases are summed modulo 1 in Fractions, and a
+    phase met twice adds its coefficients."""
+    memo = {} if memo is None else memo
+    if key in memo:
+        return memo[key]
+    pm = key[0]
+    out = {}
+    if pm == 1:
+        out[Fraction(0)] = Fraction(1)
+    for c in range(p) if pm > 1 else ():
+        shifted = [0, *key[1:]]  # the coefficients of p^m h(c + u)
+        for i in range(len(shifted) - 1):
+            for k in range(len(shifted) - 2, i - 1, -1):
+                shifted[k] += c * shifted[k + 1]
+        if pm > p and shifted[1] % p:
+            continue
+        nums = [s * p**j % pm for j, s in enumerate(shifted[1:], 1)]
+        while nums and not nums[-1]:
+            nums.pop()
+        g = math.gcd(pm, *nums)
+        child = (pm // g, *[n // g for n in nums])
+        shift = Fraction(shifted[0] % pm, pm)
+        for theta, coef in descend_plain(child, p, memo).items():
+            theta = (theta + shift) % 1
+            out[theta] = out.get(theta, 0) + coef / p
+    memo[key] = out
+    return out

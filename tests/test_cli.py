@@ -238,6 +238,27 @@ def test_window_must_be_a_list_of_two_bounds():
                 assert "two bounds" in payload["detail"] and repr(window) in payload["detail"], payload
 
 
+def test_real_window_bounds_are_finite_numbers():
+    # "0.5" is read as "1/2" is; a bound that is no number or overflows a
+    # float names the window instead of int()'s "invalid literal"
+    base = {"family": FAMILY, "lambdas": [["1", "1"]]}
+    with tempfile.TemporaryDirectory() as tmp:
+        reports = []
+        for window in (["1/2", 2], ["0.5", 2], ["5e-1", "2"], [0.5, 2]):
+            code, _, payload = _run(["muhat", _write_config(tmp, "w.json", dict(base, window=window))])
+            assert code == 0, (window, payload)
+            reports.append(payload["report"])
+        assert all(r == reports[0] for r in reports), reports
+        want = mu_hat_real_with_error(parse_curve_family(FAMILY), Window(0.5, 2.0), (1, 1), tol=1e-9)
+        assert (reports[0]["value"], reports[0]["error"]) == want
+        for window in ([1, "1e400"], ["abc", 2], [None, 2], ["1/0", 2], [1, "inf"]):
+            path = _write_config(tmp, "w.json", dict(base, window=window))
+            for command in ("muhat", "certify", "pipeline"):
+                code, _, payload = _run([command, path, "--budget", "3", "--tol", "1e-3"])
+                assert code == 1 and payload["error"] == "ValueError", (window, command, payload)
+                assert payload["detail"] == f"the bounds of the window {window!r} must be finite numbers", payload
+
+
 def test_lambda_must_be_a_list_of_m_rationals():
     # "12" is never unpacked into the frequency (1, 2), nor into two samples,
     # and an empty list (or object) of lambdas is no report with no samples;
@@ -782,8 +803,9 @@ def test_unreadable_integers_name_the_setting():
 
 def test_too_deep_a_descent_is_one_json_error():
     # the descent's depth guard used to raise RecursionError, which left
-    # main as a traceback with no JSON
-    cfg = {"family": [["0", "0", "1"]], "window": [1, 4], "field": {"padic": 3}, "lambdas": [[f"1/{3**900}"]]}
+    # main as a traceback with no JSON; a quadratic phase closes without a
+    # descent, so the cubic x^3 at 5^-1300 (about 433 levels) trips it
+    cfg = {"family": [["0", "0", "0", "1"]], "window": [1, 4], "field": {"padic": 5}, "lambdas": [[f"1/{5**1300}"]]}
     with tempfile.TemporaryDirectory() as tmp:
         code, raw, payload = _run(["muhat", _write_config(tmp, "c.json", cfg)])
     assert code == 1 and raw.count("\n") == 1 and payload["error"] == "ValueError", raw

@@ -9,12 +9,13 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     brute_force_sphere_sum,
     cyc_reduced_dense,
+    descend_plain,
     echelon_reduce_fraction,
     independent_fraction,
     padic_fractional_phase,
@@ -728,6 +729,51 @@ def test_mu_hat_padic_pinned_values(monkeypatch):
             assert type(got) is type(want), (rows, p, lam, got)
             assert got == want if isinstance(want, Fraction) else got.hex() == want.hex(), (rows, p, lam, got)
     assert 1 in depths and max(depths) >= 3, depths
+
+
+@st.composite
+def _descent_keys(draw):
+    """p, and a _canonical key (p^m, n_1, ..., n_d) with m <= 8 and d <= 3,
+    its top numerator divisible by p half the time; d <= 2 at odd p is the
+    closed form's domain, p = 2 and d = 3 the descent's."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11)))
+    pm = p ** draw(st.integers(1, 8))
+    nums = draw(st.lists(st.integers(0, pm - 1), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        nums[-1] = nums[-1] * p % pm
+    return p, padic._canonical(pm, nums)
+
+
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@given(_descent_keys())
+@example((3, (3, 1)))  # p^m = p, linear: p terms, though their sum is 0
+@example((5, (5, 2, 3)))  # p^m = p, quadratic
+@example((7, (7**2, 0, 7)))  # p^m = p once 7 divides out: (7, 0, 1)
+@example((3, (3**8, 4, 5)))  # even k: one term of weight 3^-4
+@example((3, (3**7, 0, 2)))  # odd k: a Gauss sum times 3^-4
+@example((11, (11**3, 1, 11)))  # n_2 divisible by p: no stationary class
+def test_descend_keeps_the_plain_descents_term_map(case):
+    """_descend gives exactly the plain descent's term map (tests/oracles):
+    the same Fraction phases with the same Fraction coefficients, so every
+    float summed from them keeps its bits.  A key of degree <= 2 at odd p
+    closes in one step: the memo then holds that key alone."""
+    p, key = case
+    key = padic._canonical(key[0], list(key[1:]))
+    memo = {}
+    got = padic._descend(key, p, memo)
+    assert got == descend_plain(key, p), (p, key)
+    assert all(type(th) is Fraction and type(c) is Fraction for th, c in got.items()), got
+    if p > 2 and len(key) <= 3:
+        assert list(memo) == [key], (p, key, memo)
+
+
+def test_a_quadratic_phase_needs_no_deep_descent():
+    """(x^2) over Q_3 on [1, 4] at lam = 3^-800: the plain descent would need
+    about 400 levels and raised its depth error.  Every ball's k is even, so
+    each closes to one term 3^{-k/2} at phase 0, and the window's weights
+    telescope to exactly 0."""
+    got = mu_hat_padic(parse_curve_family([["0", "0", "1"]]), PadicWindow(1, 4, 3), (Fraction(1, 3**800),))
+    assert type(got) is Fraction and got == 0, got
 
 
 def test_padic_vdc_check():

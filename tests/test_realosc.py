@@ -371,6 +371,68 @@ def test_quadrature_batches_and_panel_ceiling():
         raise AssertionError("refinement went deeper than _MAX_DEPTH")
 
 
+def test_a_phase_span_past_the_panel_cap_raises_before_any_panel(monkeypatch):
+    """Each accepted panel moves Phi by at most half a period, so a span of
+    more than _MAX_PANELS / 2 periods raises the ceiling's QuadratureError
+    before values_at is called, with the whole width as its error.  The cap
+    is read at call time; a span at the cap, and a NaN span, run the loop."""
+    calls = []
+
+    def values_at(ts):
+        calls.append(len(ts))
+        return np.ones(ts.shape, dtype=complex)
+
+    def spanning(span):
+        return lambda ts: np.where(ts > 2.0, span, 0.0)
+
+    monkeypatch.setattr(realosc, "_MAX_PANELS", 1000)
+    for span in (500.001, -1e9, math.inf):
+        try:
+            realosc._adaptive_cc(values_at, 1.0, 3.0, 1e-9, phase_at=spanning(span))
+        except QuadratureError as exc:
+            assert (exc.partial, exc.error) == (0j, 2.0), exc
+        else:
+            raise AssertionError(f"a span of {span} periods returned")
+    assert not calls
+    for span in (500.0, math.nan):  # the loop runs; at the cap it may still reach the ceiling itself
+        try:
+            realosc._adaptive_cc(values_at, 1.0, 3.0, 1e-9, phase_at=spanning(span))
+        except QuadratureError:
+            pass
+        assert calls, span
+        calls.clear()
+
+
+def test_slow_zone_past_the_panel_cap_keeps_its_bits(monkeypatch):
+    """real_sweep's seed-0 op 1613: (x^2, x^3, x^5) on [1, 26], where Phi'
+    vanishes near t = 9.2692 and the slow zone beside it spans about 6.7e9
+    periods.  The direct quadrature there raises without evaluating a panel
+    (it used to take 199,616 panels and most of a second first), _capped
+    charges the zone's width, and (value, error) keep their bits."""
+    raised = []
+    adaptive = realosc._adaptive_cc
+
+    def spy(values_at, lo, hi, tol_abs, phase_at=None, rel=0.0):
+        calls = []
+
+        def counted(ts):
+            calls.append(len(ts))
+            return values_at(ts)
+
+        try:
+            return adaptive(counted, lo, hi, tol_abs, phase_at, rel)
+        except QuadratureError:
+            raised.append((phase_at is not None, len(calls)))
+            raise
+
+    monkeypatch.setattr(realosc, "_adaptive_cc", spy)
+    fam = parse_curve_family([["0", "0", "1"], ["0", "0", "0", "1"], ["0", "0", "0", "0", "0", "1"]])
+    lam = (float.fromhex("-0x1.448c8c8424a63p+19"), float.fromhex("0x1.4e3cf3617af8cp+5"), 0.0)
+    val, err = mu_hat_real_with_error(fam, Window(1, 26), lam, tol=1e-3)
+    assert (val.hex(), err.hex()) == ("0x1.fd3dd3e281832p-34", "0x1.895db526060dap-12")
+    assert (True, 0) in raised and all(n == 0 for direct, n in raised if direct), raised
+
+
 def test_huge_frequency_is_fast_and_sane():
     fam = parse_curve_family([["0", "0", "1"], ["0", "0", "0", "1"], ["0", "0", "0", "0", "0", "1"]])
     lam = (Fraction(999_983), Fraction(-1_000_003), Fraction(1_000_033))
