@@ -22,6 +22,8 @@ _MEMBERSHIP_TOL = 1e-9  # curve-membership tolerance for float samples
 _DENSITY_GRID = 200  # grid cells per axis in upper_density_estimate
 _MAX_PROBES = 10**5  # parameters config_search's scan probes before it gives up
 _COLORING_SAMPLES = 20001  # sample points on one period in coloring_threshold
+_EDGE_CHUNK = 2**14  # edges periodic_coloring_verify draws and checks at a time
+_MAX_COLORING_N = math.isqrt(2**63 - 1)  # the largest n whose n*n fits int64
 _ZERO = Fraction(0)
 
 
@@ -491,22 +493,44 @@ def periodic_coloring_verify(f, n, edge_samples, seed=0):
     so the expected return is 0 and anything else is a counterexample.
     n, edge_samples and seed must be integers (7.9 raises; see
     parse_integer), and edge_samples at least 1: a check of no edge proves
-    nothing."""
+    nothing.  The colour classes are taken mod n*n in int64, so n may be at
+    most _MAX_COLORING_N = 3037000499.
+
+    Edge i gets the i-th draw of default_rng(seed).uniform(-20, 20) for x,
+    the (N+i)-th for y and the (2N+i)-th of uniform(-5, 5) for t, where
+    N = edge_samples: three PCG64(seed) streams, advanced by 0, N and 2N
+    draws, since each double spends one 64-bit output.  The edges are
+    checked _EDGE_CHUNK at a time, so memory stays flat in edge_samples and
+    f is called once per chunk; f must act elementwise, as the sampling
+    already assumes (a scalar-only f is read point by point).
+    """
+    return _coloring_violations(f, coloring_threshold(f), n, edge_samples, seed)
+
+
+def _coloring_violations(f, profile, n, edge_samples, seed):
+    """periodic_coloring_verify with f's coloring_threshold profile given,
+    so a caller that reports the profile samples f once."""
     n = parse_integer(n, "n")
     edge_samples = parse_integer(edge_samples, "edge_samples")
     seed = parse_integer(seed, "seed")
     if edge_samples < 1:
         raise ValueError(f"edge_samples must be at least 1; got {edge_samples!r}")
-    n_min, M, eps, delta = coloring_threshold(f)
+    n_min, M, eps, delta = profile
     if n < n_min:
         raise ValueError(f"n={n} below the sampled threshold {n_min} (M={M:.3f}, eps={eps:.3f}, delta={delta})")
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-20.0, 20.0, edge_samples)
-    y = rng.uniform(-20.0, 20.0, edge_samples)
-    t = rng.uniform(-5.0, 5.0, edge_samples)
-    ft = _sample_f(f, t)
-    c1a = np.floor(n * x).astype(np.int64) % n
-    c1b = np.floor(n * y).astype(np.int64) % (n * n)
-    c2a = np.floor(n * (x + t)).astype(np.int64) % n
-    c2b = np.floor(n * (y + ft)).astype(np.int64) % (n * n)
-    return int(np.count_nonzero((c1a == c2a) & (c1b == c2b)))
+    if n > _MAX_COLORING_N:
+        raise ValueError(f"n={n} is too large: the colour classes mod n*n need n*n < 2**63, so n <= {_MAX_COLORING_N}")
+    xs, ys, ts = (np.random.Generator(np.random.PCG64(seed).advance(k * edge_samples)) for k in range(3))
+    violations = 0
+    for start in range(0, edge_samples, _EDGE_CHUNK):
+        size = min(_EDGE_CHUNK, edge_samples - start)
+        x = xs.uniform(-20.0, 20.0, size)
+        y = ys.uniform(-20.0, 20.0, size)
+        t = ts.uniform(-5.0, 5.0, size)
+        ft = _sample_f(f, t)
+        c1a = np.floor(n * x).astype(np.int64) % n
+        c1b = np.floor(n * y).astype(np.int64) % (n * n)
+        c2a = np.floor(n * (x + t)).astype(np.int64) % n
+        c2b = np.floor(n * (y + ft)).astype(np.int64) % (n * n)
+        violations += int(np.count_nonzero((c1a == c2a) & (c1b == c2b)))
+    return violations

@@ -23,12 +23,12 @@ import numpy as np
 from .cayleylab import (
     BoxSet,
     CliqueInstance,
+    _coloring_violations,
     clique_search,
     coloring_threshold,
     config_search,
     curve_difference_oracle,
     multivariate_reduce,
-    periodic_coloring_verify,
     upper_density_estimate,
 )
 from .padic import PadicWindow, mu_hat_padic
@@ -78,17 +78,17 @@ def _window_of(cfg):
     """The Window, or for a p-adic field the PadicWindow, of the config.
 
     The window must be a list of exactly two bounds [a, T] (see _row_of).
-    A real bound is a number or a string that Fraction reads ("1/2", "0.5"
-    and "5e-1" alike), and must be finite as a float; anything else raises
-    a ValueError naming the window.  A p-adic bound must be integral once
-    parsed ("1", 1.0 and Fraction(1) all mean 1); 1.9 raises instead of
+    A real bound is a number or a string that parse_rational reads ("1/2",
+    "0.5" and "5e-1" alike), and must be finite as a float; anything else
+    raises a ValueError naming the window.  A p-adic bound must be integral
+    once parsed ("1", 1.0 and Fraction(1) all mean 1); 1.9 raises instead of
     being truncated.
     """
     p = _field_prime(cfg)
     window = _row_of(cfg["window"], 2, "window must be a list of two bounds [a, T]")
     if p is None:
         try:
-            a, T = (float(Fraction(v)) for v in window)
+            a, T = (float(parse_rational(v)) for v in window)
         except (TypeError, ValueError, ArithmeticError):  # None, "abc", nan; inf and "1e400" overflow
             raise ValueError(f"the bounds of the window {window!r} must be finite numbers") from None
         return Window(a, T)
@@ -261,13 +261,14 @@ def _series_function(spec):
 @_command("color-check")
 def _cmd_color_check(cfg, flags):
     f = _series_function(cfg["function"])
-    n_min, M, eps, delta = coloring_threshold(f)
+    profile = n_min, M, eps, delta = coloring_threshold(f)
     n = parse_integer(cfg.get("n", n_min), "n")
     edges = parse_integer(cfg.get("edges", 100_000), "edges")
-    violations = periodic_coloring_verify(f, n, edges, seed=_setting(cfg, flags, "seed", 0))
+    # periodic_coloring_verify on the profile already sampled
+    violations = _coloring_violations(f, profile, n, edges, _setting(cfg, flags, "seed", 0))
     if violations:
-        # periodic_coloring_verify ran, so the threshold admits n: an edge
-        # it finds monochromatic refutes the threshold, not the config
+        # the count ran, so the threshold admits n: an edge it finds
+        # monochromatic refutes the threshold, not the config
         raise PipelineConsistencyError(
             "a coloring the threshold admits has monochromatic edges",
             {"n": n, "n_min": n_min, "edges": edges, "violations": violations},

@@ -15,11 +15,15 @@ from itertools import combinations
 
 ISOLATION_WIDTH = Fraction(1, 10**12)
 _EIG_BITS = 80  # bisection depth for smallest-eigenvalue enclosures
+_MAX_EXPONENT = 4300  # decimal exponents parse_rational reads: "1e999999999" would build 10**999999999
 
 
 def parse_rational(x):
-    """Accept Fraction/int/float or a 'num/den' (or 'num') string; a bool
-    is not a number here (JSON true is not 1)."""
+    """Accept Fraction/int/float or a string that Fraction reads exactly
+    ("3/4", "5", "0.5" and "5e-1" alike); a bool is not a number here (JSON
+    true is not 1).  A string it cannot read ("abc", "1/2/3", "inf", "1/0",
+    or a decimal exponent beyond +-_MAX_EXPONENT) raises a ValueError
+    naming it."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
@@ -29,21 +33,24 @@ def parse_rational(x):
     if isinstance(x, float):
         return Fraction(x)
     if isinstance(x, str):
-        s = x.strip()
-        if "/" in s:
-            num, den = s.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(s))
+        try:
+            exponent = x.lower().partition("e")[2]
+            if not exponent or abs(int(exponent)) <= _MAX_EXPONENT:
+                return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+        raise ValueError(f"cannot read the string {x!r} as a rational")
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
 def parse_integer(value, name):
     """value as an int if it parses to an integer ("7", 7.0 and Fraction(7)
     all mean 7); what parse_rational cannot read (a bool, nan, inf, None,
-    "abc", "1/0") or 7.9 raises a ValueError naming it."""
+    "abc", "1/0"), 7.9 or a string in decimal notation ("7.0", "5e2")
+    raises a ValueError naming it."""
     try:
-        q = parse_rational(value)
-    except (TypeError, ValueError, ArithmeticError):  # Fraction(inf) overflows, "1/0" divides by zero
+        q = None if isinstance(value, str) and any(c in value for c in ".eE") else parse_rational(value)
+    except (TypeError, ValueError, ArithmeticError):  # Fraction(inf) overflows
         q = None
     if q is None or q.denominator != 1:
         raise ValueError(f"{name} must be an integer; got {value!r}")

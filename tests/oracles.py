@@ -793,3 +793,19 @@ def descend_plain(key, p, memo=None):
             out[theta] = out.get(theta, 0) + coef / p
     memo[key] = out
     return out
+
+
+def coloring_violations_bulk(f, n, edge_samples, seed):
+    """The periodic coloring count with every edge drawn at once: x, y and t
+    from one default_rng(seed), in that order, and f called on all of t.
+    f must act on arrays; n is not checked against any threshold."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-20.0, 20.0, edge_samples)
+    y = rng.uniform(-20.0, 20.0, edge_samples)
+    t = rng.uniform(-5.0, 5.0, edge_samples)
+    ft = np.asarray(f(t), dtype=float)
+    c1a = np.floor(n * x).astype(np.int64) % n
+    c1b = np.floor(n * y).astype(np.int64) % (n * n)
+    c2a = np.floor(n * (x + t)).astype(np.int64) % n
+    c2b = np.floor(n * (y + ft)).astype(np.int64) % (n * n)
+    return int(np.count_nonzero((c1a == c2a) & (c1b == c2b)))

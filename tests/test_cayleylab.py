@@ -5,14 +5,23 @@ search on curve difference sets, and the two-level periodic coloring."""
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import box_distance, box_member, curve_difference_member, horner_float, independent_fraction
+from oracles import (
+    box_distance,
+    box_member,
+    coloring_violations_bulk,
+    curve_difference_member,
+    horner_float,
+    independent_fraction,
+)
 
+from oscillabound import cayleylab
 from oscillabound.cayleylab import (
     BoxSet,
     CliqueInstance,
@@ -496,6 +505,71 @@ def test_periodic_coloring_verify_needs_an_edge():
             assert str(exc) == f"edge_samples must be at least 1; got {edges}", exc
         else:
             raise AssertionError(f"{edges} edges accepted")
+
+
+def _cosine_series(c0, terms):
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        out = np.full_like(t, c0)
+        for k, a in terms:
+            out = out + a * np.cos(2 * np.pi * k * t)
+        return out
+
+    return f
+
+
+def test_periodic_coloring_verify_streams_the_bulk_draws():
+    # the chunked count draws each edge's x, y and t exactly as one bulk
+    # default_rng(seed) draw did: equal counts on both sides of every chunk
+    # boundary, with and without violations.  1 + cos(2 pi 20000 t) and
+    # 1/2 + 2 cos(2 pi 40000 t) sample as constants on the threshold's grid,
+    # so their admitted n meets monochromatic edges
+    chunk = cayleylab._EDGE_CHUNK
+    cases = [
+        (_cosine_series(2.0, [(1, 1.0)]), 7),
+        (_cosine_series(1.0, [(20000, 1.0)]), 5),
+        (_cosine_series(0.5, [(40000, 2.0)]), 8),
+    ]
+    counts = set()
+    for f, n in cases:
+        assert coloring_threshold(f)[0] <= n
+        for seed in (0, 3, 12):
+            for edges in (1, 7, chunk - 1, chunk, chunk + 1, 100_000, 250_001):
+                got = periodic_coloring_verify(f, n, edges, seed=seed)
+                assert got == coloring_violations_bulk(f, n, edges, seed), (n, seed, edges, got)
+                counts.add(got)
+    assert len(counts) > 10 and 0 in counts
+    assert periodic_coloring_verify(cases[1][0], 5, 20_000, seed=0) == 510
+
+
+def test_periodic_coloring_verify_memory_stays_flat_in_the_edges():
+    # one bulk draw of 10**6 edges peaked at about 69 MB; a chunk's
+    # temporaries stay near 1.3 MB whatever the edge count
+    f = _cosine_series(2.0, [(1, 1.0)])
+    periodic_coloring_verify(f, 7, 10)  # numpy.random's first use allocates outside the check
+    tracemalloc.start()
+    try:
+        assert periodic_coloring_verify(f, 7, 10**6, seed=1) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak
+
+
+def test_periodic_coloring_verify_n_must_square_into_int64():
+    # n = 4e9 used to escape as "OverflowError: Python int too large to
+    # convert to C long" from the colour class mod n*n
+    f = _cosine_series(2.0, [(1, 1.0)])
+    largest = 3_037_000_499
+    assert largest**2 < 2**63 <= (largest + 1) ** 2
+    for n in (largest + 1, 4_000_000_000, 10**30):
+        try:
+            periodic_coloring_verify(f, n, 1000)
+        except ValueError as exc:
+            assert f"n={n} is too large" in str(exc) and f"n <= {largest}" in str(exc), exc
+        else:
+            raise AssertionError(f"n={n} accepted")
+    assert periodic_coloring_verify(f, largest, 1000) == coloring_violations_bulk(f, largest, 1000, 0)
 
 
 def test_coloring_random_periodic_functions():

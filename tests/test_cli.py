@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import box_member
 
-from oscillabound import cli
+from oscillabound import cayleylab, cli
 from oscillabound.cayleylab import BoxSet, coloring_threshold, periodic_coloring_verify, upper_density_estimate
 from oscillabound.padic import ess_part
 from oscillabound.polycore import (
@@ -539,6 +539,47 @@ def test_color_check_exits_2_when_its_edges_refute_the_admitted_coloring():
         code, _, payload = _run(["color-check", _write_config(tmp, "c.json", cfg)])
     assert code == 2 and payload["error"] == "consistency failure", payload
     assert payload["diagnostics"] == {"n": 5, "n_min": 5, "edges": 20000, "violations": 510}
+
+
+def test_color_check_samples_the_threshold_once(monkeypatch):
+    # the command and periodic_coloring_verify each sampled f's threshold
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return coloring_threshold(f)
+
+    monkeypatch.setattr(cli, "coloring_threshold", counted)
+    monkeypatch.setattr(cayleylab, "coloring_threshold", counted)
+    cfg = {"function": {"constant": 2, "cos": [[1, 1]]}, "n": 7, "edges": 500}
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _, payload = _run(["color-check", _write_config(tmp, "c.json", cfg)])
+    assert code == 0 and payload["report"]["violations"] == 0, payload
+    assert len(calls) == 1, calls
+
+
+def test_color_check_n_past_int64_names_the_largest_n():
+    # exited 1 with "Python int too large to convert to C long"
+    cfg = {"function": {"constant": 2, "cos": [[1, 1]]}, "n": 4_000_000_000, "edges": 1000}
+    _assert_rejected("color-check", cfg, "n=4000000000 is too large: the colour classes mod n*n need n*n < 2**63, so n <= 3037000499")
+
+
+def test_decimal_strings_read_as_their_fractions():
+    # a frequency or coefficient "0.5" exited 1 with int()'s "invalid
+    # literal", while the window bound "0.5" ran
+    reports = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for lam in ("0.5", "1/2", "5e-1"):
+            for row in ("0.5", "1/2"):
+                cfg = {"family": [["0", row], ["0", "0", "1"]], "window": [1, 3], "lambdas": [[lam, "1"]]}
+                code, _, payload = _run(["muhat", _write_config(tmp, "c.json", cfg)])
+                assert code == 0, (lam, row, payload)
+                reports[lam, row] = json.dumps(payload["report"], sort_keys=True)
+        assert len(set(reports.values())) == 1, reports
+        for bad in ("abc", "1/2/3", "inf", "1/0", "1e999999999"):
+            cfg = {"family": FAMILY, "window": [1, 3], "lambdas": [[bad, "1"]]}
+            _assert_rejected("muhat", cfg, f"cannot read the string {bad!r} as a rational")
+            _assert_rejected("muhat", dict(cfg, family=[["0", bad], ["0", "0", "1"]]), repr(bad))
 
 
 def test_seed_and_budget_must_be_integers():

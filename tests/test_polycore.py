@@ -69,6 +69,27 @@ def test_parse_rational_forms():
             raise AssertionError(f"parse_rational accepted {flag!r}")
 
 
+def test_parse_rational_reads_decimal_strings_exactly():
+    # "0.5" raised int()'s "invalid literal"; a string too large to build
+    # exactly is refused before 10**exponent is computed
+    assert parse_rational("0.5") == parse_rational("5e-1") == parse_rational(" 1/2 ") == Fraction(1, 2)
+    assert parse_rational("-1.25e2") == -125 and parse_rational("1e-4300") == Fraction(1, 10**4300)
+    for bad in ("abc", "1/2/3", "inf", "nan", "1/0", "", "1e4301", "1e999999999", "1e5/2"):
+        try:
+            parse_rational(bad)
+        except ValueError as exc:
+            assert str(exc) == f"cannot read the string {bad!r} as a rational", exc
+        else:
+            raise AssertionError(f"parse_rational accepted {bad!r}")
+    for value in ("7.0", "5e2"):  # a count is written as an integer
+        try:
+            parse_integer(value, "edges")
+        except ValueError as exc:
+            assert str(exc) == f"edges must be an integer; got {value!r}", exc
+        else:
+            raise AssertionError(f"{value!r} read as an integer")
+
+
 def test_parse_integer_names_the_setting_for_nan_and_inf():
     assert [parse_integer(v, "seed") for v in (7, 7.0, "7", Fraction(7))] == [7] * 4
     for value in (math.nan, math.inf, -math.inf, np.float64("nan"), 7.5, True):

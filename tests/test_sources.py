@@ -66,6 +66,7 @@ KEPT_WITHOUT_CALLER = {
     "merge_intervals": "the superlevel lemma of ROADMAP item 4",
     "witness_intervals": "the superlevel lemma of ROADMAP item 4",
     "IntervalDecomposition.spot_check": "the superlevel lemma of ROADMAP item 4",
+    "periodic_coloring_verify": "the coloring check's public form; color-check counts on the threshold it reports",
 }
 
 
