@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .polycore import CurveFamily, parse_float, parse_integer, parse_positive, parse_rational
+from .polycore import CurveFamily, parse_float, parse_integer, parse_positive, parse_rational, parse_row
 from .realosc import _as_window
 
 _MEMBERSHIP_TOL = 1e-9  # curve-membership tolerance for float samples
@@ -36,40 +36,26 @@ class BoxSet:
     boxes: list of boxes, each a list of per-axis (lo, hi) pairs; lo/hi may
     be None for an unbounded side.  period: None, or a per-axis list whose
     entries are positive rationals (that axis repeats) or None (it does not).
-    Boxes are closed and may overlap.  On an axis with period p a box covers
-    [lo, hi] + pZ: x lies in it iff (x - lo) mod p <= hi - lo, and a box with
-    an open side on that axis covers the whole line.  Membership and
-    distance are exact on rational points (floats are converted exactly).
+    polycore.parse_row reads each of these lists, and a point.  Boxes are
+    closed and may overlap.  On an axis with period p a box covers [lo, hi]
+    + pZ: x lies in it iff (x - lo) mod p <= hi - lo, and a box with an open
+    side on that axis covers the whole line.  Membership and distance are
+    exact on rational points (floats are converted exactly).
     """
 
     def __init__(self, boxes, period=None, dim=None):
-        if not boxes and dim is None:
+        self.boxes = parse_row(boxes, _box, "boxes must be a list of boxes")
+        if not self.boxes and dim is None:
             raise ValueError("an empty box set needs an explicit dim")
-        self.dim = len(boxes[0]) if boxes else parse_integer(dim, "dim")
-        self.boxes = []
-        for box in boxes:
-            if len(box) != self.dim:
-                raise ValueError("boxes must share one dimension")
-            cleaned = []
-            for lo, hi in box:
-                lo = None if lo is None else parse_rational(lo)
-                hi = None if hi is None else parse_rational(hi)
-                if lo is not None and hi is not None and lo > hi:
-                    raise ValueError("box with lo > hi")
-                cleaned.append((lo, hi))
-            self.boxes.append(tuple(cleaned))
-        if period is None:
-            self.period = (None,) * self.dim
-        else:
-            if len(period) != self.dim:
-                raise ValueError("period vector must match dimension")
-            per = []
-            for p in period:
-                p = None if p is None else parse_rational(p)
-                if p is not None and p <= 0:
-                    raise ValueError("periods must be positive")
-                per.append(p)
-            self.period = tuple(per)
+        self.dim = len(self.boxes[0]) if self.boxes else parse_integer(dim, "dim")
+        if any(len(box) != self.dim for box in self.boxes):
+            raise ValueError("boxes must share one dimension")
+        periods = "period must be a list of per-axis periods"
+        self.period = (None,) * self.dim if period is None else tuple(parse_row(period, _bound, periods))
+        if len(self.period) != self.dim:
+            raise ValueError("period vector must match dimension")
+        if any(p is not None and p <= 0 for p in self.period):
+            raise ValueError("periods must be positive")
 
     @classmethod
     def from_json(cls, data):
@@ -84,14 +70,28 @@ class BoxSet:
     def distance(self, point):
         """Min over boxes of the max axis gap (an exact L^inf distance);
         math.inf for a set with no boxes."""
-        xs = [parse_rational(v) for v in point]
-        if len(xs) != self.dim:
-            raise ValueError("point dimension mismatch")
+        xs = parse_row(point, parse_rational, "point dimension mismatch: a point lists one rational per axis", self.dim)
         gaps = [
             max((_axis_gap(x, lo, hi, p) for x, (lo, hi), p in zip(xs, box, self.period)), default=_ZERO)
             for box in self.boxes
         ]
         return min(gaps, default=math.inf)
+
+
+def _box(box):
+    return tuple(parse_row(box, _side, "a box must be a list of (lo, hi) pairs"))
+
+
+def _side(pair):
+    lo, hi = parse_row(pair, _bound, "a side of a box must be a pair (lo, hi)", 2)
+    if lo is not None and hi is not None and lo > hi:
+        raise ValueError("box with lo > hi")
+    return lo, hi
+
+
+def _bound(v):
+    """A rational, or None for an open side or an axis with no period."""
+    return None if v is None else parse_rational(v)
 
 
 def _axis_gap(x, lo, hi, p):
@@ -139,10 +139,11 @@ def upper_density_estimate(box_set, radii):
     this is an estimate with a resolution-limited error bar, not a bound.
     radii is a non-empty increasing list, each read by parse_positive.
     """
-    if not isinstance(radii, (list, tuple)) or not radii:
-        raise ValueError(f"radii must be a non-empty list of radii; got {radii!r}")
-    radii = [parse_positive(r, "a density radius") for r in radii]
-    if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
+    message = "radii must be a non-empty list of radii"
+    rs = parse_row(radii, lambda r: parse_positive(r, "a density radius"), message)
+    if not rs:
+        raise ValueError(f"{message}; got {radii!r}")
+    if any(r2 <= r1 for r1, r2 in zip(rs, rs[1:])):
         raise ValueError("radii must be increasing")
     m = box_set.dim
     g = _DENSITY_GRID
@@ -168,7 +169,7 @@ def upper_density_estimate(box_set, radii):
 
     unit_ball_vol = math.pi ** (m / 2) / math.gamma(m / 2 + 1)
     out = []
-    for r in radii:
+    for r in rs:
         rq = Fraction(r)
         set_all, set_any = _cell_all_any(
             in_set([Fraction(2 * j - g, g) * rq for j in range(g + 1)]),
@@ -291,7 +292,7 @@ def _as_multipoly(poly):
     items = poly.items() if isinstance(poly, dict) else poly
     out = {}
     for exps, coeff in items:
-        exps = tuple(parse_integer(e, "an exponent") for e in exps)
+        exps = tuple(parse_row(exps, lambda e: parse_integer(e, "an exponent"), "exponents must be a list of integers"))
         if any(e < 0 for e in exps):
             raise ValueError("exponents must be nonnegative")
         c = parse_rational(coeff)
@@ -310,7 +311,7 @@ def multivariate_reduce(polys, ell=None):
     ell defaults to 1 + the max per-variable degree (the smallest valid
     base); an explicit ell must satisfy that bound.
     """
-    ps = [_as_multipoly(p) for p in polys]
+    ps = parse_row(polys, _as_multipoly, "components must be a list of polynomials")
     if not ps or any(not p for p in ps):
         raise ValueError("every component must be a nonzero polynomial")
     d = len(next(iter(ps[0])))
@@ -345,7 +346,7 @@ def curve_difference_oracle(family, tol=_MEMBERSHIP_TOL):
     the order of the float path of RationalPoly.__call__, so every answer
     keeps its bits.  tol must be a finite positive number, read by
     polycore.parse_positive as the CLI reads it: at 0, nan or inf no point
-    would be adjacent to another."""
+    would be adjacent to another.  A difference is read by parse_row."""
     tol = parse_positive(tol, "tol")
     m = family.m
     f1 = family.polys[0]
@@ -361,9 +362,7 @@ def curve_difference_oracle(family, tol=_MEMBERSHIP_TOL):
         return [float(z.real) for z in rr if abs(z.imag) <= 1e-9 * (1 + abs(z))]
 
     def oracle(w):
-        if len(w) != m:
-            raise ValueError(f"point dimension {len(w)} != curve dimension {m}")
-        w = [float(v) for v in w]
+        w = parse_row(w, float, "a difference must be a list of one number per curve component", m)
         if not all(map(math.isfinite, w)) or max(map(abs, w)) <= tol:
             return False  # on no curve, and 0 is never in the symmetric difference set
         tail = w[1:]
@@ -385,17 +384,21 @@ def curve_difference_oracle(family, tol=_MEMBERSHIP_TOL):
 
 class CliqueInstance:
     """A finite vertex sample plus the +-V membership oracle; edges are
-    u ~ v iff u != v and u - v lies in +-V.  A coordinate is read as a
-    float, and a bool raises (see parse_float)."""
+    u ~ v iff u != v and u - v lies in +-V.  The points are lists (parse_row)
+    of float coordinates, and a bool raises (see parse_float)."""
 
     def __init__(self, points, oracle):
-        self.points = [tuple(parse_float(c, "a point coordinate") for c in p) for p in points]
+        self.points = parse_row(points, _clique_point, "points must be a list of points")
         self.oracle = oracle
 
     def adjacent(self, u, v):
         if u == v:
             return False
         return self.oracle(tuple(map(operator.sub, u, v)))
+
+
+def _clique_point(p):
+    return tuple(parse_row(p, lambda c: parse_float(c, "a point coordinate"), "a point must be a list of numbers"))
 
 
 def clique_search(instance, max_size=None):
@@ -494,7 +497,8 @@ def periodic_coloring_verify(f, n, edge_samples, seed=0):
     n, edge_samples and seed must be integers (7.9 raises; see
     parse_integer), and edge_samples at least 1: a check of no edge proves
     nothing.  The colour classes are taken mod n*n in int64, so n may be at
-    most _MAX_COLORING_N = 3037000499.
+    most _MAX_COLORING_N = 3037000499, and a chunk in which n*(y + f(t)) is
+    nan or leaves int64 raises a ValueError naming n.
 
     Edge i gets the i-th draw of default_rng(seed).uniform(-20, 20) for x,
     the (N+i)-th for y and the (2N+i)-th of uniform(-5, 5) for t, where
@@ -531,6 +535,9 @@ def _coloring_violations(f, profile, n, edge_samples, seed):
         c1a = np.floor(n * x).astype(np.int64) % n
         c1b = np.floor(n * y).astype(np.int64) % (n * n)
         c2a = np.floor(n * (x + t)).astype(np.int64) % n
-        c2b = np.floor(n * (y + ft)).astype(np.int64) % (n * n)
+        c2b = np.floor(n * (y + ft))
+        if not np.all((c2b >= -(2.0**63)) & (c2b < 2.0**63)):  # nan fails both
+            raise ValueError(f"n*(y + f(t)) at n={n} is nan or outside int64, so its colour class cannot be taken")
+        c2b = c2b.astype(np.int64) % (n * n)
         violations += int(np.count_nonzero((c1a == c2a) & (c1b == c2b)))
     return violations

@@ -32,8 +32,8 @@ from .cayleylab import (
     upper_density_estimate,
 )
 from .padic import PadicWindow, mu_hat_padic
-from .polycore import parse_curve_family, parse_float, parse_integer, parse_rational
-from .realosc import QuadratureError, Window, certified_constant_real, mu_hat_real_with_error, parse_tol
+from .polycore import parse_curve_family, parse_float, parse_integer, parse_rational, parse_row
+from .realosc import QuadratureError, _as_window, certified_constant_real, mu_hat_real_with_error, parse_tol
 from .spectral import PipelineConsistencyError, certificate, independence_pipeline, minimize_mu_hat
 
 _COMMANDS = {}
@@ -77,23 +77,21 @@ def _field_prime(cfg):
 def _window_of(cfg):
     """The Window, or for a p-adic field the PadicWindow, of the config.
 
-    The window must be a list of exactly two bounds [a, T] (see _row_of).
-    A real bound is a number or a string that parse_rational reads ("1/2",
-    "0.5" and "5e-1" alike), and must be finite as a float; anything else
-    raises a ValueError naming the window.  A p-adic bound must be integral
-    once parsed ("1", 1.0 and Fraction(1) all mean 1); 1.9 raises instead of
-    being truncated.
+    The window must be a list of exactly two bounds [a, T], neither a bool
+    (polycore.parse_row: "16" is not [1, 6]).  realosc._as_window reads a
+    real pair.  A p-adic bound must be integral once parsed ("1", 1.0 and
+    Fraction(1) all mean 1); 1.9 raises instead of being truncated.
     """
     p = _field_prime(cfg)
-    window = _row_of(cfg["window"], 2, "window must be a list of two bounds [a, T]")
-    if p is None:
-        try:
-            a, T = (float(parse_rational(v)) for v in window)
-        except (TypeError, ValueError, ArithmeticError):  # None, "abc", nan; inf and "1e400" overflow
-            raise ValueError(f"the bounds of the window {window!r} must be finite numbers") from None
-        return Window(a, T)
-    a, T = (parse_integer(v, "a p-adic window bound") for v in window)
-    return PadicWindow(a, T, p)
+    window, message = cfg["window"], "window must be a list of two bounds [a, T]"
+
+    def bound(v):
+        if isinstance(v, bool):
+            raise ValueError(f"{message}; got {window!r}")
+        return v if p is None else parse_integer(v, "a p-adic window bound")
+
+    bounds = parse_row(window, bound, message, 2)
+    return _as_window(window) if p is None else PadicWindow(*bounds, p)
 
 
 def _setting(cfg, flags, name, default):
@@ -103,21 +101,12 @@ def _setting(cfg, flags, name, default):
     return flag if flag is not None else cfg.get(name, default)
 
 
-def _row_of(value, size, message):
-    """value if it is a list of exactly size entries, none of them a bool,
-    else ValueError(message + the value's repr).  A string such as "16" is
-    never unpacked into its characters."""
-    if not isinstance(value, (list, tuple)) or len(value) != size or any(isinstance(v, bool) for v in value):
-        raise ValueError(f"{message}; got {value!r}")
-    return value
-
-
 def _lambdas_of(cfg, m):
-    rows = cfg.get("lambdas")
-    if "lambda" in cfg or not isinstance(rows, list) or not rows:
-        raise ValueError(f"frequencies go under 'lambdas', a non-empty list of them; got {rows!r}")
-    message = f"each lambda must be a list of {m} rationals, one per family component"
-    return [tuple(parse_rational(v) for v in _row_of(row, m, message)) for row in rows]
+    rows, message = cfg.get("lambdas"), "frequencies go under 'lambdas', a non-empty list of them"
+    if "lambda" in cfg or not rows:
+        raise ValueError(f"{message}; got {rows!r}")
+    row_message = f"each lambda must be a list of {m} rationals, one per family component"
+    return parse_row(rows, lambda row: tuple(parse_row(row, parse_rational, row_message, m)), message)
 
 
 def _write_csv(path, m, rows):
@@ -240,19 +229,26 @@ def _cmd_clique(cfg, flags):
 
 
 def _series_function(spec):
-    """f(t) = constant + sum amp*cos(2 pi k t) + sum amp*sin(2 pi k t); the
-    constant and the amplitudes are floats and never bools (parse_float)."""
+    """f(t) = constant + sum amp*cos(2 pi k t) + sum amp*sin(2 pi k t) over the
+    [k, amp] pairs (parse_row) of 'cos' and 'sin'; amp and the constant are
+    floats and never bools (parse_float)."""
     c0 = parse_float(spec.get("constant", 0.0), "constant")
-    cos_terms = [(parse_integer(k, "a harmonic k"), parse_float(a, "an amplitude")) for k, a in spec.get("cos", [])]
-    sin_terms = [(parse_integer(k, "a harmonic k"), parse_float(a, "an amplitude")) for k, a in spec.get("sin", [])]
+
+    def harmonic(pair):
+        k, a = parse_row(pair, lambda v: v, "a term must be a pair [k, amplitude]", 2)
+        return parse_integer(k, "a harmonic k"), parse_float(a, "an amplitude")
+
+    terms = [
+        (wave, k, a)
+        for key, wave in (("cos", np.cos), ("sin", np.sin))
+        for k, a in parse_row(spec.get(key, []), harmonic, f"{key} must be a list of [k, amplitude] pairs")
+    ]
 
     def f(t):
         t = np.asarray(t, dtype=float)
         out = np.full_like(t, c0)
-        for k, a in cos_terms:
-            out = out + a * np.cos(2 * np.pi * k * t)
-        for k, a in sin_terms:
-            out = out + a * np.sin(2 * np.pi * k * t)
+        for wave, k, a in terms:
+            out = out + a * wave(2 * np.pi * k * t)
         return out
 
     return f

@@ -342,10 +342,17 @@ class PadicWindow:
         )
 
 
+def _prime_of(window):
+    if not isinstance(window, PadicWindow):  # (1, 4) holds no p
+        raise ValueError(f"a p-adic window must be a PadicWindow; got {window!r}")
+    return window.p
+
+
 def check_window_padic(family, window):
-    """Raise ValueError unless the PadicWindow starts above the essential
-    part of every component at window.p."""
-    a0 = max(ess_part(f, window.p) for f in family.polys)
+    """Raise ValueError unless window is a PadicWindow that starts above the
+    essential part of every component at window.p."""
+    p = _prime_of(window)
+    a0 = max(ess_part(f, p) for f in family.polys)
     if window.a <= a0:
         raise ValueError(f"window start {window.a} must exceed the essential part {a0}")
 
@@ -376,8 +383,8 @@ def mu_hat_padic(family, window, lam, memo=None):
     names its prime).  The value returned does not depend on what memo
     holds.
     """
-    p = window.p
     check_window_padic(family, window)
+    p = window.p
     den, ints = phase_integers(family, lam)
     acc = {}
     _add_balls(acc, den, ints, p, window.ball_weights, {} if memo is None else memo, paired=True)
@@ -418,8 +425,8 @@ def certified_bound_padic(family, window):
 
     Requires the strictly-decreasing-degree normal form (echelon_reduce).
     """
+    p = _prime_of(window)
     degs = [f.degree for f in family.polys]
     if any(d < 1 for d in degs) or any(x <= y for x, y in zip(degs, degs[1:])):
         raise ValueError("family must be echelon-reduced to strictly decreasing degrees")
-    p = window.p
     return 16 * sum(p**d for d in degs)

@@ -5,6 +5,9 @@ or plain integers once clear_denominators has scaled a row, which is how root
 isolation, the gcd behind a0 and elimination all run.  Floats only appear on
 the way out, rounded in whichever direction keeps the downstream certificate
 valid.
+
+Inputs are read by the parse_* readers here, and every vector by parse_row:
+a list or tuple, never a string such as "12".
 """
 
 import math
@@ -83,13 +86,23 @@ def parse_positive(value, name):
     return x
 
 
+def parse_row(value, read, message, size=None):
+    """The library's one reader of a vector: [read(v) for v in value] for a list
+    or tuple of size entries (any number when size is None).  Anything else, a
+    str such as "12" (never its characters), bytes, a bool, dict, set, None or
+    a bare number, raises ValueError(f"{message}; got {value!r}")."""
+    if not isinstance(value, (list, tuple)) or size is not None and len(value) != size:
+        raise ValueError(f"{message}; got {value!r}")
+    return list(map(read, value))
+
+
 class RationalPoly:
     """Dense univariate polynomial over Q, coefficients ascending (a0, a1, ...)."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [parse_rational(c) for c in coeffs]
+        cs = parse_row(coeffs, parse_rational, "a polynomial must be a list of rational coefficients, ascending")
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -324,13 +337,10 @@ class CurveFamily:
     into one common den and an integer matrix, read by phase_integers."""
 
     def __init__(self, polys):
-        ps = []
-        for p in polys:
-            if not isinstance(p, RationalPoly):
-                p = RationalPoly(p)
-            if p.degree < 1:
-                raise ValueError("curve components must be nonconstant")
-            ps.append(p)
+        message = "a curve family must be a list of polynomials"
+        ps = parse_row(polys, lambda p: p if isinstance(p, RationalPoly) else RationalPoly(p), message)
+        if any(p.degree < 1 for p in ps):
+            raise ValueError("curve components must be nonconstant")
         if not ps:
             raise ValueError("empty curve family")
         self.polys = tuple(ps)
@@ -360,7 +370,7 @@ class CurveFamily:
 
 def parse_curve_family(data):
     """Coefficient lists (ascending, 'num/den' strings allowed) -> CurveFamily."""
-    return CurveFamily([RationalPoly(row) for row in data])
+    return CurveFamily(data)
 
 
 def _bareiss(rows):
@@ -415,9 +425,7 @@ def phase_integers(family, lam):
     f_ij) needs no Fraction.  den need not be minimal: ints is then a
     positive multiple of the reduced integer vector, which gives the same
     quotients ints[j] / den and the same signs."""
-    lam = [parse_rational(v) for v in lam]
-    if len(lam) != family.m:
-        raise ValueError(f"frequency has {len(lam)} components, family has {family.m}")
+    lam = parse_row(lam, parse_rational, "a frequency must be a list of rationals, one per family component", family.m)
     big_l, nums = clear_denominators(lam)
     return big_l * family._den, [sum(map(operator.mul, nums, col)) for col in family._columns]
 
@@ -438,7 +446,7 @@ def _solve(mat, rhs):
 def vandermonde_interpolation(values, n):
     """Solve sum_{k=1}^{n} alpha_k * j^k = values_j for j = 1..n, exactly,
     for a sequence of n rationals values."""
-    values = [parse_rational(v) for v in values]
+    values = parse_row(values, parse_rational, "the target values must be a list of rationals")
     if len(values) != n:
         raise ValueError("need exactly n target values")
     mat = [[j**k for k in range(1, n + 1)] for j in range(1, n + 1)]

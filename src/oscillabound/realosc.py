@@ -73,6 +73,7 @@ from .polycore import (
     parse_integer,
     parse_positive,
     parse_rational,
+    parse_row,
     phase_integers,
 )
 
@@ -117,14 +118,24 @@ class Window:
 
 
 def _as_window(w):
-    """The one reader of a real window: a Window, or a list or tuple (a, T) of
-    two numbers, neither a str nor a bool ("12" is not [1, 2]), each read by
-    parse_float; anything else raises a ValueError naming w."""
+    """The one reader of a real window: a Window, or a pair (a, T) read by
+    polycore.parse_row ("12" is not [1, 2]) whose bounds are no bools.  A
+    bound is a number or a string that parse_rational reads ("1/2", "0.5"
+    and "5e-1" alike); one that is neither, or overflows a float, raises a
+    ValueError naming w, and Window refuses a nan or infinite bound."""
     if isinstance(w, Window):
         return w
-    if not isinstance(w, (list, tuple)) or len(w) != 2 or any(isinstance(v, (str, bool)) for v in w):
-        raise ValueError(f"a real window must be a Window or a pair of numbers (a, T); got {w!r}")
-    return Window(*(parse_float(v, f"a bound of the window {w!r}") for v in w))
+    pair = "a real window must be a Window or a pair of numbers (a, T)"
+
+    def bound(v):
+        if isinstance(v, bool):
+            raise ValueError(f"{pair}; got {w!r}")
+        try:
+            return float(parse_rational(v) if isinstance(v, str) else v)
+        except (TypeError, ValueError, ArithmeticError):  # None, "abc"; "1e400" overflows
+            raise ValueError(f"the bounds of the window {w!r} must be finite numbers") from None
+
+    return Window(*parse_row(w, bound, pair, 2))
 
 
 @dataclass(frozen=True)

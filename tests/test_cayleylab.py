@@ -572,6 +572,18 @@ def test_periodic_coloring_verify_n_must_square_into_int64():
     assert periodic_coloring_verify(f, largest, 1000) == coloring_violations_bulk(f, largest, 1000, 0)
 
 
+def test_periodic_coloring_verify_refuses_a_colour_class_past_int64():
+    # n * (y + f(t)) near 9.2e18 was cast to int64 regardless: a RuntimeWarning
+    # under -W error, else a count over wrapped colour classes
+    for f in (lambda t: 3037000490.0 + 0 * t, lambda t: -3037000490.0 + 0 * t):
+        try:
+            periodic_coloring_verify(f, 3_037_000_499, 1000)
+        except ValueError as exc:
+            assert str(exc).startswith("n*(y + f(t)) at n=3037000499 is nan or outside int64"), exc
+        else:
+            raise AssertionError("a colour class past int64 was counted")
+
+
 def test_coloring_random_periodic_functions():
     rng = random.Random(89)
     for _ in range(10):

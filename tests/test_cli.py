@@ -875,3 +875,29 @@ def test_color_check_needs_at_least_one_edge():
     base = {"function": {"constant": 2, "cos": [[1, 1]]}}
     for edges in (0, -5):
         _assert_rejected("color-check", dict(base, edges=edges), "edge_samples must be at least 1")
+
+
+def test_digit_strings_are_never_vectors():
+    # each config exited 0 with the answer for another input: "01" was the row
+    # (0, 1), the side "03" the interval [0, 3], the point "11" (1, 1), the
+    # exponents "10" (1, 0) and the cos term "11" the harmonic 1 at amplitude 1
+    polynomial = "a polynomial must be a list of rational coefficients, ascending; got '01'"
+    family = {"family": ["01", "001"], "window": [1, 2], "lambdas": [["1", "1"]]}
+    box = {"boxes": [["03", [-1, 1]]], "period": ["9", "9"]}
+    cases = [
+        *[(command, family, polynomial) for command in ("muhat", "certify", "pipeline")],
+        (
+            "config-search",
+            {"family": FAMILY, "window": [1, 2], "step": "1/4", "boxset": box},
+            "a side of a box must be a pair (lo, hi); got '03'",
+        ),
+        ("clique", {"family": FAMILY, "points": ["00", "11"]}, "a point must be a list of numbers; got '00'"),
+        ("reduce", {"components": [[["10", "1"]], [["01", "1"]]]}, "exponents must be a list of integers; got '10'"),
+        (
+            "color-check",
+            {"function": {"constant": 2, "cos": ["11"]}, "n": 7, "edges": 500},
+            "a term must be a pair [k, amplitude]; got '11'",
+        ),
+    ]
+    for command, cfg, message in cases:
+        _assert_rejected(command, cfg, message, "--budget", "3")

@@ -69,6 +69,20 @@ def test_window_validation():
             raise AssertionError(f"Window accepted {bad}")
 
 
+def test_real_window_reads_string_bounds_as_the_cli_does():
+    # ("1/2", 2) raised "must be a number" while the CLI's ["1/2", 2] ran
+    want = mu_hat_real_with_error(FAM_XX2, Window(0.5, 2.0), (1, 1))
+    for window in (("1/2", 2), ["0.5", 2.0], ("5e-1", "2"), (Fraction(1, 2), 2)):
+        assert mu_hat_real_with_error(FAM_XX2, window, (1, 1)) == want, window
+    for window in ((1, "1e400"), ("abc", 2), (None, 2), ("1/0", 2), (1, "inf")):
+        try:
+            mu_hat_real(FAM_XX2, window, (1, 1))
+        except ValueError as exc:
+            assert str(exc) == f"the bounds of the window {window!r} must be finite numbers", exc
+        else:
+            raise AssertionError(f"window {window!r} accepted")
+
+
 def test_vdc_bound():
     assert abs(vdc_bound(2, 4.0) - 12.0) < 1e-15
     assert vdc_bound(1, 10.0) == 1.2

@@ -29,12 +29,20 @@ from oscillabound.cayleylab import (
     CliqueInstance,
     clique_search,
     config_search,
+    curve_difference_oracle,
     multivariate_reduce,
     periodic_coloring_verify,
     upper_density_estimate,
 )
-from oscillabound.padic import PadicWindow, vp
-from oscillabound.polycore import CurveFamily, RationalPoly, vandermonde_interpolation
+from oscillabound.padic import PadicWindow, certified_bound_padic, mu_hat_padic, vp
+from oscillabound.polycore import (
+    CurveFamily,
+    RationalPoly,
+    parse_curve_family,
+    parse_row,
+    phase_integers,
+    vandermonde_interpolation,
+)
 from oscillabound.realosc import Window, mu_hat_real, osc_integral, superlevel_decompose, vdc_bound
 from oscillabound.spectral import (
     hoffman_chromatic_bound,
@@ -169,7 +177,10 @@ def test_input_guards_raise_their_value_errors():
                 lambda w=w: config_search(fam, w, square, "1/4"),
             )
         ],
-        (lambda: mu_hat_real(fam, (None, 2.0), (1, 2)), "a bound of the window (None, 2.0) must be a number; got None"),
+        (lambda: mu_hat_real(fam, (None, 2.0), (1, 2)), "the bounds of the window (None, 2.0) must be finite numbers"),
+        # (1, 4) holds no p: it raised AttributeError
+        (lambda: mu_hat_padic(fam, (1, 4), (1, 1)), "a p-adic window must be a PadicWindow; got (1, 4)"),
+        (lambda: certified_bound_padic(fam, (1, 4)), "a p-adic window must be a PadicWindow; got (1, 4)"),
         # e^-inf is 0.0, so the scan once ran, and found s = 1/4 in [0, 1]^2
         (lambda: config_search(fam, (-math.inf, 1.0), square, "1/4"), "window bounds must be finite; got -inf, 1.0"),
         # an infinite input gave nan, inf, or a ratio bound of 0
@@ -210,3 +221,57 @@ def test_input_guards_raise_their_value_errors():
             assert str(exc) == message, (message, exc)
         else:
             raise AssertionError(f"no ValueError: {message}")
+
+
+def test_every_vector_slot_refuses_what_is_no_list():
+    # "001" was the polynomial x^2 and "11" the frequency (1, 1): a string was
+    # iterated as a vector wherever no hand-rolled check stood in the way
+    x = RationalPoly([0, 1])
+    fam, q3, unit = CurveFamily([x, x * x]), PadicWindow(1, 4, 3), BoxSet([[("0", "1")]])
+    square, oracle = BoxSet([[("0", "1"), ("0", "1")]]), curve_difference_oracle(fam)
+    polynomial = "a polynomial must be a list of rational coefficients, ascending"
+    frequency = "a frequency must be a list of rationals, one per family component"
+    point = "point dimension mismatch: a point lists one rational per axis"
+    window = "a real window must be a Window or a pair of numbers (a, T)"
+    slots = [
+        (RationalPoly, polynomial),
+        (lambda v: CurveFamily([x, v]), polynomial),
+        (lambda v: parse_curve_family([["0", "1"], v]), polynomial),
+        (CurveFamily, "a curve family must be a list of polynomials"),
+        (lambda v: phase_integers(fam, v), frequency),
+        (lambda v: mu_hat_real(fam, (1, 2), v), frequency),
+        (lambda v: mu_hat_padic(fam, q3, v), frequency),
+        (lambda v: vandermonde_interpolation(v, 2), "the target values must be a list of rationals"),
+        (BoxSet, "boxes must be a list of boxes"),
+        (lambda v: BoxSet([v]), "a box must be a list of (lo, hi) pairs"),
+        (lambda v: BoxSet([[v]]), "a side of a box must be a pair (lo, hi)"),
+        (lambda v: BoxSet([[("0", "1")]], period=v), "period must be a list of per-axis periods"),
+        (unit.distance, point),
+        (unit.contains, point),
+        (lambda v: CliqueInstance(v, oracle), "points must be a list of points"),
+        (lambda v: CliqueInstance([v], oracle), "a point must be a list of numbers"),
+        (multivariate_reduce, "components must be a list of polynomials"),
+        (lambda v: multivariate_reduce([[(v, 1)]]), "exponents must be a list of integers"),
+        (oracle, "a difference must be a list of one number per curve component"),
+        (lambda v: mu_hat_real(fam, v, (1, 1)), window),
+        (lambda v: config_search(fam, v, square, "1/4"), window),
+        (lambda v: upper_density_estimate(unit, v), "radii must be a non-empty list of radii"),
+    ]
+    for value in ("12", b"12", True, 7, {"a": 1}, {1, 2}, None):
+        for call, message in slots:
+            if value is None and message.startswith("period"):
+                continue  # period=None is a box set with no period
+            try:
+                call(value)
+            except ValueError as exc:
+                assert str(exc) == f"{message}; got {value!r}", (message, value, exc)
+            else:
+                raise AssertionError(f"{message}: {value!r} accepted")
+    assert parse_row((1, "2"), int, "a pair", 2) == [1, 2]
+    for value in ([1], [1, 2, 3], "12"):
+        try:
+            parse_row(value, int, "a pair", 2)
+        except ValueError as exc:
+            assert str(exc) == f"a pair; got {value!r}", exc
+        else:
+            raise AssertionError(f"{value!r} read as a pair")
